@@ -18,7 +18,7 @@ Two allocators are modeled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import MemoryModelError
 
@@ -207,6 +207,20 @@ class BumpArena:
 
     def alloc_str(self, text: str) -> int:
         return self.alloc(text.encode("utf-8"))
+
+    def alloc_strs(self, texts: Sequence[str]) -> None:
+        """Copy each string in order, as one :meth:`alloc_str` each would.
+
+        When they all fit the current chunk they go to the heap in one
+        write, which leaves the same bytes the one-by-one copies would.
+        """
+        data = "".join(texts).encode("utf-8")
+        if self._cursor + len(data) > self._chunk_size:
+            for text in texts:  # crosses a chunk boundary: one at a time
+                self.alloc(text.encode("utf-8"))
+            return
+        self._heap.write(self._chunks[-1], data, offset=self._cursor)
+        self._cursor += len(data)
 
     def reset(self) -> None:
         """End-of-statement cleanup: rewind, free overflow chunks.

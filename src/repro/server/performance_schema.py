@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 
 from ..errors import ServerError
 from ..memory import SimulatedHeap
-from ..sql.digest import canonicalize, digest as compute_digest
 
 #: MySQL default: 10 statements of history per thread.
 DEFAULT_HISTORY_SIZE = 10
@@ -87,22 +86,26 @@ class PerformanceSchema:
         self,
         thread_id: int,
         sql_text: str,
+        digest: str,
+        digest_text: str,
         timestamp: int,
         duration: float,
         rows_examined: int,
         rows_sent: int,
-        tokens=None,
     ) -> Optional[StatementEvent]:
-        """Account one finished statement across all three tables."""
+        """Account one finished statement across all three tables.
+
+        ``digest`` and ``digest_text`` are the statement's digest and its
+        canonical text (:mod:`repro.sql.digest`).
+        """
         if not self.enabled:
             return None
-        digest_value = compute_digest(sql_text, tokens=tokens)
         text_addr = self._heap.alloc_str(sql_text, tag="perf/statement")
         event = StatementEvent(
             thread_id=thread_id,
             event_id=self._next_event_id,
             sql_text=sql_text,
-            digest=digest_value,
+            digest=digest,
             timestamp=timestamp,
             duration=duration,
             rows_examined=rows_examined,
@@ -121,18 +124,17 @@ class PerformanceSchema:
             # Freed, not zeroed: evicted history text persists in the heap.
             self._heap.free(evicted.text_addr)
 
-        summary = self._digests.get(digest_value)
+        summary = self._digests.get(digest)
         if summary is None:
-            digest_text = canonicalize(sql_text, tokens=tokens)
-            self._digest_addrs[digest_value] = self._heap.alloc_str(
+            self._digest_addrs[digest] = self._heap.alloc_str(
                 digest_text, tag="perf/digest"
             )
             summary = DigestSummary(
-                digest=digest_value,
+                digest=digest,
                 digest_text=digest_text,
                 first_seen=timestamp,
             )
-            self._digests[digest_value] = summary
+            self._digests[digest] = summary
         summary.count_star += 1
         summary.sum_rows_examined += rows_examined
         summary.sum_rows_sent += rows_sent

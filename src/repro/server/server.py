@@ -26,13 +26,10 @@ from ..errors import (
     CatalogError,
     DuplicateKeyError,
     ServerError,
-    SQLError,
     StorageError,
 )
 from ..memory import SimulatedHeap
 from ..obs import Instrumentation
-from ..sql import parse
-from ..sql.digest import digest as compute_digest
 from ..sql.ast import (
     BeginTxn,
     CommitTxn,
@@ -44,7 +41,7 @@ from ..sql.ast import (
     Select,
     Update,
 )
-from ..sql.lexer import TokenType, tokenize
+from ..sql.fastpath import ScannedStatement, StatementCache, scan
 from ..sql.planner import PlanKind, plan_select
 from ..storage import BufferPool, decode_row, encode_row
 from ..storage.buffer_pool import BufferPoolDump
@@ -185,6 +182,8 @@ class MySQLServer:
                 **engine_wal_kwargs,
             )
         self.catalog = Catalog()
+        # Parse trees per statement shape: out of band, no artifact sees it.
+        self.statement_cache = StatementCache()
         self.general_log = GeneralQueryLog(enabled=self.config.general_log_enabled)
         self.slow_log = SlowQueryLog(
             enabled=self.config.slow_log_enabled,
@@ -259,11 +258,11 @@ class MySQLServer:
         """Run one SQL statement on ``session``."""
         timestamp = self.clock.timestamp()
         session.begin_statement(sql, timestamp)
-        tokens = self._spill_statement_strings(session, sql)
+        scanned = self._spill_statement_strings(session, sql)
         query_span = self.obs.begin_span("query")
         try:
             with self.obs.span("parse"):
-                stmt = parse(sql, tokens=tokens)
+                stmt = self.statement_cache.parse(sql, scanned)
             with self.obs.span("execute", detail=type(stmt).__name__):
                 if isinstance(stmt, Select):
                     result = self._execute_select(session, stmt)
@@ -290,7 +289,7 @@ class MySQLServer:
             try:
                 self._account_statement(
                     session, sql, timestamp, rows_examined=0, rows_sent=0,
-                    tokens=tokens,
+                    scanned=scanned,
                 )
             finally:
                 self.obs.end_span(query_span, detail="error")
@@ -303,7 +302,7 @@ class MySQLServer:
             timestamp,
             rows_examined=result.rows_examined,
             rows_sent=result.rows_sent,
-            tokens=tokens,
+            scanned=scanned,
         )
         # The root span closes after accounting so its duration covers the
         # whole statement; its detail is the digest — the "query type"
@@ -322,26 +321,23 @@ class MySQLServer:
 
     # -- memory spill of statement strings (Section 5 mechanisms) -----------------
 
-    def _spill_statement_strings(self, session: Session, sql: str):
+    def _spill_statement_strings(
+        self, session: Session, sql: str
+    ) -> Optional[ScannedStatement]:
         """Copy tokens into the session arena the way parser items do.
 
         The lexer keeps the raw token text, the parser keeps the parsed
-        value: two independent copies per identifier/literal, both living in
-        the statement arena until overwritten.
+        value: two independent copies per identifier/string literal, both
+        living in the statement arena until overwritten.
 
-        Returns the token list so the statement is tokenized exactly once
-        (parse, digest, and canonicalize all reuse it); ``None`` on lexer
-        errors, which then surface from ``parse``.
+        Returns the statement's one-pass scan, which parse and digest both
+        reuse; ``None`` on lexer errors, which then surface from the parser
+        (lexically invalid input leaves no token copies).
         """
-        try:
-            tokens = tokenize(sql)
-        except SQLError:
-            return None  # lexically invalid input never reaches the parser
-        for token in tokens:
-            if token.type in (TokenType.IDENTIFIER, TokenType.STRING):
-                session.query_arena.alloc_str(token.text)      # lexer copy
-                session.query_arena.alloc_str(str(token.value))  # parser copy
-        return tokens
+        scanned = scan(sql)
+        if scanned is not None:
+            session.query_arena.alloc_strs(scanned.spill)
+        return scanned
 
     def _account_statement(
         self,
@@ -350,13 +346,12 @@ class MySQLServer:
         timestamp: int,
         rows_examined: int,
         rows_sent: int,
-        tokens=None,
+        scanned: Optional[ScannedStatement],
     ) -> Tuple[float, str]:
         """Clock, logs, and performance-schema bookkeeping for a statement.
 
-        Returns ``(duration, digest)``; the digest comes for free from the
-        performance-schema event (computed once), or is computed directly
-        when only the observability layer wants it.
+        Returns ``(duration, digest)``. A statement the lexer rejected has
+        no digest, so performance_schema never sees it.
         """
         duration = (
             self.config.base_cost_seconds
@@ -373,22 +368,19 @@ class MySQLServer:
         self.general_log.log(entry)
         self.slow_log.log(entry)
         self.obs.count("server.statements")
-        event = self.perf_schema.record_statement(
+        if scanned is None:
+            return duration, ""
+        self.perf_schema.record_statement(
             thread_id=session.session_id,
             sql_text=sql,
+            digest=scanned.digest,
+            digest_text=scanned.canonical,
             timestamp=timestamp,
             duration=duration,
             rows_examined=rows_examined,
             rows_sent=rows_sent,
-            tokens=tokens,
         )
-        if event is not None:
-            digest_value = event.digest
-        elif self.obs.enabled:
-            digest_value = compute_digest(sql, tokens=tokens)
-        else:
-            digest_value = ""
-        return duration, digest_value
+        return duration, scanned.digest
 
     # -- SELECT ---------------------------------------------------------------------
 

@@ -30,18 +30,15 @@ from typing import List
 from .lexer import TokenType, tokenize
 
 
-def canonicalize(sql: str, tokens=None) -> str:
+def canonicalize(sql: str) -> str:
     """Return the canonical "query type" text for ``sql``.
 
     Runs of ``?`` produced by multi-value lists (``VALUES (?, ?, ?)``)
     stay distinct per position, matching MySQL's behaviour of preserving
-    statement structure. ``tokens`` may carry a pre-lexed stream to avoid
-    re-tokenizing on the statement hot path.
+    statement structure.
     """
-    if tokens is None:
-        tokens = tokenize(sql)
     parts: List[str] = []
-    for token in tokens:
+    for token in tokenize(sql):
         if token.type is TokenType.EOF:
             break
         if token.type in (TokenType.NUMBER, TokenType.STRING, TokenType.HEX):
@@ -57,8 +54,15 @@ def canonicalize(sql: str, tokens=None) -> str:
             parts.append(token.text)
         else:
             parts.append(token.text)
-    # Join with spaces, then tighten punctuation the way mysql's digest text
-    # renders (no space before commas/closing parens, none after opening).
+    return render_canonical(parts)
+
+
+def render_canonical(parts: List[str]) -> str:
+    """Join canonical token texts into digest text.
+
+    Join with spaces, then tighten punctuation the way mysql's digest text
+    renders (no space before commas/closing parens, none after opening).
+    """
     text = " ".join(parts)
     for before, after in ((" ,", ","), ("( ", "("), (" )", ")"), (" ;", ";"),
                           (" .", "."), (". ", ".")):
@@ -66,8 +70,11 @@ def canonicalize(sql: str, tokens=None) -> str:
     return text
 
 
-def digest(sql: str, tokens=None) -> str:
+def digest_canonical(text: str) -> str:
+    """The hex digest of already-canonical text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+
+
+def digest(sql: str) -> str:
     """Return the hex digest identifying ``sql``'s canonical form."""
-    return hashlib.sha256(
-        canonicalize(sql, tokens=tokens).encode("utf-8")
-    ).hexdigest()[:32]
+    return digest_canonical(canonicalize(sql))

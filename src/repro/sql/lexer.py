@@ -77,25 +77,27 @@ class Token:
         return self.type is TokenType.KEYWORD and self.text.upper() == word
 
 
-# "?" appears in canonicalized digest text; accepting it keeps the lexer
-# total over its own canonical output (the parser still rejects it).
-#
-# One compiled master pattern (hot path: every statement is lexed exactly
-# once and the token list threaded through parse/digest/spill). Alternation
-# order matters: ``hex`` before ``word`` so a lone ``x`` stays an
-# identifier but ``x'..'`` lexes as a literal, and explicit ASCII digits
-# only — str.isdigit() accepts unicode digits like "²" that int() then
-# rejects (found by fuzzing). ``[^\W\d]\w*`` is the regex spelling of the
-# historical scanner's identifier rule (leading isalpha()/underscore,
-# isalnum()/underscore continuation, unicode included).
+# The token rules, in match order; the statement fast path
+# (:mod:`repro.sql.fastpath`) scans with the same rules. Order matters:
+# ``hex`` before ``word`` so a lone ``x`` stays an identifier but ``x'..'``
+# lexes as a literal. Explicit ASCII digits only — str.isdigit() accepts
+# unicode digits like "²" that int() then rejects (found by fuzzing).
+# ``[^\W\d]\w*`` is the regex spelling of the historical scanner's
+# identifier rule (leading isalpha()/underscore, isalnum()/underscore
+# continuation, unicode included). "?" appears in canonicalized digest
+# text; accepting it keeps the lexer total over its own canonical output
+# (the parser still rejects it).
+TOKEN_RULES = (
+    ("hex", r"x'[^']*'"),
+    ("str", r"'[^']*'"),
+    ("num", r"-?[0-9]+"),
+    ("word", r"[^\W\d]\w*"),
+    ("op", r"<=|>=|!=|<>|[=<>]"),
+    ("punct", r"[(),*;.?]"),
+)
+
 _MASTER_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<hex>x'[^']*')"
-    r"|(?P<str>'[^']*')"
-    r"|(?P<num>-?[0-9]+)"
-    r"|(?P<word>[^\W\d]\w*)"
-    r"|(?P<op><=|>=|!=|<>|[=<>])"
-    r"|(?P<punct>[(),*;.?])"
+    r"(?P<ws>\s+)|" + "|".join(f"(?P<{name}>{rule})" for name, rule in TOKEN_RULES)
 )
 
 
@@ -109,10 +111,9 @@ def tokenize(sql: str) -> List[Token]:
     while pos < n:
         m = match(sql, pos)
         if m is None:
+            # ``\s`` matches exactly the characters str.isspace() accepts,
+            # so whatever is left here is a lexer error.
             ch = sql[pos]
-            if ch.isspace():  # non-ASCII whitespace the \s class misses
-                pos += 1
-                continue
             if ch == "'":
                 raise LexerError("unterminated string literal", pos)
             if ch == "x" and pos + 1 < n and sql[pos + 1] == "'":
