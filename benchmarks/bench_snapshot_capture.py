@@ -79,6 +79,11 @@ def _direct_full_capture(server: MySQLServer) -> Snapshot:
         "query_cache_statements": tuple(server.query_cache.statements),
         "adaptive_hash_hot_keys": tuple(server.adaptive_hash.hot_keys()),
         "live_buffer_pool": server.engine.buffer_pool.dump(),
+        "tablespace_file": server.engine.tablespace_images(),
+        "page_free_list": server.engine.free_list_info(),
+        "checkpoint_lsn": server.engine.checkpoint_lsns(),
+        "wal_segments": server.engine.wal_segments(),
+        "dirty_page_table": server.engine.dirty_page_table(),
     }
     if server.obs.enabled:
         artifacts["obs_metrics"] = server.obs.metrics_dump()

@@ -51,7 +51,7 @@ def test_wal_append_throughput(bench_json, report):
 
 def test_wal_group_flush_throughput(bench_json, report, tmp_path):
     engine = StorageEngine(
-        storage="paged", data_dir=str(tmp_path / "db"), wal_sync=False, mvcc=False
+        data_dir=str(tmp_path / "db"), wal_sync=False, mvcc=False
     )
     engine.register_table("t")
     latencies: List[float] = []

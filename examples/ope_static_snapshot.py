@@ -16,7 +16,7 @@ from collections import Counter
 from repro import AttackScenario, MySQLServer, capture
 from repro.attacks.sorting import sorting_attack
 from repro.crypto.ope import OpeCipher
-from repro.storage import Tablespace
+from repro.forensics import read_leaf_entries
 from repro.storage.record import decode_row
 
 
@@ -39,15 +39,13 @@ def main() -> None:
           f"{ope.encrypt(30)}, {ope.encrypt(45)}, ...")
 
     print("\n== disk theft; zero queries ever observed ==")
+    # A checkpoint writes every dirty page back to the .ibd file first.
+    server.engine.checkpoint()
     snap = capture(server, AttackScenario.DISK_THEFT)
-    space = Tablespace.from_bytes(snap.tablespace_images["staff"])
     ciphertexts = []
-    for page in space:
-        if page.level == 0:
-            for record in page.records:
-                entry, _ = decode_row(record)
-                row, _ = decode_row(entry[1])
-                ciphertexts.append(row[1])
+    for _, payload in read_leaf_entries(snap.tablespace_images["staff"]):
+        row, _ = decode_row(payload)
+        ciphertexts.append(row[1])
     print(f"carved {len(ciphertexts)} ciphertexts from the tablespace image")
 
     print("\n== sorting attack (auxiliary data: just the age domain) ==")

@@ -15,7 +15,6 @@ This package produces the on-disk write-history artifacts of paper Section 3:
 * :mod:`.engine` — the facade the server layer drives.
 """
 
-from .lsn import LsnCounter
 from .redo_log import RedoLog, RedoRecord
 from .undo_log import UndoLog, UndoRecord
 from .binlog import Binlog, BinlogEvent
@@ -24,7 +23,6 @@ from .transaction import Transaction, TransactionState
 from .engine import StorageEngine, ChangeOp
 
 __all__ = [
-    "LsnCounter",
     "RedoLog",
     "RedoRecord",
     "UndoLog",

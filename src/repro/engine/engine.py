@@ -18,9 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..clock import SimClock
 from ..errors import ConcurrentTransactionError, EngineError, TransactionError
 from ..obs.instrumentation import NO_OP_INSTRUMENTATION, Instrumentation
-from ..storage import BTree, BufferPool, Tablespace
-from ..storage.btree import AccessPath
-from ..storage.paged import BufferPoolManager, PagedTable, PageFile
+from ..storage.paged import AccessPath, BufferPoolManager, PagedTable, PageFile
 from ..wal.log_manager import DEFAULT_SEGMENT_BYTES, LogManager
 from .binlog import Binlog
 from .mvcc import MVCCManager
@@ -51,8 +49,6 @@ class StorageEngine:
         combined is the default here: 25 MB each).
     binlog_enabled:
         Production deployments enable it; default mirrors MySQL (off).
-    btree_fanout:
-        Split threshold of the per-table B+ trees.
     instrumentation:
         Observability handle (:mod:`repro.obs`); storage operations and log
         appends emit spans/counters through it. Defaults to the shared
@@ -69,22 +65,16 @@ class StorageEngine:
         Offset added to tablespace ids; sharded deployments give each
         shard a disjoint space-id range so combined buffer-pool dumps stay
         unambiguous (and leak which shard served each page).
-    storage:
-        ``"memory"`` (the seed's dict-backed tablespaces, the default) or
-        ``"paged"`` — single-file 4 KB-page tablespaces behind the
-        frame-based :class:`~repro.storage.paged.BufferPoolManager`
-        (:mod:`repro.storage.paged`). Both modes expose the same
-        operation surface; the paged mode adds secondary indexes,
-        checkpoints, bulk loading, and real on-disk artifacts.
     data_dir:
-        Paged mode only: directory holding the ``<table>.ibd`` files. When
-        ``None`` a private temporary directory is created and removed when
-        the engine is garbage-collected (or :meth:`close`\\ d).
+        Directory holding the ``<table>.ibd`` files (single-file 4 KB-page
+        tablespaces, :mod:`repro.storage.paged`) and the ``wal/``
+        segments. When ``None`` a private temporary directory is created
+        and removed when the engine is garbage-collected (or
+        :meth:`close`\\ d).
     buffer_pool_policy:
-        Paged mode only: frame eviction policy, ``"lru"`` or ``"clock"``.
+        Frame eviction policy, ``"lru"`` or ``"clock"``.
     wal_segment_bytes:
-        Roll threshold for on-disk WAL segments (paged mode writes them
-        under ``<data_dir>/wal/``; memory mode keeps them resident).
+        Roll threshold for the WAL segments under ``<data_dir>/wal/``.
     wal_sync:
         When ``True`` (default) every group flush ``fsync``\\ s the active
         WAL segment. Crash tests that drive thousands of transactions turn
@@ -94,42 +84,31 @@ class StorageEngine:
     def __init__(
         self,
         clock: Optional[SimClock] = None,
-        buffer_pool_capacity: int = BufferPool.DEFAULT_CAPACITY,
+        buffer_pool_capacity: int = BufferPoolManager.DEFAULT_CAPACITY,
         redo_capacity: int = DEFAULT_CAPACITY,
         undo_capacity: int = DEFAULT_CAPACITY,
         binlog_enabled: bool = False,
-        btree_fanout: int = 64,
         instrumentation: Optional[Instrumentation] = None,
         mvcc: bool = True,
         space_id_base: int = 0,
-        storage: str = "memory",
         data_dir: Optional[str] = None,
         buffer_pool_policy: str = "lru",
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         wal_sync: bool = True,
     ) -> None:
-        if storage not in ("memory", "paged"):
-            raise EngineError(
-                f"unknown storage mode {storage!r} (expected 'memory' or 'paged')"
-            )
         self.clock = clock or SimClock()
         self.obs = instrumentation or NO_OP_INSTRUMENTATION
-        self.storage_mode = storage
-        self._data_dir: Optional[str] = None
         self._dir_finalizer = None
-        if storage == "paged":
-            if data_dir is None:
-                data_dir = tempfile.mkdtemp(prefix="repro-paged-")
-                self._dir_finalizer = weakref.finalize(
-                    self, shutil.rmtree, data_dir, True
-                )
-            else:
-                os.makedirs(data_dir, exist_ok=True)
-            self._data_dir = data_dir
+        if data_dir is None:
+            data_dir = tempfile.mkdtemp(prefix="repro-paged-")
+            self._dir_finalizer = weakref.finalize(
+                self, shutil.rmtree, data_dir, True
+            )
+        else:
+            os.makedirs(data_dir, exist_ok=True)
+        self._data_dir = data_dir
         self.wal = LogManager(
-            wal_dir=(
-                os.path.join(self._data_dir, "wal") if storage == "paged" else None
-            ),
+            wal_dir=os.path.join(data_dir, "wal"),
             redo_capacity=redo_capacity,
             undo_capacity=undo_capacity,
             segment_bytes=wal_segment_bytes,
@@ -140,23 +119,17 @@ class StorageEngine:
         self.redo_log = RedoLog(manager=self.wal)
         self.undo_log = UndoLog(manager=self.wal)
         self.binlog = Binlog(enabled=binlog_enabled)
-        if storage == "paged":
-            self.buffer_pool = BufferPoolManager(
-                buffer_pool_capacity,
-                policy=buffer_pool_policy,
-                lsn_source=lambda: self.lsn.current,
-                log_flusher=self.wal.flush_to,
-                instrumentation=self.obs,
-            )
-        else:
-            self.buffer_pool = BufferPool(
-                buffer_pool_capacity, instrumentation=self.obs
-            )
+        self.buffer_pool = BufferPoolManager(
+            buffer_pool_capacity,
+            policy=buffer_pool_policy,
+            lsn_source=lambda: self.lsn.current,
+            log_flusher=self.wal.flush_to,
+            instrumentation=self.obs,
+        )
         #: Set by :func:`repro.wal.recovery.recover_engine` on an engine it
         #: rebuilt; ``None`` on a cleanly started engine.
         self.last_recovery_report = None
         self._crashed = False
-        self._btree_fanout = btree_fanout
         self._tables: Dict[str, Tuple] = {}
         self._next_space_id = space_id_base + 1
         self._next_txn_id = 1
@@ -169,31 +142,24 @@ class StorageEngine:
     def register_table(self, name: str) -> None:
         """Create the tablespace and clustered index for ``name``.
 
-        In paged mode the tablespace is one ``<name>.ibd`` file under
-        ``data_dir``; an existing file is reopened (its header carries the
-        index roots), which is how a restarted engine finds its data.
+        The tablespace is one ``<name>.ibd`` file under ``data_dir``; an
+        existing file is reopened (its header carries the index roots),
+        which is how a restarted engine finds its data.
         """
         if name in self._tables:
             raise EngineError(f"table {name!r} already registered")
-        if self.storage_mode == "paged":
-            path = os.path.join(self._data_dir, f"{name}.ibd")
-            page_file = PageFile(path, name, space_id=self._next_space_id)
-            self._next_space_id = max(self._next_space_id, page_file.space_id) + 1
-            table = PagedTable(self.buffer_pool, page_file)
-            self._tables[name] = (page_file, table)
-            self.wal.append_table_register(name)
-            # DDL is rare: flush so the registration is durable alongside
-            # the .ibd file it just created. A crash before any other
-            # flush would otherwise leave a tablespace recovery never
-            # scans or moves aside — a later re-registration of the same
-            # name could resurrect its stale pages.
-            self.wal.flush()
-            return
-        space = Tablespace(self._next_space_id, name)
-        self._next_space_id += 1
-        tree = BTree(space, max_entries=self._btree_fanout, on_touch=self.buffer_pool.touch)
-        self._tables[name] = (space, tree)
+        path = os.path.join(self._data_dir, f"{name}.ibd")
+        page_file = PageFile(path, name, space_id=self._next_space_id)
+        self._next_space_id = max(self._next_space_id, page_file.space_id) + 1
+        table = PagedTable(self.buffer_pool, page_file)
+        self._tables[name] = (page_file, table)
         self.wal.append_table_register(name)
+        # DDL is rare: flush so the registration is durable alongside the
+        # .ibd file it just created. A crash before any other flush would
+        # otherwise leave a tablespace recovery never scans or moves
+        # aside — a later re-registration of the same name could resurrect
+        # its stale pages.
+        self.wal.flush()
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
@@ -202,14 +168,12 @@ class StorageEngine:
     def table_names(self) -> List[str]:
         return sorted(self._tables)
 
-    def tablespace(self, name: str):
-        """The table's :class:`Tablespace` (memory) or :class:`PageFile`
-        (paged); both expose ``space_id``/``name``/``to_bytes()``."""
+    def tablespace(self, name: str) -> PageFile:
+        """The table's ``.ibd`` file (``space_id``/``name``/``to_bytes()``)."""
         return self._lookup(name)[0]
 
-    def btree(self, name: str):
-        """The table's :class:`BTree` (memory) or :class:`PagedTable`
-        (paged); both expose the same operation surface."""
+    def btree(self, name: str) -> PagedTable:
+        """The table's clustered index plus its secondary indexes."""
         return self._lookup(name)[1]
 
     def _lookup(self, name: str) -> Tuple:
@@ -465,28 +429,12 @@ class StorageEngine:
             out.sort(key=lambda kv: kv[0])
         return out
 
-    # -- paged-storage extras --------------------------------------------------
-
-    def _paged_table(self, name: str) -> PagedTable:
-        if self.storage_mode != "paged":
-            raise EngineError(
-                "operation requires storage='paged' "
-                f"(engine is running storage={self.storage_mode!r})"
-            )
-        return self._lookup(name)[1]
+    # -- maintenance ------------------------------------------------------------
 
     def checkpoint(self) -> int:
         """Fuzzy checkpoint: log the dirty-page table + active txns, force
-        the WAL, then (paged mode) flush frames and stamp file headers.
-
-        In memory mode the tablespaces are always "durable", so only the
-        checkpoint record is emitted and the current LSN returned.
-        """
+        the WAL, then flush frames and stamp file headers."""
         active = tuple(sorted(self._active_txn_ids))
-        if self.storage_mode != "paged":
-            self.wal.append_checkpoint((), active)
-            self.wal.flush()
-            return self.lsn.current
         self.wal.append_checkpoint(self.buffer_pool.dirty_page_table(), active)
         self.wal.flush()
         return self.buffer_pool.checkpoint()
@@ -497,9 +445,8 @@ class StorageEngine:
             return
         self.checkpoint()
         self.wal.close()
-        if self.storage_mode == "paged":
-            for page_file, _ in self._tables.values():
-                page_file.close()
+        for page_file, _ in self._tables.values():
+            page_file.close()
         if self._dir_finalizer is not None:
             self._dir_finalizer()
 
@@ -514,9 +461,8 @@ class StorageEngine:
         """
         self._crashed = True
         self.wal.crash()
-        if self.storage_mode == "paged":
-            for page_file, _ in self._tables.values():
-                page_file.crash_close()
+        for page_file, _ in self._tables.values():
+            page_file.crash_close()
         if self._dir_finalizer is not None:
             self._dir_finalizer.detach()
             self._dir_finalizer = None
@@ -526,17 +472,15 @@ class StorageEngine:
         return self.wal.segments()
 
     def dirty_page_table(self):
-        """The pool's current dirty-page table (paged; empty otherwise)."""
-        if self.storage_mode != "paged":
-            return ()
+        """The pool's current dirty-page table."""
         return self.buffer_pool.dirty_page_table()
 
     @property
-    def data_dir(self) -> Optional[str]:
+    def data_dir(self) -> str:
         return self._data_dir
 
     def bulk_load(self, table: str, items: Iterable[Tuple[int, bytes]]) -> int:
-        """Sorted bottom-up load into an empty paged table.
+        """Sorted bottom-up load into an empty table.
 
         A loader fast path, not a transaction: redo/undo/binlog/MVCC are
         deliberately bypassed (as in a real engine's sorted index build),
@@ -544,7 +488,7 @@ class StorageEngine:
         count loaded.
         """
         with self.obs.span("storage.bulk_load", table=table):
-            return self._paged_table(table).bulk_load(items)
+            return self._lookup(table)[1].bulk_load(items)
 
     def register_secondary_index(
         self,
@@ -552,27 +496,23 @@ class StorageEngine:
         index_name: str,
         extractor: Callable[[bytes], Optional[int]],
     ) -> None:
-        """Create (or reattach) a secondary index on a paged table."""
-        self._paged_table(table).create_secondary_index(index_name, extractor)
+        """Create (or reattach) a secondary index on a table."""
+        self._lookup(table)[1].create_secondary_index(index_name, extractor)
 
     def secondary_lookup(
         self, table: str, index_name: str, value: int
     ) -> Tuple[List[int], AccessPath]:
-        """Primary keys matching ``value`` via a secondary index (paged)."""
-        return self._paged_table(table).secondary_lookup(index_name, value)
+        """Primary keys matching ``value`` via a secondary index."""
+        return self._lookup(table)[1].secondary_lookup(index_name, value)
 
     def free_list_info(self) -> Dict[str, List[int]]:
-        """Freed-page chains per table (paged mode; empty otherwise)."""
-        if self.storage_mode != "paged":
-            return {}
+        """Freed-page chains per table."""
         return {
             name: self._tables[name][0].free_list() for name in self.table_names
         }
 
     def checkpoint_lsns(self) -> Dict[str, int]:
-        """Per-table header checkpoint LSNs (paged mode; empty otherwise)."""
-        if self.storage_mode != "paged":
-            return {}
+        """Per-table header checkpoint LSNs."""
         return {
             name: self._tables[name][0].checkpoint_lsn
             for name in self.table_names

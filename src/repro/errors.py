@@ -36,6 +36,10 @@ class StorageError(ReproError):
     """Base class for storage-layer errors."""
 
 
+class DuplicateEntryError(StorageError):
+    """Raised when an index insert finds its key already present."""
+
+
 class PageError(StorageError):
     """Raised on invalid page operations (overflow, bad slot, bad id)."""
 

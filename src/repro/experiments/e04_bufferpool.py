@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..forensics import infer_access_paths
-from ..server import MySQLServer, ServerConfig
+from ..server import MySQLServer
 from ..snapshot import AttackScenario, capture
 
 
@@ -38,21 +38,16 @@ def run_buffer_pool_paths(
     table_rows: int = 2_000,
     num_selects: int = 30,
     recent_window: int = 5,
-    btree_fanout: int = 8,
     seed: int = 0,
-    storage: str = "memory",
-    data_dir: str = None,
 ) -> BufferPoolResult:
     """Issue point SELECTs, dump the pool, and score path recovery.
 
-    ``storage="paged"`` runs the same workload against the on-disk paged
-    engine (``data_dir`` optionally pins the tablespace directory); the
-    dump then reflects the frame-based pool's actual resident pages.
+    The dump lists the frame pool's actual resident pages; the tree's
+    4 KB pages split on their byte budget, so the default 2,000 rows make
+    a two-level index (root plus leaf on every path).
     """
     rng = random.Random(seed)
-    server = MySQLServer(
-        ServerConfig(btree_fanout=btree_fanout, storage=storage, data_dir=data_dir)
-    )
+    server = MySQLServer()
     session = server.connect("reader")
     server.execute(session, "CREATE TABLE items (id INT PRIMARY KEY, v INT)")
     for start in range(0, table_rows, 100):
@@ -65,10 +60,10 @@ def run_buffer_pool_paths(
     for _ in range(num_selects):
         key = rng.randrange(table_rows)
         server.execute(session, f"SELECT v FROM items WHERE id = {key}")
-        # Ground truth via a maintenance-path replay of the same lookup.
+        # Ground truth via a replay of the same lookup: it touches the
+        # same pages in the same order, so the LRU tail still ends with
+        # this lookup.
         _, path = server.engine.btree("items").get(key)
-        # The replay itself touched the pool; compensate by re-touching in
-        # the same order so the LRU tail still ends with this lookup.
         true_paths.append(tuple(path.page_ids))
 
     server.dump_buffer_pool()

@@ -41,19 +41,10 @@ def run_adaptive_hash_leak(
     zipf_s: float = 1.2,
     promotion_threshold: int = 16,
     seed: int = 0,
-    storage: str = "memory",
-    data_dir: str = None,
 ) -> AdaptiveHashResult:
-    """Skewed lookups on an encrypted table; recover hot identities.
-
-    ``storage="paged"`` runs against the on-disk paged engine — the AHI
-    sits above the storage layer, so the recovered hot-key ranking must be
-    identical in both modes (asserted by the equivalence tests).
-    """
+    """Skewed lookups on an encrypted table; recover hot identities."""
     rng = random.Random(seed)
-    server = MySQLServer(
-        ServerConfig(ahi_threshold=promotion_threshold, storage=storage, data_dir=data_dir)
-    )
+    server = MySQLServer(ServerConfig(ahi_threshold=promotion_threshold))
     session = server.connect("app")
     cipher = RndCipher(b"ahi-experiment-key-0123456789ab!")
     server.execute(session, "CREATE TABLE vault (id INT PRIMARY KEY, secret BLOB)")

@@ -9,6 +9,11 @@ Protocol: an age-like column is OPE-encrypted and stored through the real
 server; the attacker steals the **disk only**, reads the ciphertext column
 out of the tablespace image, and runs the Naveed-style sorting / cumulative
 attack with census-style auxiliary statistics. No queries are ever observed.
+
+The server checkpoints before the theft. Rows reach the ``.ibd`` file only
+when their page is written back, and a checkpoint writes back every dirty
+page; without it the stolen image would hold only the pages the buffer
+pool happened to evict, and the attacker would carve fewer rows.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from typing import List
 
 from ..attacks.sorting import sorting_attack
 from ..crypto.ope import OpeCipher
+from ..forensics import read_leaf_entries
 from ..server import MySQLServer
 from ..snapshot import AttackScenario, capture
-from ..storage import Tablespace
 from ..storage.record import decode_row
 from ..workloads import zipf_frequencies
 
@@ -62,18 +67,12 @@ def run_ope_sorting(
         )
 
     # --- attacker: disk theft, tablespace parsing, sorting attack -------------
+    server.engine.checkpoint()
     snap = capture(server, AttackScenario.DISK_THEFT)
-    image = snap.tablespace_images["staff"]
-    space = Tablespace.from_bytes(image)
     ciphertexts: List[int] = []
-    for page in space:
-        if page.level != 0:
-            continue
-        for record in page.records:
-            # Leaf entries are (key, row-bytes); the row is (id, age_ope).
-            entry, _ = decode_row(record)
-            row, _ = decode_row(entry[1])
-            ciphertexts.append(row[1])
+    for _, payload in read_leaf_entries(snap.tablespace_images["staff"]):
+        row, _ = decode_row(payload)  # (id, age_ope)
+        ciphertexts.append(row[1])
     assert len(ciphertexts) == num_rows
 
     result = sorting_attack(ciphertexts, domain, auxiliary=model)

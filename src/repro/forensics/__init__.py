@@ -14,6 +14,8 @@
 * :mod:`.obs_trace` — query digests and per-table access counts recovered
   from the observability trace store, including carving of evicted span
   residue out of memory dumps (new surface; same pattern as §4/§5).
+* :mod:`.tablespace` — leaf rows carved from a stolen ``.ibd`` image, with
+  nothing but the page format (paper §2–§3 disk theft).
 * :mod:`.wal_reader` — frame-level decoding of the durable WAL segments:
   the §3 modification timeline over *all* history (segments never evict),
   checkpoint dirty-page tables, and what a recovery run itself discloses.
@@ -38,6 +40,7 @@ from .obs_trace import (
     recover_query_digests,
     recover_table_access_counts,
 )
+from .tablespace import read_leaf_entries
 from .wal_reader import (
     CheckpointView,
     ParsedWalRecord,
@@ -71,6 +74,7 @@ __all__ = [
     "parse_trace_store",
     "recover_query_digests",
     "recover_table_access_counts",
+    "read_leaf_entries",
     "CheckpointView",
     "ParsedWalRecord",
     "parse_wal_segments",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import ForensicsError
-from ..storage.buffer_pool import BufferPoolDump, PageRef
+from ..storage.paged import BufferPoolDump, PageRef
 
 
 @dataclass(frozen=True)

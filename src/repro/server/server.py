@@ -24,9 +24,9 @@ from ..engine import StorageEngine
 from ..engine.query_logs import GeneralQueryLog, QueryLogEntry, SlowQueryLog
 from ..errors import (
     CatalogError,
+    DuplicateEntryError,
     DuplicateKeyError,
     ServerError,
-    StorageError,
 )
 from ..memory import SimulatedHeap
 from ..obs import Instrumentation
@@ -43,8 +43,7 @@ from ..sql.ast import (
 )
 from ..sql.fastpath import ScannedStatement, StatementCache, scan
 from ..sql.planner import PlanKind, plan_select
-from ..storage import BufferPool, decode_row, encode_row
-from ..storage.buffer_pool import BufferPoolDump
+from ..storage import BufferPoolDump, BufferPoolManager, decode_row, encode_row
 from .adaptive_hash import AdaptiveHashIndex
 from .catalog import Catalog, TableSchema
 from .executor import (
@@ -71,6 +70,14 @@ class ServerConfig:
     ``binlog_enabled`` defaults ``True`` because the paper's threat analysis
     targets production servers, where the binlog "will be present on the
     disk" (Section 3); flip it off to model a fresh install.
+
+    ``wal_sync`` is the one default that does not mirror production: a
+    group flush writes the WAL segment but does not ``fsync`` it. Flushed
+    frames still survive :meth:`~repro.engine.StorageEngine.simulate_crash`
+    and :func:`~repro.wal.recovery.recover_engine`, and every artifact is
+    byte-identical either way; only the disk barrier, the largest cost of
+    a write statement, is skipped. Pass ``wal_sync=True`` to measure
+    durable commits.
     """
 
     binlog_enabled: bool = True
@@ -81,10 +88,9 @@ class ServerConfig:
     query_cache_size: int = 1024
     perf_schema_enabled: bool = True
     perf_schema_history_size: int = DEFAULT_HISTORY_SIZE
-    buffer_pool_capacity: int = BufferPool.DEFAULT_CAPACITY
+    buffer_pool_capacity: int = BufferPoolManager.DEFAULT_CAPACITY
     redo_capacity: int = 25 * 1000 * 1000
     undo_capacity: int = 25 * 1000 * 1000
-    btree_fanout: int = 64
     secure_delete: bool = False
     ahi_enabled: bool = True
     ahi_threshold: int = 16
@@ -97,17 +103,15 @@ class ServerConfig:
     #: MVCC on the engine(s); off restores the single-client engine, which
     #: now fails loudly (ConcurrentTransactionError) on interleaving.
     mvcc_enabled: bool = True
-    #: Storage backend: "memory" (seed dict-backed tablespaces) or "paged"
-    #: (single-file 4 KB-page tablespaces behind the frame-based pool).
-    storage: str = "memory"
-    #: Paged mode: directory for the .ibd files (None = private tempdir).
+    #: Directory for the .ibd files and WAL segments (None = private tempdir).
     data_dir: Optional[str] = None
-    #: Paged mode: frame eviction policy, "lru" or "clock".
+    #: Frame eviction policy, "lru" or "clock".
     buffer_pool_policy: str = "lru"
     #: WAL segment roll threshold (None = engine default, 1 MiB).
     wal_segment_bytes: Optional[int] = None
-    #: fsync the active WAL segment on every group flush.
-    wal_sync: bool = True
+    #: fsync the active WAL segment on every group flush (see above: off by
+    #: default, unlike production).
+    wal_sync: bool = False
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,8 @@ class MySQLServer:
                 redo_capacity=self.config.redo_capacity,
                 undo_capacity=self.config.undo_capacity,
                 binlog_enabled=self.config.binlog_enabled,
-                btree_fanout=self.config.btree_fanout,
                 instrumentation=self.obs,
                 mvcc=self.config.mvcc_enabled,
-                storage=self.config.storage,
                 data_dir=self.config.data_dir,
                 buffer_pool_policy=self.config.buffer_pool_policy,
                 **engine_wal_kwargs,
@@ -173,10 +175,8 @@ class MySQLServer:
                 redo_capacity=self.config.redo_capacity,
                 undo_capacity=self.config.undo_capacity,
                 binlog_enabled=self.config.binlog_enabled,
-                btree_fanout=self.config.btree_fanout,
                 instrumentation=self.obs,
                 mvcc=self.config.mvcc_enabled,
-                storage=self.config.storage,
                 data_dir=self.config.data_dir,
                 buffer_pool_policy=self.config.buffer_pool_policy,
                 **engine_wal_kwargs,
@@ -660,7 +660,7 @@ class MySQLServer:
                 key = schema.clustering_key(row)
                 try:
                     self.engine.insert(txn, stmt.table, key, encode_row(row))
-                except StorageError as exc:
+                except DuplicateEntryError as exc:
                     raise DuplicateKeyError(
                         f"duplicate primary key {key} in {stmt.table!r}"
                     ) from exc
@@ -770,10 +770,10 @@ class MySQLServer:
             duration=0.0,
         )
 
-    # -- secondary indexes (paged storage) ---------------------------------------------
+    # -- secondary indexes -------------------------------------------------------------
 
     def create_secondary_index(self, table: str, column: str) -> str:
-        """Index an INT column of a paged table; returns the index name.
+        """Index an INT column of a table; returns the index name.
 
         The extractor decodes the stored row and pulls the column value —
         non-integer or NULL values are simply not indexed (posting lists
@@ -801,10 +801,8 @@ class MySQLServer:
     # -- maintenance -----------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release storage resources (paged mode: checkpoint + close files)."""
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
+        """Release storage resources: checkpoint, then close the files."""
+        self.engine.close()
 
     def dump_buffer_pool(self) -> BufferPoolDump:
         """Write the ``ib_buffer_pool`` dump file (shutdown / periodic)."""

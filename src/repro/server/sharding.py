@@ -34,9 +34,7 @@ from ..engine.mvcc import MvccChainStat
 from ..engine.transaction import Transaction, TransactionState
 from ..errors import ConcurrentTransactionError, EngineError, TransactionError
 from ..obs.instrumentation import Instrumentation
-from ..storage import BufferPool
-from ..storage.btree import AccessPath
-from ..storage.buffer_pool import BufferPoolDump
+from ..storage.paged import AccessPath, BufferPoolDump, BufferPoolManager
 
 #: Space-id stride between shards: shard ``i`` owns ids in
 #: ``[i * stride + 1, (i + 1) * stride]``, so combined buffer-pool dumps
@@ -294,14 +292,12 @@ class ShardedEngine:
         self,
         num_shards: int,
         clock: Optional[SimClock] = None,
-        buffer_pool_capacity: int = BufferPool.DEFAULT_CAPACITY,
+        buffer_pool_capacity: int = BufferPoolManager.DEFAULT_CAPACITY,
         redo_capacity: Optional[int] = None,
         undo_capacity: Optional[int] = None,
         binlog_enabled: bool = False,
-        btree_fanout: int = 64,
         instrumentation: Optional[Instrumentation] = None,
         mvcc: bool = True,
-        storage: str = "memory",
         data_dir: Optional[str] = None,
         buffer_pool_policy: str = "lru",
         wal_segment_bytes: Optional[int] = None,
@@ -318,10 +314,8 @@ class ShardedEngine:
             clock=self.clock,
             buffer_pool_capacity=buffer_pool_capacity,
             binlog_enabled=binlog_enabled,
-            btree_fanout=btree_fanout,
             instrumentation=instrumentation,
             mvcc=mvcc,
-            storage=storage,
             buffer_pool_policy=buffer_pool_policy,
             wal_sync=wal_sync,
         )
@@ -331,10 +325,9 @@ class ShardedEngine:
             kwargs["undo_capacity"] = undo_capacity
         if wal_segment_bytes is not None:
             kwargs["wal_segment_bytes"] = wal_segment_bytes
-        # Paged mode with an explicit data_dir: each shard gets its own
-        # shard<i>/ subdirectory so page files never collide. With no
-        # data_dir every shard creates (and later removes) a private
-        # tempdir of its own.
+        # With an explicit data_dir each shard gets its own shard<i>/
+        # subdirectory so page files never collide. With no data_dir every
+        # shard creates (and later removes) a private tempdir of its own.
         self._shards: List[StorageEngine] = [
             StorageEngine(
                 space_id_base=i * SPACE_ID_STRIDE,
@@ -347,7 +340,6 @@ class ShardedEngine:
             )
             for i in range(num_shards)
         ]
-        self.storage_mode = storage
         self._mvcc_enabled = mvcc
         self._next_txn_id = 1
         self._active_txn_ids: set = set()
@@ -515,7 +507,7 @@ class ShardedEngine:
         entries.sort(key=lambda kv: kv[0])
         return entries, path
 
-    # -- paged-storage extras -------------------------------------------------
+    # -- maintenance ----------------------------------------------------------
 
     def checkpoint(self) -> int:
         """Checkpoint every shard; returns the max shard checkpoint LSN."""

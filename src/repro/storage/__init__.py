@@ -1,47 +1,35 @@
-"""Storage substrate: records, pages, tablespaces, B+ trees, buffer pool.
+"""Storage substrate: records plus the paged on-disk engine.
 
 This layer plays the role of InnoDB's on-disk format in the simulation. Rows
-are serialized to bytes (:mod:`.record`), stored in fixed-size pages
-(:mod:`.page`) grouped into per-table tablespaces (:mod:`.tablespace`),
-indexed by a page-oriented B+ tree (:mod:`.btree`), and cached by an LRU
-buffer pool that can dump its page list to disk exactly like MySQL's
-``ib_buffer_pool`` file (:mod:`.buffer_pool`) — the Section 3 read-inference
-artifact.
-
-The :mod:`.paged` subpackage is the *on-disk* counterpart: single-file 4 KB
-page tablespaces behind a frame-based buffer pool with real eviction and
-write-back, selected by ``StorageEngine(storage="paged")``.
+are serialized to bytes (:mod:`.record`) and stored by :mod:`.paged`:
+single-file tablespaces of 4 KB pages behind a frame-based buffer pool with
+real eviction and write-back, indexed by paged B+-trees. The pool dumps its
+resident page list exactly like MySQL's ``ib_buffer_pool`` file — the
+Section 3 read-inference artifact.
 """
 
 from .record import Row, decode_row, encode_row
-from .page import Page, PageType, PAGE_SIZE
-from .tablespace import Tablespace
-from .btree import BTree, AccessPath
-from .buffer_pool import BufferPool, BufferPoolDump, PageRef
 from .paged import (
     PAGED_PAGE_SIZE,
+    AccessPath,
+    BufferPoolDump,
     BufferPoolManager,
     PagedBTree,
     PagedTable,
     PageFile,
+    PageRef,
 )
 
 __all__ = [
     "PAGED_PAGE_SIZE",
+    "AccessPath",
+    "BufferPoolDump",
     "BufferPoolManager",
     "PagedBTree",
     "PagedTable",
     "PageFile",
+    "PageRef",
     "Row",
     "encode_row",
     "decode_row",
-    "Page",
-    "PageType",
-    "PAGE_SIZE",
-    "Tablespace",
-    "BTree",
-    "AccessPath",
-    "BufferPool",
-    "BufferPoolDump",
-    "PageRef",
 ]

@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 from ..server import MySQLServer
 from ..snapshot.registry import ArtifactProvider
 from ..snapshot.scenario import StateQuadrant
-from .buffer_pool import BufferPoolDump
+from .paged import BufferPoolDump
 
 
 def _capture_buffer_pool_dump(server: MySQLServer) -> BufferPoolDump:
@@ -30,14 +30,9 @@ def _capture_live_buffer_pool(server: MySQLServer) -> BufferPoolDump:
     return server.engine.buffer_pool.dump()
 
 
-def _paged_storage(server: MySQLServer) -> bool:
-    return getattr(server.engine, "storage_mode", "memory") == "paged"
-
-
 def _capture_tablespace_files(server: MySQLServer) -> Dict[str, bytes]:
-    # Paged mode only: the literal .ibd file bytes — header page, index
-    # pages, and freed-page residue included. (In memory mode the closest
-    # analogue is the serialized `tablespace_images` artifact.)
+    # The literal .ibd file bytes — header page, index pages, and
+    # freed-page residue included.
     return server.engine.tablespace_images()
 
 
@@ -67,7 +62,7 @@ def providers() -> Tuple[ArtifactProvider, ...]:
             artifact_class="logs",
             capture=_capture_tablespace_images,
             spec_sinks=("tablespace",),
-            forensic_reader="repro.attacks",
+            forensic_reader="repro.forensics.tablespace.read_leaf_entries",
         ),
         ArtifactProvider(
             name="tablespace_file",
@@ -76,7 +71,6 @@ def providers() -> Tuple[ArtifactProvider, ...]:
             artifact_class="logs",
             capture=_capture_tablespace_files,
             spec_sinks=("tablespace",),
-            enabled=_paged_storage,
             forensic_reader="repro.attacks",
         ),
         ArtifactProvider(
@@ -85,7 +79,6 @@ def providers() -> Tuple[ArtifactProvider, ...]:
             quadrant=StateQuadrant.PERSISTENT_DB,
             artifact_class="logs",
             capture=_capture_page_free_list,
-            enabled=_paged_storage,
             forensic_reader="repro.attacks",
         ),
         ArtifactProvider(
@@ -94,7 +87,6 @@ def providers() -> Tuple[ArtifactProvider, ...]:
             quadrant=StateQuadrant.PERSISTENT_DB,
             artifact_class="logs",
             capture=_capture_checkpoint_lsn,
-            enabled=_paged_storage,
             # The per-table checkpoint LSN anchors the E3-style
             # LSN<->timestamp correlation, and joined against the WAL's
             # logged dirty-page tables it also exposes which pages were

@@ -1,456 +1,11 @@
-"""A page-oriented B+ tree over integer keys.
+"""The B+-tree under the module path it had beside the deleted memory tree.
 
-The tree mirrors how InnoDB's clustered index drives the artifacts the paper
-cares about:
-
-* every traversal touches a **root-to-leaf path of pages**, and each touch is
-  reported to the buffer pool — so the ``ib_buffer_pool`` dump later reveals
-  "the paths through the B+ tree that MySQL took" for past SELECTs (§3);
-* leaf records are raw row bytes, so page images carry the byte-level data
-  that disk-theft forensics parses.
-
-Internal entries are ``(separator_key, child_page_id)`` rows; leaf entries
-are ``(key, payload_bytes)`` rows. Deletion never rebalances partially
-filled nodes (InnoDB also merges lazily), but a leaf emptied by a delete is
-unlinked from its parent and freed — cascading through internals that empty
-out, and collapsing a single-child root — so dead pages do not linger on
-scan paths or in page counts.
+Only the repository benchmark's per-layer tracer (``perfbench/tracer.py``)
+still imports ``repro.storage.btree.BTree``; the tree itself is
+:class:`repro.storage.paged.PagedBTree`. Delete this module together with
+the tracer's two ``BTree`` rows.
 """
 
-from __future__ import annotations
+from .paged.btree import PagedBTree as BTree
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-from ..errors import StorageError
-from .page import Page, PageType
-from .record import decode_row, encode_row
-from .tablespace import Tablespace
-
-TouchCallback = Callable[[int, int, int], None]
-"""``(space_id, page_id, level)`` notification for every page access."""
-
-#: Separator for the leftmost child of an internal node: smaller than any
-#: encodable key, so internal entries stay sorted no matter what is inserted
-#: to the left later.
-_NEG_INF = -(1 << 63)
-
-
-@dataclass
-class AccessPath:
-    """Pages touched by one tree operation, root first."""
-
-    page_ids: List[int] = field(default_factory=list)
-
-    def touch(self, page_id: int) -> None:
-        self.page_ids.append(page_id)
-
-
-def _leaf_entry(key: int, payload: bytes) -> bytes:
-    return encode_row((key, payload))
-
-
-def _decode_leaf_entry(record: bytes) -> Tuple[int, bytes]:
-    row, _ = decode_row(record)
-    key, payload = row
-    if not isinstance(key, int) or not isinstance(payload, bytes):
-        raise StorageError("corrupt leaf entry")
-    return key, payload
-
-
-def _internal_entry(key: int, child: int) -> bytes:
-    return encode_row((key, child))
-
-
-def _decode_internal_entry(record: bytes) -> Tuple[int, int]:
-    row, _ = decode_row(record)
-    key, child = row
-    if not isinstance(key, int) or not isinstance(child, int):
-        raise StorageError("corrupt internal entry")
-    return key, child
-
-
-class BTree:
-    """B+ tree with configurable fanout.
-
-    Parameters
-    ----------
-    tablespace:
-        Where pages live.
-    max_entries:
-        Split threshold per node. Small values (the tests use 4) force deep
-        trees; the default 64 keeps a 10k-row table at depth 3 like a real
-        small InnoDB index.
-    on_touch:
-        Optional callback invoked for every page access — the buffer pool
-        hook.
-    """
-
-    def __init__(
-        self,
-        tablespace: Tablespace,
-        max_entries: int = 64,
-        on_touch: Optional[TouchCallback] = None,
-    ) -> None:
-        if max_entries < 3:
-            raise StorageError(f"max_entries must be >= 3, got {max_entries}")
-        self._space = tablespace
-        self._max_entries = max_entries
-        self._on_touch = on_touch
-        root = tablespace.allocate(PageType.INDEX_LEAF, level=0)
-        self._root_id = root.page_id
-        self._size = 0
-        # Decoded-record cache: page_id -> (page.version, decoded entries).
-        # Pages are re-decoded only after mutation; callers treat the cached
-        # lists as read-only. Under heavy traffic this removes the dominant
-        # per-operation cost (re-parsing every page on every descent).
-        self._decoded: Dict[int, Tuple[int, list]] = {}
-
-    # -- plumbing ----------------------------------------------------------
-
-    @property
-    def root_page_id(self) -> int:
-        return self._root_id
-
-    @property
-    def size(self) -> int:
-        """Number of live keys."""
-        return self._size
-
-    @property
-    def height(self) -> int:
-        """Levels from root to leaf (1 for a single leaf)."""
-        page = self._page(self._root_id, record_touch=False)
-        return page.level + 1
-
-    def _page(self, page_id: int, record_touch: bool = True, path: Optional[AccessPath] = None) -> Page:
-        page = self._space.page(page_id)
-        if record_touch and self._on_touch is not None:
-            self._on_touch(self._space.space_id, page_id, page.level)
-        if path is not None:
-            path.touch(page_id)
-        return page
-
-    def _leaf_entries(self, page: Page) -> List[Tuple[int, bytes]]:
-        cached = self._decoded.get(page.page_id)
-        if cached is not None and cached[0] == page.version:
-            return cached[1]
-        entries = [_decode_leaf_entry(r) for r in page.records]
-        self._decoded[page.page_id] = (page.version, entries)
-        return entries
-
-    def _internal_entries(self, page: Page) -> List[Tuple[int, int]]:
-        cached = self._decoded.get(page.page_id)
-        if cached is not None and cached[0] == page.version:
-            return cached[1]
-        entries = [_decode_internal_entry(r) for r in page.records]
-        self._decoded[page.page_id] = (page.version, entries)
-        return entries
-
-    def _rewrite(self, page: Page, records: List[bytes]) -> None:
-        while page.num_records:
-            page.delete(page.num_records - 1)
-        for record in records:
-            page.insert(record)
-
-    # -- descent -----------------------------------------------------------
-
-    def _descend(self, key: int, path: AccessPath) -> Page:
-        """Walk from root to the leaf that should hold ``key``."""
-        page = self._page(self._root_id, path=path)
-        while page.page_type is PageType.INDEX_INTERNAL:
-            entries = self._internal_entries(page)
-            child_id = entries[0][1]
-            for sep, child in entries:
-                if key >= sep:
-                    child_id = child
-                else:
-                    break
-            page = self._page(child_id, path=path)
-        return page
-
-    # -- public operations ---------------------------------------------------
-
-    def insert(self, key: int, payload: bytes) -> AccessPath:
-        """Insert ``(key, payload)``; raises on duplicate key."""
-        path = AccessPath()
-        stack = self._descend_with_stack(key, path)
-        leaf = stack[-1]
-        entries = self._leaf_entries(leaf)
-        keys = [k for k, _ in entries]
-        slot = self._insert_position(keys, key)
-        if slot < len(keys) and keys[slot] == key:
-            raise StorageError(f"duplicate key {key}")
-        leaf.insert(_leaf_entry(key, payload), slot)
-        # Patch the decoded cache in place instead of re-parsing the leaf.
-        entries.insert(slot, (key, payload))
-        self._decoded[leaf.page_id] = (leaf.version, entries)
-        self._size += 1
-        self._split_up(stack)
-        return path
-
-    def get(self, key: int) -> Tuple[Optional[bytes], AccessPath]:
-        """Point lookup; returns ``(payload or None, access path)``."""
-        path = AccessPath()
-        leaf = self._descend(key, path)
-        for entry_key, payload in self._leaf_entries(leaf):
-            if entry_key == key:
-                return payload, path
-        return None, path
-
-    def update(self, key: int, payload: bytes) -> Tuple[bytes, AccessPath]:
-        """Replace the payload for ``key``; returns ``(old payload, path)``."""
-        path = AccessPath()
-        leaf = self._descend(key, path)
-        entries = self._leaf_entries(leaf)
-        for slot, (entry_key, old_payload) in enumerate(entries):
-            if entry_key == key:
-                leaf.replace(slot, _leaf_entry(key, payload))
-                entries[slot] = (key, payload)
-                self._decoded[leaf.page_id] = (leaf.version, entries)
-                return old_payload, path
-        raise StorageError(f"update of missing key {key}")
-
-    def delete(self, key: int) -> Tuple[bytes, AccessPath]:
-        """Remove ``key``; returns ``(old payload, path)``.
-
-        A leaf emptied by the delete is unlinked from its parent and freed
-        (see :meth:`_unlink_empty`); the root page is never freed, so an
-        empty tree degenerates back to a single empty leaf.
-        """
-        path = AccessPath()
-        stack = self._descend_with_stack(key, path)
-        leaf = stack[-1]
-        entries = self._leaf_entries(leaf)
-        for slot, (entry_key, old_payload) in enumerate(entries):
-            if entry_key == key:
-                leaf.delete(slot)
-                entries.pop(slot)
-                self._decoded[leaf.page_id] = (leaf.version, entries)
-                self._size -= 1
-                if not entries and len(stack) > 1:
-                    self._unlink_empty(stack)
-                return old_payload, path
-        raise StorageError(f"delete of missing key {key}")
-
-    def range(
-        self, low: Optional[int], high: Optional[int]
-    ) -> Tuple[List[Tuple[int, bytes]], AccessPath]:
-        """Inclusive range scan; returns matches and the touched path.
-
-        Walks root-to-leaf for the start key, then advances leaf-to-leaf via
-        the parent stack (InnoDB follows leaf sibling pointers; the set of
-        touched pages is the same modulo internal revisits).
-        """
-        path = AccessPath()
-        results: List[Tuple[int, bytes]] = []
-        start_key = low if low is not None else _NEG_INF + 1
-        # Descend, remembering which child index was taken at each level.
-        stack: List[Tuple[Page, int]] = []
-        page = self._page(self._root_id, path=path)
-        while page.page_type is PageType.INDEX_INTERNAL:
-            entries = self._internal_entries(page)
-            chosen = 0
-            for idx, (sep, _) in enumerate(entries):
-                if start_key >= sep:
-                    chosen = idx
-                else:
-                    break
-            stack.append((page, chosen))
-            page = self._page(entries[chosen][1], path=path)
-
-        while True:
-            for entry_key, payload in self._leaf_entries(page):
-                if low is not None and entry_key < low:
-                    continue
-                if high is not None and entry_key > high:
-                    return results, path
-                results.append((entry_key, payload))
-            # Advance to the successor leaf via the nearest ancestor that
-            # still has a right sibling child.
-            while stack and stack[-1][1] + 1 >= stack[-1][0].num_records:
-                stack.pop()
-            if not stack:
-                return results, path
-            parent, idx = stack.pop()
-            entries = self._internal_entries(parent)
-            # Prune: if the subtree to the right starts past `high`, stop
-            # without touching it (a real scan stops at the fence key too).
-            if high is not None and entries[idx + 1][0] > high:
-                return results, path
-            stack.append((parent, idx + 1))
-            page = self._page(entries[idx + 1][1], path=path)
-            while page.page_type is PageType.INDEX_INTERNAL:
-                entries = self._internal_entries(page)
-                stack.append((page, 0))
-                page = self._page(entries[0][1], path=path)
-
-    def scan(self) -> Iterator[Tuple[int, bytes]]:
-        """Full in-order iteration without recording buffer-pool touches.
-
-        Used by maintenance/forensics code that must not perturb the cache.
-        """
-        yield from self._scan_page(self._root_id)
-
-    def _scan_page(self, page_id: int) -> Iterator[Tuple[int, bytes]]:
-        page = self._page(page_id, record_touch=False)
-        if page.page_type is PageType.INDEX_LEAF:
-            for record in page.records:
-                yield _decode_leaf_entry(record)
-        else:
-            for _, child in self._internal_entries(page):
-                yield from self._scan_page(child)
-
-    # -- split machinery -----------------------------------------------------
-
-    def _descend_with_stack(self, key: int, path: AccessPath) -> List[Page]:
-        stack = [self._page(self._root_id, path=path)]
-        while stack[-1].page_type is PageType.INDEX_INTERNAL:
-            entries = self._internal_entries(stack[-1])
-            child_id = entries[0][1]
-            for sep, child in entries:
-                if key >= sep:
-                    child_id = child
-                else:
-                    break
-            stack.append(self._page(child_id, path=path))
-        return stack
-
-    def _split_up(self, stack: List[Page]) -> None:
-        """Split overflowing nodes from leaf upward."""
-        child = stack.pop()
-        while child.num_records > self._max_entries:
-            mid = child.num_records // 2
-            records = child.records
-            left_records, right_records = records[:mid], records[mid:]
-            right = self._space.allocate(child.page_type, level=child.level)
-            self._rewrite(child, left_records)
-            self._rewrite(right, right_records)
-            if child.page_type is PageType.INDEX_LEAF:
-                sep_key = _decode_leaf_entry(right_records[0])[0]
-            else:
-                sep_key = _decode_internal_entry(right_records[0])[0]
-
-            if stack:
-                parent = stack.pop()
-                entries = parent.records
-                # Insert the new separator just after the child's entry.
-                insert_at = len(entries)
-                for idx, record in enumerate(entries):
-                    _, child_id = _decode_internal_entry(record)
-                    if child_id == child.page_id:
-                        insert_at = idx + 1
-                        break
-                entries.insert(insert_at, _internal_entry(sep_key, right.page_id))
-                self._rewrite(parent, entries)
-                child = parent
-            else:
-                # Root split: allocate a new root one level up.
-                new_root = self._space.allocate(
-                    PageType.INDEX_INTERNAL, level=child.level + 1
-                )
-                new_root.insert(_internal_entry(_NEG_INF, child.page_id))
-                new_root.insert(_internal_entry(sep_key, right.page_id))
-                self._root_id = new_root.page_id
-                return
-
-    def _unlink_empty(self, stack: List[Page]) -> None:
-        """Free the emptied node at the top of ``stack``.
-
-        Removes its entry from the parent (the surviving first child, if the
-        removed slot was 0, inherits the ``-inf`` separator so internal
-        entries stay sorted), cascades while ancestors empty out, and finally
-        collapses a root left with a single child. Internal roots always hold
-        at least two entries between operations, so the root itself can never
-        empty here.
-        """
-        dead = stack.pop()
-        while stack:
-            parent = stack.pop()
-            records = parent.records
-            remove_at = None
-            for idx, record in enumerate(records):
-                _, child_id = _decode_internal_entry(record)
-                if child_id == dead.page_id:
-                    remove_at = idx
-                    break
-            self._space.free(dead.page_id)
-            self._decoded.pop(dead.page_id, None)
-            if remove_at is None:
-                raise StorageError(
-                    f"page {dead.page_id} missing from parent {parent.page_id}"
-                )
-            records.pop(remove_at)
-            if remove_at == 0 and records:
-                _, first_child = _decode_internal_entry(records[0])
-                records[0] = _internal_entry(_NEG_INF, first_child)
-                self._rewrite(parent, records)
-                self._fix_leftmost_spine(first_child)
-            else:
-                self._rewrite(parent, records)
-            if parent.num_records:
-                break
-            dead = parent
-        self._collapse_root()
-
-    def _collapse_root(self) -> None:
-        """While the root is an internal page with one child, promote the
-        child and free the old root."""
-        page = self._page(self._root_id, record_touch=False)
-        while page.page_type is PageType.INDEX_INTERNAL and page.num_records == 1:
-            child_id = self._internal_entries(page)[0][1]
-            self._space.free(page.page_id)
-            self._decoded.pop(page.page_id, None)
-            self._root_id = child_id
-            page = self._page(child_id, record_touch=False)
-        self._fix_leftmost_spine(self._root_id)
-
-    def _fix_leftmost_spine(self, page_id: int) -> None:
-        """Restore the leftmost-spine invariant below ``page_id``.
-
-        Every internal node on the leftmost spine of the tree must carry the
-        ``-inf`` separator in slot 0 (descent routes keys smaller than the
-        first real separator into the first child). A node that *becomes*
-        leftmost — promoted to root, or made the first child after its left
-        sibling was unlinked — may still carry a real slot-0 separator from
-        when it was split off; without this rewrite, keys below that
-        separator route into its first subtree and later splits emit
-        out-of-order parent separators. Stops early once it finds ``-inf``:
-        by induction everything below is already leftmost-clean.
-        """
-        while True:
-            page = self._page(page_id, record_touch=False)
-            if page.page_type is not PageType.INDEX_INTERNAL:
-                return
-            records = page.records
-            sep, first_child = _decode_internal_entry(records[0])
-            if sep == _NEG_INF:
-                return
-            records[0] = _internal_entry(_NEG_INF, first_child)
-            self._rewrite(page, records)
-            page_id = first_child
-
-    def min_key(self) -> Optional[int]:
-        """Smallest live key (``None`` when empty); maintenance path, no
-        buffer-pool touches."""
-        page = self._page(self._root_id, record_touch=False)
-        while page.page_type is PageType.INDEX_INTERNAL:
-            entries = self._internal_entries(page)
-            page = self._page(entries[0][1], record_touch=False)
-        entries = self._leaf_entries(page)
-        if entries:
-            return entries[0][0]
-        # Only an empty root leaf has no entries (emptied non-root leaves
-        # are unlinked), so the tree is empty here.
-        return None
-
-    @staticmethod
-    def _insert_position(keys: List[int], key: int) -> int:
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+__all__ = ["BTree"]

@@ -1,14 +1,13 @@
 """Paged on-disk storage: single-file tablespaces behind a frame pool.
 
-This package is the simulation's real-I/O storage engine (ROADMAP item 2):
-each table is one ``.ibd``-style file of 4 KB pages (:mod:`.page_file`),
-every page read/write goes through a fixed-budget frame-based buffer pool
-with pin/unpin, dirty tracking, and LRU/clock eviction
-(:mod:`.buffer_pool`), and rows live in a paged B+-tree with clustered and
-secondary indexes (:mod:`.btree`, :mod:`.table`).
+This package is the simulation's storage engine: each table is one
+``.ibd``-style file of 4 KB pages (:mod:`.page_file`), every page
+read/write goes through a fixed-budget frame-based buffer pool with
+pin/unpin, dirty tracking, and LRU/clock eviction (:mod:`.buffer_pool`),
+and rows live in a paged B+-tree with clustered and secondary indexes
+(:mod:`.btree`, :mod:`.table`).
 
-The point, for the paper, is that the leakage surfaces stop being
-simulated: the ``ib_buffer_pool`` dump is emitted from *actual resident
+The point, for the paper, is that the leakage surfaces are not simulated: the ``ib_buffer_pool`` dump is emitted from *actual resident
 frames*, tablespace images are *read back from disk* (header page,
 free-list chain, and dead-page residue included), and a checkpoint LSN is
 persisted in the file header — all registered as snapshot artifacts.
@@ -21,11 +20,20 @@ from .format import (
     PagedPageType,
 )
 from .page_file import PageFile
-from .buffer_pool import BufferPoolManager, EvictionPolicy, Frame
-from .btree import PagedBTree
+from .buffer_pool import (
+    BufferPoolDump,
+    BufferPoolManager,
+    EvictionPolicy,
+    Frame,
+    PageRef,
+)
+from .btree import AccessPath, PagedBTree
 from .table import PagedTable, SecondaryIndexDef
 
 __all__ = [
+    "AccessPath",
+    "BufferPoolDump",
+    "PageRef",
     "PAGED_PAGE_SIZE",
     "PAGE_CAPACITY",
     "PAGE_HEADER_SIZE",

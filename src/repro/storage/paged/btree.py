@@ -1,8 +1,7 @@
 """Paged B+-tree: every page access pins a frame in the buffer pool.
 
-Mirrors the API of the seed's :class:`repro.storage.btree.BTree` (same
-operation set, same :class:`~repro.storage.btree.AccessPath` result shape,
-same error messages) but over real 4 KB page files:
+The engine's only index structure, over real 4 KB page files. Every
+operation returns the :class:`AccessPath` of pages it touched, root first:
 
 * descents pin one frame per level, releasing the parent as soon as the
   child is pinned (lock-crabbing without the locks — single-threaded per
@@ -23,10 +22,10 @@ engine's sorted index build bypasses the buffer pool.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from ...errors import StorageError
-from ..btree import AccessPath
+from ...errors import DuplicateEntryError, StorageError
 from .buffer_pool import BufferPoolManager, Frame
 from .format import NO_PAGE, PAGE_CAPACITY
 from .node import (
@@ -43,6 +42,16 @@ MetaCallback = Callable[[int, int], None]
 
 #: Bulk-load fill target — leaves ~10% slack for follow-up inserts.
 BULK_FILL_BYTES = PAGE_CAPACITY * 9 // 10
+
+
+@dataclass
+class AccessPath:
+    """Pages touched by one tree operation, root first."""
+
+    page_ids: List[int] = field(default_factory=list)
+
+    def touch(self, page_id: int) -> None:
+        self.page_ids.append(page_id)
 
 
 def _leaf_slot(entries: List[Tuple[int, bytes]], key: int) -> int:
@@ -172,7 +181,7 @@ class PagedBTree:
         slot = _leaf_slot(leaf.entries, key)
         if slot < len(leaf.entries) and leaf.entries[slot][0] == key:
             self._unpin_all(stack)
-            raise StorageError(f"duplicate key {key}")
+            raise DuplicateEntryError(f"duplicate key {key}")
         try:
             leaf.insert_entry(slot, key, payload)
         except BaseException:
@@ -207,8 +216,7 @@ class PagedBTree:
     def delete(self, key: int) -> Tuple[bytes, AccessPath]:
         """Remove ``key``; returns ``(old payload, path)``.
 
-        Unlike the seed tree's historic behaviour, a leaf emptied here is
-        unlinked from the chain and freed immediately (with cascading
+        A leaf emptied here is unlinked from the chain and freed immediately (with cascading
         removal of empty ancestors and root collapse), so range scans and
         the buffer-pool dump never see dead pages.
         """

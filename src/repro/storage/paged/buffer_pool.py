@@ -1,8 +1,7 @@
 """Frame-based buffer pool: every paged B+-tree I/O goes through here.
 
-Unlike the seed's :class:`repro.storage.buffer_pool.BufferPool` — a recency
-ledger that merely *records* which pages a tree touched — this pool owns a
-fixed budget of frames holding the decoded page objects themselves. A page
+The pool owns a fixed budget of frames holding the decoded page objects
+themselves. A page
 read that misses goes to the :class:`~.page_file.PageFile`; a miss with no
 free frame evicts a victim (write-back if dirty); a pinned frame can never
 be evicted. Pages mutate in place in their frame and reach disk only on
@@ -16,22 +15,59 @@ Two eviction policies:
   reference bits, evicting the first unpinned frame whose bit is clear.
 
 Both policies maintain the same recency ledger, so the ``ib_buffer_pool``
-dump (:meth:`BufferPoolManager.dump`) has identical semantics regardless of
-policy — the dump reuses the seed's :class:`~repro.storage.buffer_pool.PageRef`
-format, which keeps the §3 access-path forensics parser unchanged while the
-pages it describes become *actual resident frames*.
+dump (:meth:`BufferPoolManager.dump`, a :class:`BufferPoolDump` of
+:class:`PageRef` lines) has identical semantics regardless of policy, and
+the pages it lists are *actual resident frames*.
+
+Paper §3 ("Inferring reads"): "On shutdown and at other points during
+normal server operation, MySQL creates a file in the data directory
+containing the current pages in the buffer pool in LRU order ... This file
+reveals information about several previous SELECT queries, such as the
+paths through the B+ tree that MySQL took when evaluating them." The parser
+lives in :mod:`repro.forensics.buffer_pool_dump`.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...errors import BufferPoolError
-from ..buffer_pool import BufferPoolDump, PageRef
 from .node import Node, decode_node
 from .page_file import PageFile
+
+
+@dataclass(frozen=True)
+class PageRef:
+    """A buffer-pool resident page: identity, level, and access count."""
+
+    space_id: int
+    page_id: int
+    level: int
+    access_count: int
+
+
+@dataclass(frozen=True)
+class BufferPoolDump:
+    """The serialized dump: page refs in LRU order, most recent first.
+
+    Like MySQL's ``ib_buffer_pool`` file this contains only page identities
+    (plus, in our simulation, the tree level and access counter that InnoDB
+    keeps in its in-memory page descriptors).
+    """
+
+    entries: Tuple[PageRef, ...]
+
+    def to_text(self) -> str:
+        """Render the on-disk dump format (one ``space,page`` pair per line)."""
+        lines = ["# repro ib_buffer_pool dump (MRU first)"]
+        for ref in self.entries:
+            lines.append(
+                f"{ref.space_id},{ref.page_id},{ref.level},{ref.access_count}"
+            )
+        return "\n".join(lines) + "\n"
 
 
 class EvictionPolicy(str, enum.Enum):

@@ -34,8 +34,9 @@ LEAF_ENTRY_OVERHEAD = 12
 #: Fixed serialized size of one internal entry.
 INTERNAL_ENTRY_SIZE = 12
 
-#: Separator for the leftmost child of an internal node (smaller than any
-#: encodable key; mirrors :data:`repro.storage.btree._NEG_INF`).
+#: Separator for the leftmost child of an internal node: smaller than any
+#: encodable key, so internal entries stay sorted no matter what is inserted
+#: to the left later.
 NEG_INF = -(1 << 63)
 
 _LEAF_ENTRY = struct.Struct("<qI")

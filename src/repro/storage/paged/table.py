@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ...errors import StorageError
-from ..btree import AccessPath
-from .btree import PagedBTree
+from .btree import AccessPath, PagedBTree
 from .buffer_pool import BufferPoolManager
 from .format import NO_PAGE
 from .page_file import PageFile

@@ -33,10 +33,6 @@ def _capture_recovery_report(server: MySQLServer) -> Optional[Dict[str, object]]
     return report.to_dict() if report is not None else None
 
 
-def _paged_storage(server: MySQLServer) -> bool:
-    return getattr(server.engine, "storage_mode", "memory") == "paged"
-
-
 def _was_recovered(server: MySQLServer) -> bool:
     return getattr(server.engine, "last_recovery_report", None) is not None
 
@@ -61,7 +57,6 @@ def providers() -> Tuple[ArtifactProvider, ...]:
             quadrant=StateQuadrant.VOLATILE_DB,
             artifact_class="data_structures",
             capture=_capture_dirty_page_table,
-            enabled=_paged_storage,
             requires_escalation=True,
             # (table, page, rec-LSN) triples date each pending write-back;
             # checkpoints also persist them into the WAL (read_checkpoints).

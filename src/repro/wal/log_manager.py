@@ -408,7 +408,7 @@ class LogManager:
 
     @property
     def flushed_lsn(self) -> int:
-        """Every LSN below this is durable (or resident, in memory mode)."""
+        """Every LSN below this is durable (or resident, without a ``wal_dir``)."""
         return self._flushed_lsn
 
     def flush(self) -> int:

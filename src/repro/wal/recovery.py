@@ -1,6 +1,6 @@
 """ARIES-style restart recovery over the unified WAL.
 
-Given a data directory left behind by a crashed paged engine
+Given a data directory left behind by a crashed engine
 (:meth:`~repro.engine.engine.StorageEngine.simulate_crash`, or any kill at
 an arbitrary point), :func:`recover_engine` brings up a fresh engine whose
 state is byte-equivalent to the committed prefix of the crashed run:
@@ -14,7 +14,7 @@ state is byte-equivalent to the committed prefix of the crashed run:
    residue, not deleted — the paper's point is precisely that this data
    survives) and the engine is rebuilt from the log.
 3. **Redo** — "repeat history": apply every REDO *and* CLR frame in log
-   order through the paged tables, idempotently. CLRs written by live
+   order through the tables, idempotently. CLRs written by live
    rollbacks replay the compensation too, so aborted transactions come out
    reverted without restart-side special cases.
 4. **Undo** — walk losers' UNDO before-images in reverse log order and
@@ -275,12 +275,12 @@ def _apply_undo(table, record: UndoRecord) -> bool:
 
 
 def recover_engine(data_dir: str, **engine_kwargs):
-    """Recover a crashed paged engine from ``data_dir``; returns a fresh,
+    """Recover a crashed engine from ``data_dir``; returns a fresh,
     open :class:`~repro.engine.engine.StorageEngine` with
     ``last_recovery_report`` attached.
 
     ``engine_kwargs`` are forwarded to the new engine (capacities, policy,
-    ``wal_sync`` ...). ``storage``/``data_dir`` are fixed by recovery.
+    ``wal_sync`` ...); ``data_dir`` is fixed by recovery.
 
     Note: rows loaded via :meth:`StorageEngine.bulk_load` bypass the WAL by
     design (a loader fast path, as in real engines) and are therefore not
@@ -289,8 +289,6 @@ def recover_engine(data_dir: str, **engine_kwargs):
     """
     from ..engine.engine import StorageEngine
 
-    if "storage" in engine_kwargs:
-        raise RecoveryError("recover_engine sets 'storage' itself")
     wal_dir = os.path.join(data_dir, "wal")
     analysis, n_segments = _analyze(wal_dir)
     report = RecoveryReport(data_dir=data_dir)
@@ -311,7 +309,7 @@ def recover_engine(data_dir: str, **engine_kwargs):
     report.unreadable_tablespaces = tuple(unreadable)
     _move_aside(data_dir, analysis.tables)
 
-    engine = StorageEngine(storage="paged", data_dir=data_dir, **engine_kwargs)
+    engine = StorageEngine(data_dir=data_dir, **engine_kwargs)
     # Repeat history under replay: re-registration and replayed changes
     # must not append fresh WAL (the log already records them); the
     # resumed LogManager carries the crashed run's frames forward.
@@ -375,7 +373,6 @@ def recover_sharded_engine(data_dir: str, num_shards: int, **engine_kwargs):
         engine.close()
     sharded = ShardedEngine(
         num_shards=num_shards,
-        storage="paged",
         data_dir=data_dir,
         **engine_kwargs,
     )

@@ -1,58 +1,69 @@
-"""Unit and property tests for the page-oriented B+ tree."""
+"""Unit and property tests for the B+ tree (:class:`PagedBTree`).
+
+Payloads are padded to ~1 KB so four entries fill a 4 KB leaf: small key
+sets then split into many leaves and multi-level trees.
+"""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage import BTree, BufferPool, Tablespace
+from repro.storage import BufferPoolManager, PagedBTree, PageFile
+from repro.storage.paged.node import InternalNode, LeafNode
 
 
-def make_tree(max_entries=4, pool=None):
-    space = Tablespace(1, "t")
-    if pool is None:
-        return BTree(space, max_entries=max_entries), space
-    tree = BTree(
-        space,
-        max_entries=max_entries,
-        on_touch=pool.touch,
-    )
-    return tree, space
+def make_tree(capacity=64):
+    pool = BufferPoolManager(capacity=capacity)
+    file = PageFile(None, "t", space_id=1)
+    return PagedBTree(pool, file), pool, file
+
+
+def val(key) -> bytes:
+    """A ~1 KB payload naming ``key``: four fit one leaf, five split it."""
+    return str(key).encode().ljust(1000, b".")
+
+
+def live_pages(file) -> int:
+    """Pages in use by the tree (header and freed pages excluded)."""
+    return file.num_pages - 1 - file.free_count
 
 
 class TestBasicOps:
     def test_insert_get(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         tree.insert(5, b"five")
         payload, _ = tree.get(5)
         assert payload == b"five"
 
     def test_get_missing(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         payload, path = tree.get(42)
         assert payload is None
         assert path.page_ids  # even a miss touches the root
 
     def test_duplicate_key_rejected(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         tree.insert(1, b"a")
         with pytest.raises(StorageError):
             tree.insert(1, b"b")
 
     def test_update(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         tree.insert(1, b"old")
         old, _ = tree.update(1, b"new")
         assert old == b"old"
         assert tree.get(1)[0] == b"new"
 
     def test_update_missing_rejected(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         with pytest.raises(StorageError):
             tree.update(9, b"x")
 
     def test_delete(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         tree.insert(1, b"x")
         old, _ = tree.delete(1)
         assert old == b"x"
@@ -60,12 +71,12 @@ class TestBasicOps:
         assert tree.size == 0
 
     def test_delete_missing_rejected(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         with pytest.raises(StorageError):
             tree.delete(1)
 
     def test_size_tracking(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         for i in range(10):
             tree.insert(i, bytes([i]))
         assert tree.size == 10
@@ -75,42 +86,39 @@ class TestBasicOps:
 
 class TestSplitsAndStructure:
     def test_splits_grow_height(self):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         assert tree.height == 1
         for i in range(50):
-            tree.insert(i, b"v")
-        assert tree.height >= 3
+            tree.insert(i, val(i))
+        assert tree.height >= 2
 
     def test_all_keys_retrievable_after_splits(self):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         keys = list(range(0, 200, 3))
         for k in keys:
-            tree.insert(k, str(k).encode())
+            tree.insert(k, val(k))
         for k in keys:
-            assert tree.get(k)[0] == str(k).encode()
+            assert tree.get(k)[0] == val(k)
 
     def test_reverse_insertion_order(self):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         for k in reversed(range(100)):
-            tree.insert(k, b"v")
+            tree.insert(k, val(k))
         assert [k for k, _ in tree.scan()] == list(range(100))
 
     def test_scan_sorted(self):
-        tree, _ = make_tree(max_entries=4)
-        import random
-
+        tree, _, _ = make_tree()
         rng = random.Random(7)
         keys = rng.sample(range(1000), 300)
         for k in keys:
-            tree.insert(k, b"v")
+            tree.insert(k, val(k))
         scanned = [k for k, _ in tree.scan()]
         assert scanned == sorted(keys)
 
     def test_access_path_root_to_leaf(self):
-        pool = BufferPool(capacity=1000)
-        tree, _ = make_tree(max_entries=4, pool=pool)
+        tree, _, _ = make_tree()
         for i in range(100):
-            tree.insert(i, b"v")
+            tree.insert(i, val(i))
         _, path = tree.get(50)
         assert len(path.page_ids) == tree.height
         assert path.page_ids[0] == tree.root_page_id
@@ -118,64 +126,61 @@ class TestSplitsAndStructure:
 
 class TestRange:
     def test_range_inclusive(self):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         for i in range(20):
-            tree.insert(i, str(i).encode())
+            tree.insert(i, val(i))
         results, _ = tree.range(5, 9)
         assert [k for k, _ in results] == [5, 6, 7, 8, 9]
 
     def test_range_open_low(self):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         for i in range(10):
-            tree.insert(i, b"v")
+            tree.insert(i, val(i))
         results, _ = tree.range(None, 3)
         assert [k for k, _ in results] == [0, 1, 2, 3]
 
     def test_range_open_high(self):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         for i in range(10):
-            tree.insert(i, b"v")
+            tree.insert(i, val(i))
         results, _ = tree.range(7, None)
         assert [k for k, _ in results] == [7, 8, 9]
 
     def test_range_empty_tree(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         results, path = tree.range(1, 5)
         assert results == []
         assert path.page_ids
 
     def test_range_no_matches(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         tree.insert(1, b"v")
         results, _ = tree.range(100, 200)
         assert results == []
 
     def test_range_touches_multiple_leaves(self):
-        pool = BufferPool(capacity=1000)
-        tree, _ = make_tree(max_entries=4, pool=pool)
+        tree, _, _ = make_tree()
         for i in range(100):
-            tree.insert(i, b"v")
+            tree.insert(i, val(i))
         _, path = tree.range(10, 60)
-        # A 51-key scan over fanout-4 leaves must touch many pages.
+        # A 51-key scan over four-entry leaves must touch many pages.
         assert len(set(path.page_ids)) > 5
 
 
 class TestBufferPoolIntegration:
     def test_touches_reported(self):
-        pool = BufferPool(capacity=1000)
-        tree, space = make_tree(max_entries=4, pool=pool)
+        tree, pool, _ = make_tree()
         for i in range(50):
-            tree.insert(i, b"v")
+            tree.insert(i, val(i))
         before = pool.stats["hits"] + pool.stats["misses"]
         tree.get(25)
         after = pool.stats["hits"] + pool.stats["misses"]
         assert after - before == tree.height
 
     def test_scan_does_not_touch_pool(self):
-        pool = BufferPool(capacity=1000)
-        tree, _ = make_tree(max_entries=4, pool=pool)
+        tree, pool, _ = make_tree()
         for i in range(50):
-            tree.insert(i, b"v")
+            tree.insert(i, val(i))
         before = pool.stats["hits"] + pool.stats["misses"]
         list(tree.scan())
         after = pool.stats["hits"] + pool.stats["misses"]
@@ -186,11 +191,11 @@ class TestPropertyBased:
     @settings(max_examples=30, deadline=None)
     @given(st.sets(st.integers(0, 10_000), min_size=1, max_size=150))
     def test_insert_then_get_all(self, keys):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         for k in keys:
-            tree.insert(k, str(k).encode())
+            tree.insert(k, val(k))
         for k in keys:
-            assert tree.get(k)[0] == str(k).encode()
+            assert tree.get(k)[0] == val(k)
         assert [k for k, _ in tree.scan()] == sorted(keys)
 
     @settings(max_examples=20, deadline=None)
@@ -199,9 +204,9 @@ class TestPropertyBased:
         st.data(),
     )
     def test_delete_subset(self, keys, data):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         for k in keys:
-            tree.insert(k, b"v")
+            tree.insert(k, val(k))
         doomed = data.draw(
             st.sets(st.sampled_from(sorted(keys)), max_size=len(keys))
         )
@@ -220,58 +225,56 @@ class TestPropertyBased:
     )
     def test_range_matches_filter(self, keys, a, b):
         low, high = min(a, b), max(a, b)
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         for k in keys:
-            tree.insert(k, b"v")
+            tree.insert(k, val(k))
         results, _ = tree.range(low, high)
         assert [k for k, _ in results] == sorted(k for k in keys if low <= k <= high)
 
 
 class TestMinKey:
     def test_min_key_empty(self):
-        tree, _ = make_tree()
+        tree, _, _ = make_tree()
         assert tree.min_key() is None
 
     def test_min_key_basic(self):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         for k in (9, 3, 7, 5):
-            tree.insert(k, b"v")
+            tree.insert(k, val(k))
         assert tree.min_key() == 3
 
     def test_min_key_after_deleting_leftmost_leaf(self):
-        tree, _ = make_tree(max_entries=4)
+        tree, _, _ = make_tree()
         for k in range(20):
-            tree.insert(k, b"v")
+            tree.insert(k, val(k))
         for k in range(10):
             tree.delete(k)
         assert tree.min_key() == 10
 
 
 class TestEmptyNodeReclamation:
-    """Regression: emptied leaves must be unlinked and freed, not kept as
-    dead pages on scan paths (the old lazy-delete behaviour)."""
+    """Emptied leaves are unlinked and freed, not kept as dead pages on
+    scan paths."""
 
     def test_emptied_leaf_is_freed(self):
-        tree, space = make_tree(max_entries=4)
+        tree, _, file = make_tree()
         for k in range(20):
-            tree.insert(k, b"v")
-        before = space.num_pages
+            tree.insert(k, val(k))
+        before = live_pages(file)
         for k in range(5, 10):
             tree.delete(k)
-        assert space.num_pages < before
+        assert live_pages(file) < before
         assert [k for k, _ in tree.scan()] == [
             k for k in range(20) if not (5 <= k < 10)
         ]
 
     def test_delete_all_collapses_to_single_leaf(self):
-        import random
-
         rng = random.Random(11)
-        tree, space = make_tree(max_entries=4)
+        tree, _, file = make_tree()
         keys = list(range(300))
         rng.shuffle(keys)
         for k in keys:
-            tree.insert(k, b"v")
+            tree.insert(k, val(k))
         assert tree.height > 1
         rng.shuffle(keys)
         for k in keys:
@@ -280,17 +283,15 @@ class TestEmptyNodeReclamation:
         assert tree.height == 1
         assert tree.min_key() is None
         # Exactly the (empty) root leaf survives.
-        assert space.num_pages == 1
+        assert live_pages(file) == 1
         # The tree remains fully usable after total reclamation.
         for k in range(50):
-            tree.insert(k, b"y")
+            tree.insert(k, val(k))
         assert [k for k, _ in tree.scan()] == list(range(50))
 
     def test_interleaved_churn_keeps_structure_consistent(self):
-        import random
-
         rng = random.Random(23)
-        tree, space = make_tree(max_entries=4)
+        tree, pool, file = make_tree()
         live = {}
         for _ in range(2000):
             if live and rng.random() < 0.5:
@@ -301,10 +302,14 @@ class TestEmptyNodeReclamation:
                 k = rng.randrange(500)
                 if k in live:
                     continue
-                tree.insert(k, str(k).encode())
-                live[k] = str(k).encode()
+                tree.insert(k, val(k))
+                live[k] = val(k)
         assert sorted(live) == [k for k, _ in tree.scan()]
-        # No page anywhere in the space is an empty non-root leaf.
-        for page in space:
-            if page.page_id != tree.root_page_id:
-                assert page.num_records > 0
+        # No reachable page is an empty non-root leaf.
+        stack = [tree.root_page_id]
+        while stack:
+            node = pool.read_node(file, stack.pop())
+            if isinstance(node, InternalNode):
+                stack.extend(child for _, child in node.entries)
+            elif node.page_id != tree.root_page_id:
+                assert isinstance(node, LeafNode) and node.entries

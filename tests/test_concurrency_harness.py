@@ -1,7 +1,7 @@
 """Deterministic concurrency harness: replay, fuzzing, byte-equivalence.
 
-The tentpole gate for ``repro.concurrency``: every interleaving replays
-exactly from its seed, a 500-interleaving fuzzer checks transaction
+The gate for MVCC, the session front end and sharding: every interleaving
+replays exactly from its seed, a 500-interleaving fuzzer checks transaction
 atomicity and MVCC hygiene under contention (failure messages print the
 replay seed), and the 64-session E7/E13 stress test proves the scheduler
 front end leaves *byte-identical* forensic artifacts to a serial run.

@@ -32,6 +32,7 @@ class TestAtRest:
     def test_disk_view_hides_contents(self, server, session):
         server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
         server.execute(session, "INSERT INTO t (id, v) VALUES (1, 'topsecret')")
+        server.engine.checkpoint()  # write the row's page back to the file
         store = AtRestEncryptedStore(server, KEY)
         view = store.disk_view()
         assert b"topsecret" not in view.encrypted_tablespaces["t"]
@@ -40,9 +41,11 @@ class TestAtRest:
         server.execute(session, "CREATE TABLE small (id INT PRIMARY KEY)")
         server.execute(session, "CREATE TABLE big (id INT PRIMARY KEY, v TEXT)")
         server.execute(session, "INSERT INTO small (id) VALUES (1)")
-        server.execute(
-            session, f"INSERT INTO big (id, v) VALUES (1, '{'x' * 2000}')"
-        )
+        # Files grow in 4 KB pages: three 2,000-byte rows need two leaves.
+        for i in range(3):
+            server.execute(
+                session, f"INSERT INTO big (id, v) VALUES ({i}, '{'x' * 2000}')"
+            )
         store = AtRestEncryptedStore(server, KEY)
         sizes = store.disk_view().object_sizes
         assert sizes["big"] > sizes["small"]
@@ -50,6 +53,7 @@ class TestAtRest:
     def test_memory_access_recovers_key_and_data(self, server, session):
         server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
         server.execute(session, "INSERT INTO t (id, v) VALUES (1, 'topsecret')")
+        server.engine.checkpoint()  # write the row's page back to the file
         store = AtRestEncryptedStore(server, KEY)
         view = store.disk_view()
         snap = capture(server, AttackScenario.VM_SNAPSHOT)

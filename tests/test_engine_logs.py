@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.engine import (
     Binlog,
     GeneralQueryLog,
-    LsnCounter,
     QueryLogEntry,
     RedoLog,
     RedoRecord,
@@ -16,6 +15,7 @@ from repro.engine import (
     UndoRecord,
 )
 from repro.errors import LogError
+from repro.wal import LsnCounter
 
 
 class TestLsn:

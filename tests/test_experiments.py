@@ -116,6 +116,12 @@ class TestE7SseCount:
         if result.unique_count_searches:
             assert result.unique_count_recovery_rate == 1.0
 
+    def test_corpus_seed_5_fully_recovered(self):
+        # Regression: on this corpus an insert overflowed a page of the old
+        # in-memory storage, which surfaced as a false DuplicateKeyError.
+        result = E.run_sse_count_attack(num_documents=2000, seed=5)
+        assert result.unique_count_recovery_rate == 1.0
+
     def test_partial_documents_recovered(self):
         result = E.run_sse_count_attack(
             num_documents=300, vocabulary_size=80, top_k=40, num_searches=15

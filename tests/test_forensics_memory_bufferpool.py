@@ -12,7 +12,7 @@ from repro.forensics import (
 from repro.forensics.buffer_pool_dump import leaf_pages_touched
 from repro.forensics.memory_scan import carve_statements_containing
 from repro.memory import MemoryDump
-from repro.server import MySQLServer, ServerConfig
+from repro.server import MySQLServer
 from repro.snapshot import AttackScenario, capture
 
 
@@ -61,11 +61,14 @@ class TestMemoryScan:
 
 class TestBufferPoolDumpForensics:
     def make_dump(self):
-        server = MySQLServer(ServerConfig(btree_fanout=4))
+        server = MySQLServer()
         session = server.connect()
-        server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+        # ~1 KB rows: four per 4 KB leaf, so 100 rows make a two-level tree.
         for i in range(100):
-            server.execute(session, f"INSERT INTO t (id, v) VALUES ({i}, {i})")
+            server.execute(
+                session, f"INSERT INTO t (id, v) VALUES ({i}, '{'v' * 1000}')"
+            )
         server.execute(session, "SELECT v FROM t WHERE id = 42")
         return server, server.dump_buffer_pool()
 
@@ -92,7 +95,7 @@ class TestBufferPoolDumpForensics:
         # strictly descending levels, ending at a leaf.
         last = paths[-1]
         assert last.reaches_leaf
-        assert last.depth == server.engine.btree("t").height
+        assert last.depth == server.engine.btree("t").clustered.height == 2
         assert list(last.levels) == sorted(last.levels, reverse=True)
 
     def test_inferred_path_matches_true_pages(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.mitigations import HistoryIndependentIndex
-from repro.storage import BTree, Tablespace
+from repro.storage import BufferPoolManager, PagedBTree, PageFile
 
 
 class TestBasicOps:
@@ -82,11 +82,13 @@ class TestUniqueRepresentation:
         """The default structure's images differ by insertion order."""
 
         def build(order):
-            space = Tablespace(1, "t")
-            tree = BTree(space, max_entries=4)
+            pool = BufferPoolManager(capacity=64)
+            file = PageFile(None, "t", space_id=1)
+            tree = PagedBTree(pool, file)
             for k in order:
-                tree.insert(k, str(k).encode())
-            return space.to_bytes()
+                tree.insert(k, str(k).encode().ljust(1000, b"."))
+            pool.flush_all()
+            return file.to_bytes()
 
         ascending = build(list(range(40)))
         descending = build(list(reversed(range(40))))

@@ -26,9 +26,7 @@ PAD = 400
 
 def paged_config(**kw):
     return ServerConfig(
-        storage="paged",
-        buffer_pool_capacity=kw.pop("buffer_pool_capacity", 8),
-        **kw,
+        buffer_pool_capacity=kw.pop("buffer_pool_capacity", 8), **kw
     )
 
 

@@ -1,45 +1,23 @@
 import os
 
-import pytest
-
 from repro.engine import StorageEngine
-from repro.errors import EngineError
 from repro.server import MySQLServer, ServerConfig
 from repro.snapshot import AttackScenario, capture
 from repro.storage.paged import PAGED_PAGE_SIZE
 
 
 def paged_engine(**kwargs):
-    return StorageEngine(storage="paged", mvcc=kwargs.pop("mvcc", True), **kwargs)
+    return StorageEngine(mvcc=kwargs.pop("mvcc", True), **kwargs)
 
 
 class TestEngineModes:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(EngineError, match="unknown storage mode"):
-            StorageEngine(storage="flash")
-
-    def test_memory_default_has_no_data_dir(self):
-        engine = StorageEngine()
-        assert engine.storage_mode == "memory"
-        assert engine.data_dir is None
-        assert engine.free_list_info() == {}
-        assert engine.checkpoint_lsns() == {}
-
     def test_paged_mode_creates_tempdir(self):
         engine = paged_engine()
-        assert engine.storage_mode == "paged"
-        assert engine.data_dir is not None
+        data_dir = engine.data_dir
         engine.register_table("t")
-        assert os.path.exists(os.path.join(engine.data_dir, "t.ibd"))
+        assert os.path.exists(os.path.join(data_dir, "t.ibd"))
         engine.close()
-
-    def test_paged_only_apis_guarded_in_memory_mode(self):
-        engine = StorageEngine()
-        engine.register_table("t")
-        with pytest.raises(EngineError):
-            engine.bulk_load("t", [(1, b"v")])
-        with pytest.raises(EngineError):
-            engine.register_secondary_index("t", "i", len)
+        assert not os.path.exists(data_dir)
 
 
 class TestPagedTransactions:
@@ -165,7 +143,7 @@ class TestPagedMaintenance:
 
 class TestServerPaged:
     def config(self, **kw):
-        return ServerConfig(storage="paged", **kw)
+        return ServerConfig(**kw)
 
     def test_sql_roundtrip(self):
         server = MySQLServer(self.config())
@@ -191,15 +169,6 @@ class TestServerPaged:
         blob = snap.artifacts["tablespace_file"]["t"]
         assert len(blob) % PAGED_PAGE_SIZE == 0
         server.close()
-
-    def test_paged_artifacts_skipped_in_memory_mode(self):
-        server = MySQLServer(ServerConfig())
-        session = server.connect("app")
-        server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        snap = capture(server, AttackScenario.FULL_COMPROMISE, escalated=True)
-        assert "tablespace_file" not in snap.artifacts
-        assert "page_free_list" not in snap.artifacts
-        assert "checkpoint_lsn" not in snap.artifacts
 
     def test_secondary_index_through_server(self):
         server = MySQLServer(self.config())

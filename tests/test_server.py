@@ -8,6 +8,7 @@ from repro.errors import (
     ParseError,
     ServerError,
     SessionError,
+    StorageError,
 )
 from repro.server import MySQLServer, ServerConfig
 
@@ -58,6 +59,18 @@ class TestDdlAndDml:
         # The whole statement rolled back: row 100 must not exist.
         result = server.execute(session, "SELECT * FROM customers WHERE id = 100")
         assert result.rows == ()
+
+    def test_oversized_row_is_not_a_duplicate_key(self, server, session):
+        server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+        with pytest.raises(StorageError) as caught:
+            server.execute(
+                session, f"INSERT INTO t (id, v) VALUES (1, '{'z' * 5000}')"
+            )
+        assert not isinstance(caught.value, DuplicateKeyError)
+        assert "cannot fit" in str(caught.value)
+        server.execute(session, "INSERT INTO t (id, v) VALUES (1, 'small')")
+        with pytest.raises(DuplicateKeyError, match="duplicate primary key 1"):
+            server.execute(session, "INSERT INTO t (id, v) VALUES (1, 'again')")
 
     def test_insert_wrong_type_rejected(self, server, session):
         seed_customers(server, session, n=1)

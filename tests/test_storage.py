@@ -1,17 +1,22 @@
-"""Unit and property tests for records, pages, tablespaces, and buffer pool."""
+"""Unit and property tests for records, page images, tablespace files, and
+the buffer pool."""
+
+import io
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BufferPoolError, PageError, RecordError, StorageError
-from repro.storage import (
-    BufferPool,
-    Page,
-    PageType,
-    Tablespace,
-    decode_row,
-    encode_row,
+from repro.storage import BufferPoolManager, PageFile, decode_row, encode_row
+from repro.storage.paged import PagedPageType
+from repro.storage.paged.format import unpack_page
+from repro.storage.paged.node import (
+    LEAF_ENTRY_OVERHEAD,
+    MAX_LEAF_PAYLOAD,
+    InternalNode,
+    LeafNode,
+    decode_node,
 )
 from repro.storage.record import row_size
 
@@ -68,172 +73,193 @@ class TestRecordCodec:
 
 
 class TestPage:
+    """A leaf page decoded into its frame: sorted ``(key, payload)`` slots."""
+
     def test_insert_read(self):
-        page = Page(0, PageType.INDEX_LEAF)
-        slot = page.insert(b"hello")
-        assert page.read(slot) == b"hello"
-        assert page.num_records == 1
+        leaf = LeafNode(1)
+        leaf.insert_entry(0, 5, b"hello")
+        assert leaf.entries == [(5, b"hello")]
+        assert decode_node(unpack_page(leaf.serialize())).entries == [(5, b"hello")]
 
     def test_insert_at_slot(self):
-        page = Page(0)
-        page.insert(b"b")
-        page.insert(b"a", slot=0)
-        assert page.records == [b"a", b"b"]
+        leaf = LeafNode(1)
+        leaf.insert_entry(0, 2, b"b")
+        leaf.insert_entry(0, 1, b"a")
+        assert leaf.entries == [(1, b"a"), (2, b"b")]
 
     def test_replace_returns_old(self):
-        page = Page(0)
-        page.insert(b"old")
-        assert page.replace(0, b"new") == b"old"
-        assert page.read(0) == b"new"
+        leaf = LeafNode(1, [(1, b"old")])
+        assert leaf.replace_entry(0, 1, b"new") == b"old"
+        assert leaf.entries == [(1, b"new")]
 
     def test_delete_returns_old(self):
-        page = Page(0)
-        page.insert(b"x")
-        assert page.delete(0) == b"x"
-        assert page.num_records == 0
+        leaf = LeafNode(1, [(1, b"x")])
+        assert leaf.pop_entry(0) == (1, b"x")
+        assert leaf.entries == []
 
     def test_overflow_rejected(self):
-        page = Page(0, capacity=16)
-        with pytest.raises(PageError):
-            page.insert(b"x" * 32)
+        leaf = LeafNode(1)
+        with pytest.raises(StorageError, match="cannot fit"):
+            leaf.insert_entry(0, 1, b"x" * (MAX_LEAF_PAYLOAD + 1))
+        assert leaf.entries == []
 
     def test_free_bytes_accounting(self):
-        page = Page(0, capacity=100)
-        page.insert(b"abcd")
-        assert page.used_bytes == 8  # 4 payload + 4 length prefix
-        assert page.free_bytes == 92
-        page.delete(0)
-        assert page.used_bytes == 0
+        leaf = LeafNode(1)
+        leaf.insert_entry(0, 1, b"abcd")
+        assert leaf.used_bytes == LEAF_ENTRY_OVERHEAD + 4
+        leaf.pop_entry(0)
+        assert leaf.used_bytes == 0
 
     def test_bad_slot_rejected(self):
-        page = Page(0)
+        # A header claiming more slots than the page holds.
+        raw = LeafNode(1, [(1, b"v")]).serialize()
+        image = unpack_page(raw)
+        image.n_entries = 400
         with pytest.raises(PageError):
-            page.read(0)
-        with pytest.raises(PageError):
-            page.delete(5)
+            decode_node(image)
 
     def test_negative_page_id_rejected(self):
-        with pytest.raises(PageError):
-            Page(-1)
+        file = PageFile(None, "t", space_id=1)
+        with pytest.raises(PageError, match="out of range"):
+            file.read_page(-1)
 
     def test_serialization_roundtrip(self):
-        page = Page(3, PageType.INDEX_INTERNAL, level=2)
-        page.insert(b"one")
-        page.insert(b"two")
-        restored = Page.from_bytes(page.to_bytes())
+        node = InternalNode(3, level=2, entries=[(-5, 7), (10, 8)])
+        image = unpack_page(node.serialize(), expected_page_id=3)
+        restored = decode_node(image)
         assert restored.page_id == 3
-        assert restored.page_type is PageType.INDEX_INTERNAL
+        assert image.page_type is PagedPageType.INDEX_INTERNAL
         assert restored.level == 2
-        assert restored.records == [b"one", b"two"]
+        assert restored.entries == [(-5, 7), (10, 8)]
+
+
+def write_node(file, make=LeafNode):
+    """Allocate a page and write ``make(page_id)`` into it."""
+    page_id = file.allocate()
+    file.write_page(page_id, make(page_id).serialize())
+    return page_id
 
 
 class TestTablespace:
     def test_allocate_sequential_ids(self):
-        space = Tablespace(1, "t")
-        assert space.allocate().page_id == 0
-        assert space.allocate().page_id == 1
+        file = PageFile(None, "t", space_id=1)
+        assert file.allocate() == 1  # page 0 is the tablespace header
+        assert file.allocate() == 2
 
     def test_page_lookup(self):
-        space = Tablespace(1, "t")
-        page = space.allocate()
-        assert space.page(page.page_id) is page
+        file = PageFile(None, "t", space_id=1)
+        page_id = write_node(file, lambda pid: LeafNode(pid, [(1, b"row")]))
+        image = file.read_page(page_id)
+        assert image.page_id == page_id
+        assert decode_node(image).entries == [(1, b"row")]
 
     def test_unknown_page_rejected(self):
-        space = Tablespace(1, "t")
+        file = PageFile(None, "t", space_id=1)
         with pytest.raises(StorageError):
-            space.page(99)
+            file.read_page(99)
 
     def test_free(self):
-        space = Tablespace(1, "t")
-        page = space.allocate()
-        space.free(page.page_id)
-        assert not space.has_page(page.page_id)
+        file = PageFile(None, "t", space_id=1)
+        page_id = write_node(file)
+        file.free(page_id)
+        assert file.free_list() == [page_id]
         with pytest.raises(StorageError):
-            space.free(page.page_id)
+            file.free(page_id)
 
     def test_serialization_roundtrip(self):
-        space = Tablespace(7, "customers")
-        page = space.allocate(PageType.INDEX_LEAF)
-        page.insert(b"row-bytes")
-        restored = Tablespace.from_bytes(space.to_bytes())
+        file = PageFile(None, "customers", space_id=7)
+        page_id = write_node(file, lambda pid: LeafNode(pid, [(1, b"row-bytes")]))
+        restored = PageFile(None, "?", file_obj=io.BytesIO(file.to_bytes()))
         assert restored.space_id == 7
         assert restored.name == "customers"
-        assert restored.page(page.page_id).records == [b"row-bytes"]
+        assert decode_node(restored.read_page(page_id)).entries == [(1, b"row-bytes")]
         # id allocation continues past restored pages
-        assert restored.allocate().page_id == page.page_id + 1
+        assert restored.allocate() == page_id + 1
+
+
+def pool_and_pages(capacity, pages=4, space_id=1):
+    """A pool over a file of ``pages`` leaf pages (ids 1..pages)."""
+    file = PageFile(None, "t", space_id=space_id)
+    for _ in range(pages):
+        write_node(file)
+    return BufferPoolManager(capacity=capacity), file
+
+
+def touch(pool, file, page_id):
+    pool.unpin(pool.fetch(file, page_id))
 
 
 class TestBufferPool:
     def test_touch_and_contains(self):
-        pool = BufferPool(capacity=4)
-        pool.touch(1, 10)
-        assert pool.contains(1, 10)
-        assert not pool.contains(1, 11)
+        pool, file = pool_and_pages(capacity=4)
+        touch(pool, file, 1)
+        assert pool.contains(1, 1)
+        assert not pool.contains(1, 2)
 
     def test_lru_eviction(self):
-        pool = BufferPool(capacity=2)
-        pool.touch(1, 1)
-        pool.touch(1, 2)
-        pool.touch(1, 3)  # evicts page 1
+        pool, file = pool_and_pages(capacity=2)
+        touch(pool, file, 1)
+        touch(pool, file, 2)
+        touch(pool, file, 3)  # evicts page 1
         assert not pool.contains(1, 1)
         assert pool.contains(1, 2)
         assert pool.contains(1, 3)
 
     def test_touch_refreshes_recency(self):
-        pool = BufferPool(capacity=2)
-        pool.touch(1, 1)
-        pool.touch(1, 2)
-        pool.touch(1, 1)  # page 1 now MRU
-        pool.touch(1, 3)  # evicts page 2
+        pool, file = pool_and_pages(capacity=2)
+        touch(pool, file, 1)
+        touch(pool, file, 2)
+        touch(pool, file, 1)  # page 1 now MRU
+        touch(pool, file, 3)  # evicts page 2
         assert pool.contains(1, 1)
         assert not pool.contains(1, 2)
 
     def test_access_counts(self):
-        pool = BufferPool(capacity=4)
+        pool, file = pool_and_pages(capacity=4)
         for _ in range(5):
-            pool.touch(1, 9)
-        assert pool.access_count(1, 9) == 5
-        assert pool.access_count(1, 8) == 0
+            touch(pool, file, 3)
+        assert pool.access_count(1, 3) == 5
+        assert pool.access_count(1, 2) == 0
 
     def test_stats(self):
-        pool = BufferPool(capacity=2)
-        pool.touch(1, 1)
-        pool.touch(1, 1)
-        pool.touch(1, 2)
-        pool.touch(1, 3)
+        pool, file = pool_and_pages(capacity=2)
+        for page_id in (1, 1, 2, 3):
+            touch(pool, file, page_id)
         stats = pool.stats
         assert stats["hits"] == 1
         assert stats["misses"] == 3
         assert stats["evictions"] == 1
 
     def test_dump_mru_first(self):
-        pool = BufferPool(capacity=4)
-        pool.touch(1, 1, level=2)
-        pool.touch(1, 2, level=1)
-        pool.touch(1, 3, level=0)
+        file = PageFile(None, "t", space_id=1)
+        write_node(file, lambda pid: InternalNode(pid, 2))
+        write_node(file, lambda pid: InternalNode(pid, 1))
+        write_node(file)
+        pool = BufferPoolManager(capacity=4)
+        for page_id in (1, 2, 3):
+            touch(pool, file, page_id)
         dump = pool.dump()
         assert [e.page_id for e in dump.entries] == [3, 2, 1]
-        assert dump.entries[0].level == 0
+        assert [e.level for e in dump.entries] == [0, 1, 2]
 
     def test_dump_text_format(self):
-        pool = BufferPool(capacity=4)
-        pool.touch(5, 7, level=1)
-        text = pool.dump().to_text()
-        assert "5,7,1,1" in text
+        pool, file = pool_and_pages(capacity=4, space_id=5)
+        touch(pool, file, 2)
+        assert "5,2,0,1" in pool.dump().to_text()
 
     def test_clear(self):
-        pool = BufferPool(capacity=4)
-        pool.touch(1, 1)
+        pool, file = pool_and_pages(capacity=4)
+        touch(pool, file, 1)
         pool.clear()
         assert pool.resident_pages == 0
 
     def test_bad_capacity(self):
         with pytest.raises(BufferPoolError):
-            BufferPool(capacity=0)
+            BufferPoolManager(capacity=0)
 
-    @given(st.lists(st.integers(0, 20), min_size=1, max_size=200))
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=200))
     def test_capacity_never_exceeded(self, accesses):
-        pool = BufferPool(capacity=5)
+        pool, file = pool_and_pages(capacity=5, pages=20)
         for page_id in accesses:
-            pool.touch(0, page_id)
+            touch(pool, file, page_id)
         assert pool.resident_pages <= 5

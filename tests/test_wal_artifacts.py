@@ -27,13 +27,13 @@ def run_workload(server, rows=3):
 
 
 @pytest.fixture
-def memory_server():
+def default_server():
     return run_workload(MySQLServer())
 
 
 @pytest.fixture
-def paged_server(tmp_path):
-    config = ServerConfig(storage="paged", data_dir=str(tmp_path / "db"))
+def tmp_server(tmp_path):
+    config = ServerConfig(data_dir=str(tmp_path / "db"))
     server = run_workload(MySQLServer(config=config))
     yield server
     server.close()
@@ -61,26 +61,21 @@ class TestProviders:
         for provider in wal_artifacts.providers():
             assert provider.forensic_reader.startswith("repro.forensics")
 
-    def test_disk_theft_captures_wal_segments(self, memory_server):
-        snap = capture(memory_server, AttackScenario.DISK_THEFT)
+    def test_disk_theft_captures_wal_segments(self, default_server):
+        snap = capture(default_server, AttackScenario.DISK_THEFT)
         segments = snap.get("wal_segments")
         assert segments and all(isinstance(v, bytes) for v in segments.values())
 
-    def test_dirty_page_table_gated_on_paged_and_escalation(
-        self, memory_server, paged_server
-    ):
-        # Memory mode: provider disabled (no paged buffer pool).
-        snap = capture(memory_server, AttackScenario.SQL_INJECTION, escalated=True)
+    def test_dirty_page_table_gated_on_paged_and_escalation(self, tmp_server):
+        # Unescalated SQL injection: withheld.
+        snap = capture(tmp_server, AttackScenario.SQL_INJECTION)
         assert snap.get("dirty_page_table") is None
-        # Paged mode, unescalated SQL injection: withheld.
-        snap = capture(paged_server, AttackScenario.SQL_INJECTION)
-        assert snap.get("dirty_page_table") is None
-        # Paged + escalated: the live (table, page, rec-LSN) triples.
-        snap = capture(paged_server, AttackScenario.SQL_INJECTION, escalated=True)
+        # Escalated: the live (table, page, rec-LSN) triples.
+        snap = capture(tmp_server, AttackScenario.SQL_INJECTION, escalated=True)
         assert snap.get("dirty_page_table") is not None
 
-    def test_recovery_report_absent_on_clean_server(self, memory_server):
-        snap = capture(memory_server, AttackScenario.DISK_THEFT)
+    def test_recovery_report_absent_on_clean_server(self, default_server):
+        snap = capture(default_server, AttackScenario.DISK_THEFT)
         assert snap.get("recovery_report") is None
 
     def test_recovery_report_captured_after_recovery(self, tmp_path):
@@ -88,7 +83,7 @@ class TestProviders:
         from repro.wal.recovery import recover_engine
 
         data_dir = str(tmp_path / "crashed")
-        engine = StorageEngine(storage="paged", data_dir=data_dir, wal_sync=False)
+        engine = StorageEngine(data_dir=data_dir, wal_sync=False)
         engine.register_table("t")
         txn = engine.begin()
         engine.insert(txn, "t", 1, b"v")
@@ -97,7 +92,7 @@ class TestProviders:
         recovered = recover_engine(data_dir, wal_sync=False)
 
         server = MySQLServer(
-            config=ServerConfig(storage="paged", data_dir=str(tmp_path / "other"))
+            config=ServerConfig(data_dir=str(tmp_path / "other"))
         )
         server.engine.close()
         server.engine = recovered  # a server brought up on the recovered engine
@@ -109,8 +104,8 @@ class TestProviders:
 
 
 class TestForensicReaders:
-    def test_parse_wal_segments_decodes_all_kinds(self, memory_server):
-        records = parse_wal_segments(memory_server.engine.wal_segments())
+    def test_parse_wal_segments_decodes_all_kinds(self, default_server):
+        records = parse_wal_segments(default_server.engine.wal_segments())
         kinds = {r.kind for r in records}
         assert {"redo", "undo", "txn_begin", "txn_commit", "table_register"} <= kinds
         redo = [r for r in records if r.kind == "redo"]
@@ -134,9 +129,9 @@ class TestForensicReaders:
         assert [key for _, _, key, _, _, _ in history] == list(range(30))
 
     def test_read_checkpoints_exposes_dirty_pages_and_active_txns(
-        self, paged_server
+        self, tmp_server
     ):
-        engine = paged_server.engine
+        engine = tmp_server.engine
         txn = engine.begin()
         engine.insert(txn, "t", 100, b"inflight")
         engine.checkpoint()
@@ -146,8 +141,8 @@ class TestForensicReaders:
         assert txn.txn_id in last.active_txns
         engine.commit(txn)
 
-    def test_read_checkpoint_state_joins_header_lsns(self, paged_server):
-        engine = paged_server.engine
+    def test_read_checkpoint_state_joins_header_lsns(self, tmp_server):
+        engine = tmp_server.engine
         engine.checkpoint()
         state = read_checkpoint_state(
             engine.checkpoint_lsns(), engine.wal_segments()

@@ -10,23 +10,25 @@ against a shadow dict maintained alongside the generated workload.
 
 import os
 import random
+import shutil
 
 import pytest
 
 from repro.engine import StorageEngine
 from repro.errors import EngineError, RecoveryError
+from repro.server import MySQLServer, ServerConfig
 from repro.server.sharding import ShardedEngine
+from repro.storage import decode_row
 from repro.wal.recovery import recover_engine, recover_sharded_engine
 
 TABLES = ("a", "b")
 KEYS = 16
 
-# Small frames + tiny fanout force evictions (and thus the WAL rule) and
-# multi-level trees even in short workloads; sync off for speed — the
-# flush boundary semantics are identical.
+# Small frames force evictions (and thus the WAL rule) even in short
+# workloads; sync off for speed — the flush boundary semantics are
+# identical.
 ENGINE_KWARGS = dict(
     buffer_pool_capacity=8,
-    btree_fanout=4,
     wal_segment_bytes=512,
     wal_sync=False,
 )
@@ -133,9 +135,7 @@ class TestKillAtRandomPoint:
             steps, snapshots = build_workload(seed)
             crash_step = random.Random(seed ^ 0xC0FFEE).randrange(len(steps))
             data_dir = str(tmp_path / f"case{seed}")
-            engine = StorageEngine(
-                storage="paged", data_dir=data_dir, **ENGINE_KWARGS
-            )
+            engine = StorageEngine(data_dir=data_dir, **ENGINE_KWARGS)
             for t in TABLES:
                 engine.register_table(t)
             run_steps(engine, steps[: crash_step + 1])
@@ -154,7 +154,7 @@ class TestKillAtRandomPoint:
 
     def test_recovered_engine_is_fully_usable(self, tmp_path):
         data_dir = str(tmp_path / "usable")
-        engine = StorageEngine(storage="paged", data_dir=data_dir, **ENGINE_KWARGS)
+        engine = StorageEngine(data_dir=data_dir, **ENGINE_KWARGS)
         engine.register_table("a")
         txn = engine.begin()
         engine.insert(txn, "a", 1, b"one")
@@ -176,7 +176,7 @@ class TestKillAtRandomPoint:
 
     def test_double_crash_recovery_idempotent(self, tmp_path):
         data_dir = str(tmp_path / "twice")
-        engine = StorageEngine(storage="paged", data_dir=data_dir, **ENGINE_KWARGS)
+        engine = StorageEngine(data_dir=data_dir, **ENGINE_KWARGS)
         engine.register_table("a")
         for key in range(6):
             txn = engine.begin()
@@ -199,7 +199,7 @@ class TestKillAtRandomPoint:
 
     def test_report_classifies_transactions(self, tmp_path):
         data_dir = str(tmp_path / "classify")
-        engine = StorageEngine(storage="paged", data_dir=data_dir, **ENGINE_KWARGS)
+        engine = StorageEngine(data_dir=data_dir, **ENGINE_KWARGS)
         engine.register_table("a")
         committed = engine.begin()
         engine.insert(committed, "a", 1, b"c")
@@ -229,7 +229,7 @@ class TestKillAtRandomPoint:
         # classified by the *old* run's COMMIT record on the next crash,
         # letting the new incarnation's uncommitted changes survive.
         data_dir = str(tmp_path / "txnids")
-        engine = StorageEngine(storage="paged", data_dir=data_dir, **ENGINE_KWARGS)
+        engine = StorageEngine(data_dir=data_dir, **ENGINE_KWARGS)
         engine.register_table("a")
         txn = engine.begin()
         engine.insert(txn, "a", 1, b"one")
@@ -254,7 +254,7 @@ class TestKillAtRandomPoint:
         # frame must be durable with it, or recovery neither damage-scans
         # nor moves the tablespace aside.
         data_dir = str(tmp_path / "ddl")
-        engine = StorageEngine(storage="paged", data_dir=data_dir, **ENGINE_KWARGS)
+        engine = StorageEngine(data_dir=data_dir, **ENGINE_KWARGS)
         engine.register_table("a")
         engine.simulate_crash()
 
@@ -265,8 +265,8 @@ class TestKillAtRandomPoint:
         recovered.close()
 
     def test_rejects_fixed_kwargs(self, tmp_path):
-        with pytest.raises(RecoveryError, match="storage"):
-            recover_engine(str(tmp_path), storage="paged")
+        with pytest.raises(TypeError, match="data_dir"):
+            recover_engine(str(tmp_path), data_dir=str(tmp_path))
 
     def test_empty_data_dir_recovers_to_empty_engine(self, tmp_path):
         recovered = recover_engine(str(tmp_path / "nothing"))
@@ -278,7 +278,7 @@ class TestKillAtRandomPoint:
 class TestTornPages:
     def _crashed_engine(self, tmp_path, name):
         data_dir = str(tmp_path / name)
-        engine = StorageEngine(storage="paged", data_dir=data_dir, **ENGINE_KWARGS)
+        engine = StorageEngine(data_dir=data_dir, **ENGINE_KWARGS)
         engine.register_table("a")
         for key in range(12):
             txn = engine.begin()
@@ -354,9 +354,7 @@ class TestTornPages:
 class TestShardedRecovery:
     def test_committed_prefix_across_shards(self, tmp_path):
         data_dir = str(tmp_path / "sharded")
-        engine = ShardedEngine(
-            num_shards=3, storage="paged", data_dir=data_dir, **ENGINE_KWARGS
-        )
+        engine = ShardedEngine(num_shards=3, data_dir=data_dir, **ENGINE_KWARGS)
         engine.register_table("a")
         committed = {}
         for key in range(20):
@@ -402,7 +400,7 @@ class TestBulkLoadCaveat:
         # documented contract is: load, checkpoint, and treat the load as
         # outside crash-recovery guarantees.
         data_dir = str(tmp_path / "bulk")
-        engine = StorageEngine(storage="paged", data_dir=data_dir, **ENGINE_KWARGS)
+        engine = StorageEngine(data_dir=data_dir, **ENGINE_KWARGS)
         engine.register_table("a")
         engine.bulk_load("a", [(k, b"bulk") for k in range(4)])
         txn = engine.begin()
@@ -413,3 +411,27 @@ class TestBulkLoadCaveat:
         recovered = recover_engine(data_dir, **ENGINE_KWARGS)
         assert recovered.scan("a") == [(10, b"logged")]
         recovered.close()
+
+
+class TestDefaultServer:
+    def test_committed_rows_survive_a_crash(self):
+        # The default config: a private tempdir and no fsync. Flushed WAL
+        # frames are in the segment files, which is what recovery reads.
+        server = MySQLServer(ServerConfig())
+        session = server.connect("app")
+        server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+        server.execute(session, "INSERT INTO t (id, v) VALUES (1, 'one'), (2, 'two')")
+        server.execute(session, "BEGIN")
+        server.execute(session, "INSERT INTO t (id, v) VALUES (3, 'three')")
+        server.execute(session, "COMMIT")
+        server.execute(session, "BEGIN")
+        server.execute(session, "INSERT INTO t (id, v) VALUES (4, 'in flight')")
+        data_dir = server.engine.data_dir
+        server.engine.simulate_crash()
+        try:
+            recovered = recover_engine(data_dir)
+            rows = [decode_row(payload)[0] for _, payload in recovered.scan("t")]
+            assert rows == [(1, "one"), (2, "two"), (3, "three")]
+            recovered.close()
+        finally:
+            shutil.rmtree(data_dir)
