@@ -79,7 +79,6 @@ def _direct_full_capture(server: MySQLServer) -> Snapshot:
         "query_cache_statements": tuple(server.query_cache.statements),
         "adaptive_hash_hot_keys": tuple(server.adaptive_hash.hot_keys()),
         "live_buffer_pool": server.engine.buffer_pool.dump(),
-        "tablespace_file": server.engine.tablespace_images(),
         "page_free_list": server.engine.free_list_info(),
         "checkpoint_lsn": server.engine.checkpoint_lsns(),
         "wal_segments": server.engine.wal_segments(),

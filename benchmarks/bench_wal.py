@@ -4,7 +4,8 @@ Two records land in ``BENCH_wal.json``:
 
 * ``wal_append`` — staged ``append_redo`` throughput (records/s) with
   per-record latency percentiles. Appends only frame + stage bytes in
-  memory, so this is the upper bound every transaction pays per change.
+  memory (nothing reaches the segment files until a flush), so this is
+  the upper bound every transaction pays per change.
 * ``wal_group_flush`` — committed-transaction throughput through a paged
   engine with the durable on-disk WAL (``wal_sync=False``: the group-flush
   write path without the fsync constant, which a shared CI container
@@ -28,8 +29,8 @@ N_COMMITS = 1_500
 PAYLOAD = b"r" * 64
 
 
-def test_wal_append_throughput(bench_json, report):
-    manager = LogManager()
+def test_wal_append_throughput(bench_json, report, tmp_path):
+    manager = LogManager(wal_dir=str(tmp_path))
     latencies: List[float] = []
     for i in range(N_APPENDS):
         record = RedoRecord(1, "t", "insert", i, PAYLOAD)
@@ -47,6 +48,7 @@ def test_wal_append_throughput(bench_json, report):
             f"staged frames            {manager.stats['pending_frames']}",
         ],
     )
+    manager.close()
 
 
 def test_wal_group_flush_throughput(bench_json, report, tmp_path):

@@ -13,15 +13,13 @@ passes over the result:
 - crypto misuse — nonce reuse, key material on display surfaces,
   deterministic encryption outside declared DET paths (``crypto-*``,
   enabled by a spec ``crypto_policy`` section),
-- unguarded shared-state writes on server/executor paths
-  (``shared-state-unguarded``, enabled by a spec ``concurrency`` section),
 - resource-protocol (typestate) violations over an exception-aware CFG —
   pin/unpin leaks on any path, dirty frames released clean, engine
   mutation outside a live transaction, undeclared residue-sensitive frees
   (``protocol-*``, enabled by a spec ``resource_protocols`` section),
 - Eraser-style lockset races: shared containers whose may-happen-in-
-  parallel accesses hold no common lock (``lockset-race``, enabled by
-  ``concurrency.lockset``; subsumes the lexical shared-state rule).
+  parallel accesses from server/executor paths hold no common lock
+  (``lockset-race``, enabled by a spec ``concurrency`` section).
 
 Runs are incremental when a cache directory is supplied (see
 :mod:`.driver` and :mod:`.cache`), and findings carry stable fingerprints

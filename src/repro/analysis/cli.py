@@ -1,9 +1,9 @@
 """``repro-lint``: command-line front-end for the leakage analyzer.
 
 Exit codes: 0 — clean (every flow documented, lints quiet); 1 — violations
-(undocumented flow, key-hygiene, secure-deletion, crypto-misuse,
-shared-state); 2 — usage or input error (missing spec, unparseable source,
-malformed spec or baseline).
+(undocumented flow, key-hygiene, secure-deletion, crypto-misuse, protocol,
+lockset, volume, durability); 2 — usage or input error (missing spec,
+unparseable source, malformed spec or baseline).
 
 Caching: the CLI enables the incremental cache by default, at
 ``.repro-lint-cache/`` next to the spec (``--cache-dir`` moves it,

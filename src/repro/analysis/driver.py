@@ -59,7 +59,10 @@ from .taint import Contribution, TaintEngine
 #: 4.0.0: size-provenance (volume) taint domain + durability-ordering
 #: pass; volume kinds ride the cached contributions, so the bump
 #: invalidates every v3 cache entry.
-ANALYZER_VERSION = "4.0.0"
+#: 5.0.0: the lexical shared-state pass is gone and the lockset pass runs
+#: whenever ``concurrency.entry_points`` is set, so facts extracted for a
+#: spec without the old ``lockset`` knob now carry container accesses.
+ANALYZER_VERSION = "5.0.0"
 
 
 def _module_dep_closures(

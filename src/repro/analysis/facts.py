@@ -58,9 +58,7 @@ _MAX_ROUNDS = 5
 
 
 # ---------------------------------------------------------------------------
-# shared-container helpers (home of these since repro-lint v3: the lockset
-# extractor needs them, and :mod:`.passes.shared_state` — which re-imports
-# them — must stay importable *from* here without a package cycle)
+# shared-container helpers (the lockset access extractor)
 
 #: Call-method names that mutate the receiver container in place.
 _WRITE_METHODS = {
@@ -246,7 +244,7 @@ def facts_needed(spec: LeakageSpec) -> bool:
     if getattr(spec, "resource_protocols", None) is not None:
         return True
     conc = spec.concurrency
-    return bool(conc is not None and getattr(conc, "lockset", False))
+    return bool(conc is not None and conc.entry_points)
 
 
 # ---------------------------------------------------------------------------
@@ -1122,7 +1120,7 @@ def extract_all_facts(
     policy = getattr(spec, "resource_protocols", None)
     config = ProtocolConfig(policy, resolver) if policy is not None else None
     conc = spec.concurrency
-    lockset_on = bool(conc is not None and getattr(conc, "lockset", False))
+    lockset_on = bool(conc is not None and conc.entry_points)
     guards: Tuple[str, ...] = (
         tuple(conc.lock_guards) if conc is not None else ("lock", "_lock", "mutex")
     )

@@ -2,13 +2,12 @@
 
 :func:`default_registry` assembles the shipped passes in their canonical
 order: the three flow-gate passes (undocumented flows, key hygiene, secure
-deletion — PRs 3–4), the crypto-misuse and shared-state passes (PR 5),
-the resource-protocol (typestate) and lockset passes (v3), then the
-volume-flow and durability-ordering passes (v4) — all opt-in via spec
-sections. Downstream consumers — the driver, the SARIF
-emitter's rule table, baseline fingerprints, ``--explain`` — enumerate
-passes from the registry rather than from hard-coded call sites, so adding
-a check is one :class:`LintPass` entry here.
+deletion), the crypto-misuse pass, the resource-protocol (typestate) and
+lockset passes (v3), then the volume-flow and durability-ordering passes
+(v4) — all opt-in via spec sections. Downstream consumers — the driver,
+the SARIF emitter's rule table, baseline fingerprints, ``--explain`` —
+enumerate passes from the registry rather than from hard-coded call sites,
+so adding a check is one :class:`LintPass` entry here.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .flows import (
     stale_documented_entries,
     undocumented_flow_lint,
 )
-from .shared_state import SHARED_STATE_PASS, shared_state_lint
 from .protocol import PROTOCOL_PASS, protocol_lint
 from .lockset import LOCKSET_PASS, lockset_lint
 from .volume import (
@@ -49,7 +47,6 @@ __all__ = [
     "PassContext",
     "PassRegistry",
     "RuleMeta",
-    "SHARED_STATE_PASS",
     "VOLUME_PASS",
     "Violation",
     "build_volume_surface",
@@ -60,7 +57,6 @@ __all__ = [
     "lockset_lint",
     "protocol_lint",
     "secure_deletion_lint",
-    "shared_state_lint",
     "stale_documented_entries",
     "stale_volume_declarations",
     "undocumented_flow_lint",
@@ -73,7 +69,6 @@ def default_registry() -> PassRegistry:
     for lint_pass in FLOW_PASSES:
         registry.register(lint_pass)
     registry.register(CRYPTO_PASS)
-    registry.register(SHARED_STATE_PASS)
     registry.register(PROTOCOL_PASS)
     registry.register(LOCKSET_PASS)
     registry.register(VOLUME_PASS)

@@ -1,14 +1,16 @@
 """Lockset pass: Eraser-style per-container candidate-lockset intersection.
 
-Extends :mod:`.shared_state` from "any lexically unguarded write" to the
-discipline check of Savage et al.'s Eraser (PAPERS.md), statically:
+Savage et al.'s Eraser (PAPERS.md) discipline check, done statically: a
+shared mutable container (module-level ``CACHE = {}``-style constant or a
+class-body container attribute) that the spec's concurrent entry points
+reach must be guarded by one common lock.
 
 * the **held set** of an access is the locks lexically held at the site
   plus the function's *held-at-entry* set — the intersection, over every
   call edge reaching it from an entry role, of the caller's held set at
   the call site (a descending fixpoint over the facts call graph). A
   helper that is only ever called under ``self._lock`` is therefore
-  correctly treated as guarded, where the lexical rule would flag it;
+  correctly treated as guarded, where a lexical check would flag it;
 * the **candidate lockset** of a shared container is the intersection of
   the held sets of all may-happen-in-parallel accesses (reads *and*
   writes). Empty intersection + at least one parallel write = a race:
@@ -23,8 +25,8 @@ discipline check of Savage et al.'s Eraser (PAPERS.md), statically:
 Static approximation of Eraser's dynamic per-object state machine: lock
 identity is per declaring class (not per instance), and there is no
 initialization-phase exemption — module/class-body containers are shared
-from import time. The pass activates on ``concurrency.lockset: true``;
-the lexical shared-state rule stands down when it does.
+from import time. The pass runs when the spec's ``concurrency`` section
+names entry points.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _held_at_entry(
 
 def lockset_lint(ctx: PassContext) -> List[Violation]:
     policy = ctx.spec.concurrency
-    if policy is None or not policy.lockset or not policy.entry_points:
+    if policy is None or not policy.entry_points:
         return []
     facts = ensure_facts(ctx)
 
@@ -183,7 +185,7 @@ LOCKSET_PASS = LintPass(
                 "Shared container whose may-happen-in-parallel accesses "
                 "hold no common lock (and at least one writes)"
             ),
-            spec_section="concurrency (lockset, serial_entry_points)",
+            spec_section="concurrency (entry_points, serial_entry_points)",
             experiments=("E7", "E13"),
             example=(
                 "def handle_a(self, k, v):\n"

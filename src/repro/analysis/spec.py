@@ -112,23 +112,18 @@ class CryptoPolicy:
 
 @dataclass(frozen=True)
 class ConcurrencyPolicy:
-    """Configuration for the shared-state and lockset lint passes.
+    """Configuration for the lockset lint pass.
 
-    The passes only run when a spec carries a ``concurrency`` section.
+    The pass runs when a spec's ``concurrency`` section names entry points.
     """
 
     #: Class qualnames whose methods are concurrent entry points (server /
-    #: executor surfaces). Functions reachable from them must not write
-    #: shared mutable containers without a lock guard.
+    #: executor surfaces). Shared mutable containers those paths reach must
+    #: be guarded by one common lock.
     entry_points: Tuple[str, ...] = ()
-    #: Attribute/variable name fragments that count as lock guards when a
-    #: write site is lexically inside ``with <guard>:``.
+    #: Attribute/variable name fragments that count as lock guards when an
+    #: access site is lexically inside ``with <guard>:``.
     lock_guards: Tuple[str, ...] = ("lock", "_lock", "mutex")
-    #: Opt into the Eraser-style lockset pass. When true, the lexical
-    #: shared-state rule stands down and the per-container candidate-lockset
-    #: intersection (with interprocedural held-at-entry propagation and
-    #: may-happen-in-parallel pruning) subsumes it.
-    lockset: bool = False
     #: Entry roles that the scheduler topology serializes (never overlap
     #: any other role, nor themselves). Accesses reachable *only* from
     #: these roles are pruned from the lockset intersection.
@@ -679,7 +674,6 @@ def load_spec(path) -> LeakageSpec:
                 raw_conc.get("lock_guards", ["lock", "_lock", "mutex"]),
                 "concurrency.lock_guards",
             ),
-            lockset=bool(raw_conc.get("lockset", False)),
             serial_entry_points=_as_tuple(
                 raw_conc.get("serial_entry_points"),
                 "concurrency.serial_entry_points",

@@ -2,10 +2,13 @@
 
 This package produces the on-disk write-history artifacts of paper Section 3:
 
-* :mod:`.redo_log` / :mod:`.undo_log` — circular byte-level change logs with
-  LSNs ("record changes to the individual database records at the byte
-  level"); fixed capacity, so old entries age out exactly like InnoDB's
-  50 MB defaults.
+* the redo and undo logs — circular byte-level change logs with LSNs
+  ("record changes to the individual database records at the byte
+  level"). They live in :mod:`repro.wal`: every append goes through the
+  engine's :class:`~repro.wal.log_manager.LogManager`, and
+  ``StorageEngine.redo_log`` / ``undo_log`` are its fixed-capacity
+  retention windows, so old entries age out exactly like InnoDB's 50 MB
+  defaults.
 * :mod:`.binlog` — the statement binlog with UNIX timestamps, never purged
   unless an administrator runs ``PURGE``.
 * :mod:`.query_logs` — the general query log (off by default, like MySQL)
@@ -15,18 +18,12 @@ This package produces the on-disk write-history artifacts of paper Section 3:
 * :mod:`.engine` — the facade the server layer drives.
 """
 
-from .redo_log import RedoLog, RedoRecord
-from .undo_log import UndoLog, UndoRecord
 from .binlog import Binlog, BinlogEvent
 from .query_logs import GeneralQueryLog, SlowQueryLog, QueryLogEntry
 from .transaction import Transaction, TransactionState
 from .engine import StorageEngine, ChangeOp
 
 __all__ = [
-    "RedoLog",
-    "RedoRecord",
-    "UndoLog",
-    "UndoRecord",
     "Binlog",
     "BinlogEvent",
     "GeneralQueryLog",

@@ -19,12 +19,11 @@ from ..clock import SimClock
 from ..errors import ConcurrentTransactionError, EngineError, TransactionError
 from ..obs.instrumentation import NO_OP_INSTRUMENTATION, Instrumentation
 from ..storage.paged import AccessPath, BufferPoolManager, PagedTable, PageFile
-from ..wal.log_manager import DEFAULT_SEGMENT_BYTES, LogManager
+from ..wal.log_manager import DEFAULT_CAPACITY, DEFAULT_SEGMENT_BYTES, LogManager
+from ..wal.records import RedoRecord, UndoRecord
 from .binlog import Binlog
 from .mvcc import MVCCManager
-from .redo_log import DEFAULT_CAPACITY, RedoLog, RedoRecord
 from .transaction import Transaction
-from .undo_log import UndoLog, UndoRecord
 
 
 class ChangeOp(enum.Enum):
@@ -116,8 +115,10 @@ class StorageEngine:
             instrumentation=self.obs,
         )
         self.lsn = self.wal.lsn
-        self.redo_log = RedoLog(manager=self.wal)
-        self.undo_log = UndoLog(manager=self.wal)
+        #: The circular redo/undo retention windows of paper §3 (read-only
+        #: views: every append goes through :attr:`wal`).
+        self.redo_log = self.wal.redo_stream
+        self.undo_log = self.wal.undo_stream
         self.binlog = Binlog(enabled=binlog_enabled)
         self.buffer_pool = BufferPoolManager(
             buffer_pool_capacity,
@@ -290,11 +291,11 @@ class StorageEngine:
         with self.obs.span("storage.insert", table=table):
             path = tree.insert(key, row)
         self.obs.count("engine.rows_written", label=table)
-        self.undo_log.log(
+        self.wal.append_undo(
             UndoRecord(txn.txn_id, table, ChangeOp.INSERT.value, key, b"")
         )
         txn.note_lsn(
-            self.redo_log.log(
+            self.wal.append_redo(
                 RedoRecord(txn.txn_id, table, ChangeOp.INSERT.value, key, row)
             )
         )
@@ -313,11 +314,11 @@ class StorageEngine:
         with self.obs.span("storage.update", table=table):
             before, path = tree.update(key, row)
         self.obs.count("engine.rows_written", label=table)
-        self.undo_log.log(
+        self.wal.append_undo(
             UndoRecord(txn.txn_id, table, ChangeOp.UPDATE.value, key, before)
         )
         txn.note_lsn(
-            self.redo_log.log(
+            self.wal.append_redo(
                 RedoRecord(txn.txn_id, table, ChangeOp.UPDATE.value, key, row)
             )
         )
@@ -336,11 +337,11 @@ class StorageEngine:
         with self.obs.span("storage.delete", table=table):
             before, path = tree.delete(key)
         self.obs.count("engine.rows_written", label=table)
-        self.undo_log.log(
+        self.wal.append_undo(
             UndoRecord(txn.txn_id, table, ChangeOp.DELETE.value, key, before)
         )
         txn.note_lsn(
-            self.redo_log.log(
+            self.wal.append_redo(
                 RedoRecord(txn.txn_id, table, ChangeOp.DELETE.value, key, b"")
             )
         )

@@ -8,8 +8,8 @@ database."
 The parsers here work from the raw byte images captured by
 :func:`repro.snapshot.capture.capture` — the framing is
 ``lsn(8) || length(4) || record body`` per entry, with record bodies encoded
-by :class:`repro.engine.redo_log.RedoRecord` /
-:class:`repro.engine.undo_log.UndoRecord`.
+by :class:`repro.wal.records.RedoRecord` /
+:class:`repro.wal.records.UndoRecord`.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..engine.redo_log import RedoRecord
-from ..engine.undo_log import UndoRecord
 from ..errors import ForensicsError
 from ..storage.record import Row, decode_row
 from ..util.serialization import read_uint
+from ..wal.records import RedoRecord, UndoRecord
 
 
 @dataclass(frozen=True)

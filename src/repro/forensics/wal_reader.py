@@ -1,8 +1,9 @@
 """Forensic parsing of captured WAL segments.
 
 The unified WAL is the paper's §3 redo/undo surface made *durable*: unlike
-the circular in-memory logs (bounded retention, lost on restart), flushed
-segments accumulate every record since the engine was created — after-
+the circular redo/undo windows (bounded retention: a restart refills them
+from the segments, but only up to their byte capacity), flushed segments
+accumulate every record since the engine was created — after-
 images, before-images, compensation records, transaction boundaries, and
 checkpoints with the dirty-page table. An attacker holding a disk snapshot
 walks the frames with nothing but the framing format and the CRC:

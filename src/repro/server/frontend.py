@@ -18,7 +18,7 @@ snapshot artifact (volatile DB state, escalation required), growing the
 Figure-1 matrix alongside the engine's log surfaces.
 
 Shared scheduler state is guarded by a real ``threading.Lock`` even though
-the simulation is single-threaded: the repro-lint shared-state pass audits
+the simulation is single-threaded: the repro-lint lockset pass audits
 this module as a concurrency entry point and the lock names the guard
 (``leakage_spec.json`` → ``concurrency.lock_guards``).
 """

@@ -21,19 +21,15 @@ def _capture_buffer_pool_dump(server: MySQLServer) -> BufferPoolDump:
 
 
 def _capture_tablespace_images(server: MySQLServer) -> Dict[str, bytes]:
-    # Polymorphic over StorageEngine / ShardedEngine (the sharded engine
-    # returns per-shard-qualified names, e.g. ``t@shard3``).
+    # The literal .ibd file bytes — header page, index pages, and
+    # freed-page residue included. Polymorphic over StorageEngine /
+    # ShardedEngine (the sharded engine returns per-shard-qualified names,
+    # e.g. ``t@shard3``).
     return server.engine.tablespace_images()
 
 
 def _capture_live_buffer_pool(server: MySQLServer) -> BufferPoolDump:
     return server.engine.buffer_pool.dump()
-
-
-def _capture_tablespace_files(server: MySQLServer) -> Dict[str, bytes]:
-    # The literal .ibd file bytes — header page, index pages, and
-    # freed-page residue included.
-    return server.engine.tablespace_images()
 
 
 def _capture_page_free_list(server: MySQLServer) -> Dict[str, list]:
@@ -63,15 +59,6 @@ def providers() -> Tuple[ArtifactProvider, ...]:
             capture=_capture_tablespace_images,
             spec_sinks=("tablespace",),
             forensic_reader="repro.forensics.tablespace.read_leaf_entries",
-        ),
-        ArtifactProvider(
-            name="tablespace_file",
-            backend="mysql",
-            quadrant=StateQuadrant.PERSISTENT_DB,
-            artifact_class="logs",
-            capture=_capture_tablespace_files,
-            spec_sinks=("tablespace",),
-            forensic_reader="repro.attacks",
         ),
         ArtifactProvider(
             name="page_free_list",

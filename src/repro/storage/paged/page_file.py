@@ -23,7 +23,7 @@ Freed pages are threaded through their header ``next_page`` field with the
 page type rewritten to ``FREE`` — but the record payload is left on disk
 untouched. That residue is deliberate: it is the secure-deletion gap the
 paper's snapshot attacker exploits, and the ``page_free_list`` /
-``tablespace_file`` artifacts expose it.
+``tablespace_images`` artifacts expose it.
 """
 
 from __future__ import annotations

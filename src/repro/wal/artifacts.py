@@ -3,7 +3,7 @@
 The unified WAL is deliberately registered as a first-class leakage
 surface in the spirit of the paper's Figure 1: flushed segments are
 persistent on-disk state a disk-theft attacker reads directly (and —
-unlike the circular in-memory logs — they never evict), the live
+unlike the circular redo/undo windows — they never evict), the live
 dirty-page table is volatile engine state reachable only after code
 execution, and a restart-recovery report documents what the recovery
 pass itself disclosed about in-flight work.

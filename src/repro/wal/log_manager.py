@@ -3,11 +3,11 @@
 :class:`LogManager` owns the monotone :class:`~repro.wal.lsn.LsnCounter`
 and every log append in the engine goes through it:
 
-* ``append_redo`` / ``append_undo`` — the historical byte-level row images.
-  They advance the LSN by the record's serialized length, exactly as the
-  old in-memory circular logs did, and are additionally retained in
-  capacity-bounded :class:`LogStream` windows so the circular-log snapshot
-  artifacts (E5/E13) stay byte-identical.
+* ``append_redo`` / ``append_undo`` — the byte-level row images of paper
+  §3. They advance the LSN by the record's serialized length and are also
+  retained in capacity-bounded :class:`LogStream` windows, the circular
+  redo and undo logs the engine exposes as ``redo_log`` / ``undo_log``
+  (the E2/E5/E13 snapshot artifacts).
 * ``append_clr`` / txn lifecycle / checkpoints / table registration — new
   control records for ARIES recovery. They are stamped with the current
   LSN but advance it by **zero** bytes, keeping the logical redo stream
@@ -15,10 +15,11 @@ and every log append in the engine goes through it:
 
 Appends are *staged*: nothing reaches the operating system until
 :meth:`LogManager.flush` (group flush), which writes the pending frames to
-the active segment file, rolls segments at ``segment_bytes``, and — when
-``sync`` is on — ``fsync``\\ s before returning. :meth:`LogManager.flush_to`
-is the buffer pool's WAL-rule hook: force the log up to a dirty page's
-page-LSN before that page may hit disk.
+the active segment file under ``wal_dir``, rolls segments at
+``segment_bytes``, and — when ``sync`` is on — ``fsync``\\ s before
+returning. :meth:`LogManager.flush_to` is the buffer pool's WAL-rule
+hook: force the log up to a dirty page's page-LSN before that page may
+hit disk.
 
 Durability is also the leakage boundary: :meth:`LogManager.segments`
 exposes exactly the flushed bytes — what a snapshot attacker gets from the
@@ -27,7 +28,6 @@ disk — never the staged tail that would be lost in a crash.
 
 from __future__ import annotations
 
-import io
 import os
 import zlib
 from collections import deque
@@ -71,10 +71,6 @@ DEFAULT_CAPACITY = 25 * 1000 * 1000
 #: segments (the forensic surface is per-file), large enough to stay cheap.
 DEFAULT_SEGMENT_BYTES = 1 << 20
 
-#: Memory-mode engines cap resident sealed segments so an unbounded workload
-#: cannot grow the process heap without bound; disk mode retains everything.
-DEFAULT_MEMORY_SEGMENT_LIMIT = 64
-
 _SEGMENT_PREFIX = "wal."
 _SEGMENT_SUFFIX = ".log"
 
@@ -86,10 +82,13 @@ def segment_name(index: int) -> str:
 class LogStream(Generic[RecordT]):
     """A byte-capacity-bounded retention window over one record stream.
 
-    This carries the old ``CircularLog`` mechanics — byte accounting and
-    eviction of the oldest records once ``capacity_bytes`` is exceeded —
-    but no longer owns the LSN: the :class:`LogManager` assigns it and
-    hands ``(lsn, raw, record)`` triples in via :meth:`admit`.
+    InnoDB's redo and undo logs are circular files: new records overwrite
+    the oldest ones once the file fills, so the retention window depends on
+    write rate and record size — the quantity behind the paper's "16 days'
+    worth of inserts" observation (Section 3, experiment E2). The stream
+    does the byte accounting and evicts the oldest records once
+    ``capacity_bytes`` is exceeded; the :class:`LogManager` assigns each
+    LSN and hands ``(lsn, raw, record)`` triples in via :meth:`admit`.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -119,7 +118,7 @@ class LogStream(Generic[RecordT]):
             self._used_bytes -= len(old_raw)
             self._total_evicted += 1
 
-    # -- inspection (the read API the engine facades re-export) ------------
+    # -- inspection (``engine.redo_log`` / ``engine.undo_log``) ------------
 
     @property
     def used_bytes(self) -> int:
@@ -173,36 +172,27 @@ class LogStream(Generic[RecordT]):
 
 
 class _Segment:
-    """One WAL segment: a name, its flushed byte count, and a sink."""
+    """One WAL segment file: its name, path, flushed size and open handle."""
 
-    __slots__ = ("name", "size", "path", "handle", "buffer")
+    __slots__ = ("name", "size", "path", "handle")
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        path: Optional[str] = None,
-        size: int = 0,
-    ) -> None:
+    def __init__(self, name: str, path: str, size: int = 0) -> None:
         self.name = name
         self.size = size
         self.path = path
         self.handle = None
-        self.buffer: Optional[io.BytesIO] = None if path else io.BytesIO()
 
 
 class LogManager:
-    """Owns the LSN and the segmented on-disk (or in-memory) WAL."""
+    """Owns the LSN and the segmented on-disk WAL under ``wal_dir``."""
 
     def __init__(
         self,
-        wal_dir: Optional[str] = None,
-        lsn: Optional[LsnCounter] = None,
+        wal_dir: str,
         redo_capacity: int = DEFAULT_CAPACITY,
         undo_capacity: int = DEFAULT_CAPACITY,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         sync: bool = True,
-        max_resident_segments: int = DEFAULT_MEMORY_SEGMENT_LIMIT,
         instrumentation: Optional["Instrumentation"] = None,
     ) -> None:
         if segment_bytes <= 0:
@@ -215,8 +205,7 @@ class LogManager:
         self.wal_dir = wal_dir
         self.segment_bytes = segment_bytes
         self.sync = sync
-        self.max_resident_segments = max_resident_segments
-        self.lsn = lsn if lsn is not None else LsnCounter()
+        self.lsn = LsnCounter()
         self.redo_stream: LogStream[RedoRecord] = LogStream(redo_capacity)
         self.undo_stream: LogStream[UndoRecord] = LogStream(undo_capacity)
         self._segments: List[_Segment] = []
@@ -230,12 +219,10 @@ class LogManager:
         self._appended_frames = 0
         self._flushed_frame_count = 0
         self._bytes_written = 0
-        self._dropped_segments = 0
         self.resumed_frames = 0
         self.truncated_tail: Optional[str] = None
-        if wal_dir is not None:
-            os.makedirs(wal_dir, exist_ok=True)
-            self._resume_from_disk()
+        os.makedirs(wal_dir, exist_ok=True)
+        self._resume_from_disk()
         if not self._segments:
             self._open_segment(segment_name(1))
 
@@ -276,7 +263,7 @@ class LogManager:
                     self.undo_stream.admit(frame.lsn, frame.body, frame.decode())
                 end_lsn = max(end_lsn, frame.lsn + frame.lsn_advance)
                 self.resumed_frames += 1
-            self._segments.append(_Segment(name, path=path, size=good_end))
+            self._segments.append(_Segment(name, path, size=good_end))
         if end_lsn > self.lsn.current:
             self.lsn.advance(end_lsn - self.lsn.current)
         self._flushed_lsn = self.lsn.current
@@ -287,34 +274,21 @@ class LogManager:
     # -- segment plumbing --------------------------------------------------
 
     def _open_segment(self, name: str) -> None:
-        if self.wal_dir is not None:
-            path = os.path.join(self.wal_dir, name)
-            seg = _Segment(name, path=path)
-            seg.handle = open(path, "ab")
-        else:
-            seg = _Segment(name)
+        seg = _Segment(name, os.path.join(self.wal_dir, name))
+        seg.handle = open(seg.path, "ab")
         self._segments.append(seg)
 
     def _seal_active(self) -> None:
+        # A segment sealed mid-flush must be as durable as the final one:
+        # with ``sync`` on, its frames would otherwise sit in the OS cache
+        # while flush() reports them durable.
         active = self._segments[-1]
-        if active.handle is not None:
-            # A segment sealed mid-flush must be as durable as the final
-            # one: with ``sync`` on, its frames would otherwise sit in the
-            # OS cache while flush() reports them durable.
-            active.handle.flush()
-            if self.sync:
-                os.fsync(active.handle.fileno())
-                self._syncs += 1
-            active.handle.close()
-            active.handle = None
-        if self.wal_dir is None:
-            # Memory mode: bound resident sealed segments (oldest dropped,
-            # like any circular log — disk mode keeps everything).
-            resident = [s for s in self._segments if s.buffer is not None]
-            while len(resident) > self.max_resident_segments:
-                victim = resident.pop(0)
-                victim.buffer = None
-                self._dropped_segments += 1
+        active.handle.flush()
+        if self.sync:
+            os.fsync(active.handle.fileno())
+            self._syncs += 1
+        active.handle.close()
+        active.handle = None
 
     def _next_index(self) -> int:
         last = self._segments[-1].name
@@ -408,7 +382,7 @@ class LogManager:
 
     @property
     def flushed_lsn(self) -> int:
-        """Every LSN below this is durable (or resident, without a ``wal_dir``)."""
+        """Every LSN below this is durable."""
         return self._flushed_lsn
 
     def flush(self) -> int:
@@ -426,19 +400,15 @@ class LogManager:
                 self._seal_active()
                 self._open_segment(next_name)
                 active = self._segments[-1]
-            if active.handle is not None:
-                active.handle.write(frame)
-            else:
-                active.buffer.write(frame)
+            active.handle.write(frame)
             active.size += len(frame)
             self._bytes_written += len(frame)
             written += 1
         active = self._segments[-1]
-        if active.handle is not None:
-            active.handle.flush()
-            if self.sync:
-                os.fsync(active.handle.fileno())
-                self._syncs += 1
+        active.handle.flush()
+        if self.sync:
+            os.fsync(active.handle.fileno())
+            self._syncs += 1
         self._pending.clear()
         self._pending_frames = 0
         self._flushed_frame_count += written
@@ -469,21 +439,17 @@ class LogManager:
         """Flushed segment bytes by name — the snapshot-leakage surface.
 
         Staged (pre-flush) frames are deliberately absent: a crash would
-        lose them, so a disk snapshot cannot contain them either. Memory
-        mode serves dropped sealed segments as empty.
+        lose them, so a disk snapshot cannot contain them either.
         """
         out: Dict[str, bytes] = {}
         for seg in self._segments:
-            if seg.path is not None:
-                if seg.handle is not None:
-                    seg.handle.flush()
-                try:
-                    with open(seg.path, "rb") as fh:
-                        out[seg.name] = fh.read()
-                except OSError:
-                    out[seg.name] = b""
-            else:
-                out[seg.name] = seg.buffer.getvalue() if seg.buffer else b""
+            if seg.handle is not None:
+                seg.handle.flush()
+            try:
+                with open(seg.path, "rb") as fh:
+                    out[seg.name] = fh.read()
+            except OSError:
+                out[seg.name] = b""
         return out
 
     def records(self) -> List[WalFrame]:
@@ -499,11 +465,10 @@ class LogManager:
     @property
     def stats(self) -> Dict[str, object]:
         return {
-            "wal_dir": self.wal_dir or "",
+            "wal_dir": self.wal_dir,
             "sync": self.sync,
             "segment_bytes": self.segment_bytes,
             "segments": len(self._segments),
-            "dropped_segments": self._dropped_segments,
             "flushes": self._flushes,
             "syncs": self._syncs,
             "appended_frames": self._appended_frames,

@@ -9,10 +9,10 @@ makes torn tails self-describing: a crash mid-append leaves a frame whose
 CRC does not verify, and :func:`parse_frames` (tolerant mode) stops there —
 exactly how recovery finds the end of the usable log.
 
-Redo and undo bodies are the byte-identical serializations the circular
-in-memory logs always used (:meth:`RedoRecord.to_bytes`), so the logical
-redo stream — and the paper's §3 forensics over it — is unchanged by the
-WAL refactor. Control records (txn lifecycle, checkpoints, CLRs) are new:
+Redo and undo bodies are the byte-level row images of paper §3
+(:meth:`RedoRecord.to_bytes`); the same bytes make up the circular
+redo/undo retention windows, so the §3 forensics read either surface.
+Control records (txn lifecycle, checkpoints, CLRs) are new:
 they are stamped with the current LSN but advance it by zero bytes.
 """
 
@@ -58,8 +58,16 @@ FRAME_HEADER = struct.Struct("<QIIB")
 class RedoRecord:
     """One redo entry: the after-image of a row change.
 
+    Paper §3: "InnoDB ... uses circular undo and redo logs ... Both logs
+    record changes to the individual database records at the byte level.
+    Using standard forensic techniques for reconstructing insert, update,
+    and delete transactions from these logs, an attacker who compromised
+    the disk can reconstruct queries that modified the database."
+
     ``after_image`` is the serialized row after the change (empty for a
-    delete, which has no after state).
+    delete, which has no after state). Neither redo nor undo records carry
+    timestamps — dating them takes the binlog correlation attack in
+    :mod:`repro.forensics.binlog_reader`.
     """
 
     txn_id: int
@@ -97,6 +105,13 @@ class RedoRecord:
 @dataclass(frozen=True)
 class UndoRecord:
     """One undo entry: the before-image of a row change.
+
+    Paper §3: "Transactional guarantees require the ability to roll back
+    recent transactions ... thus information about recent database
+    modifications must persist on the disk." The leakage is inherent in
+    ACID: undo entries let transactions roll back and old row versions be
+    rebuilt (MVCC), and forensically they reveal deleted and overwritten
+    data that no longer exists in the table itself.
 
     ``before_image`` is the serialized row before the change (empty for an
     insert, which had no prior state).

@@ -1,0 +1,21 @@
+"""Fixtures shared across test modules."""
+
+import pytest
+
+from repro.wal import LogManager
+
+
+@pytest.fixture
+def make_wal(tmp_path):
+    """Build on-disk ``LogManager``\\ s under ``tmp_path``; each gets its own
+    ``wal_dir`` and all are closed at teardown."""
+    managers = []
+
+    def make(**kwargs):
+        mgr = LogManager(wal_dir=str(tmp_path / f"wal{len(managers)}"), **kwargs)
+        managers.append(mgr)
+        return mgr
+
+    yield make
+    for mgr in managers:
+        mgr.close()

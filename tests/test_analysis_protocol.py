@@ -7,9 +7,8 @@ Fixture contract:
   release, both-path transaction, declared free, acquire-by-return
   wrapper) and must come back with zero violations and zero baseline
   entries;
-- ``lockset_bad_pkg`` is lexically guarded everywhere (the old
-  shared-state rule is silent by construction) but uses two different
-  locks — the candidate-lockset intersection is empty;
+- ``lockset_bad_pkg`` is lexically guarded everywhere but uses two
+  different locks — the candidate-lockset intersection is empty;
 - ``lockset_good_pkg`` exercises held-at-entry propagation (a helper
   written only under the caller's lock) and may-happen-in-parallel
   pruning (an unlocked writer declared as a serial entry role).
@@ -114,12 +113,6 @@ class TestLocksetPass:
         assert [v.rule for v in report.violations] == ["lockset-race"]
         (v,) = report.violations
         assert v.key == "lockset_bad_pkg.state.REGISTRY"
-
-    def test_bad_fixture_quiet_for_lexical_rule(self):
-        # Both writes sit inside `with lock_x:` blocks, so the subsumed
-        # lexical shared-state rule must not double-report.
-        report = run_fixture("lockset_bad_pkg")
-        assert all(v.rule != "shared-state-unguarded" for v in report.violations)
 
     def test_good_fixture_no_false_positives(self):
         report = run_fixture("lockset_good_pkg")

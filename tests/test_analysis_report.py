@@ -82,7 +82,7 @@ class TestSarif:
         assert driver["name"] == "repro-lint"
         assert driver["version"] == ANALYZER_VERSION
         rule_ids = [r["id"] for r in driver["rules"]]
-        assert "shared-state-unguarded" in rule_ids
+        assert "lockset-race" in rule_ids
         assert rule_ids == sorted(rule_ids)
 
         results = run["results"]
@@ -143,13 +143,14 @@ class TestBaseline:
         assert len(second.violations) == len(first.violations)
         assert all(v.baselined for v in second.violations)
 
-        # Introduce one NEW unguarded write; only its fingerprint is active.
+        # Introduce one NEW unguarded shared container; only its
+        # fingerprint is active.
         server = work / "src" / "shared_state_pkg" / "server.py"
         server.write_text(
             server.read_text()
-            + "\n\ndef bulk_load(rows) -> None:\n"
+            + "\n\nSESSIONS = {}\n\n\ndef bulk_load(rows) -> None:\n"
             "    for key, value in rows:\n"
-            "        CACHE[key] = value\n"
+            "        SESSIONS[key] = value\n"
         )
         spec = json.loads((work / "leakage_spec.json").read_text())
         spec["concurrency"]["entry_points"].append(

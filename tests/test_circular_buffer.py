@@ -8,12 +8,11 @@ frees heap blocks without zeroing.
 
 import pytest
 
-from repro.engine.redo_log import RedoLog, RedoRecord
-from repro.engine.undo_log import UndoLog, UndoRecord
 from repro.errors import LogError, ObsError
 from repro.forensics import carve_spans
 from repro.memory import SimulatedHeap
 from repro.obs import SPAN_MAGIC, TraceStore
+from repro.wal.records import RedoRecord, UndoRecord
 
 
 def _redo(i, table="t", image=b"x" * 10):
@@ -21,40 +20,44 @@ def _redo(i, table="t", image=b"x" * 10):
 
 
 class TestCircularLog:
-    def test_capacity_must_be_positive(self):
+    """The engine's redo/undo windows: the LogManager's retention streams."""
+
+    def test_capacity_must_be_positive(self, make_wal):
         for capacity in (0, -1):
             with pytest.raises(LogError):
-                RedoLog(capacity_bytes=capacity)
+                make_wal(redo_capacity=capacity)
             with pytest.raises(LogError):
-                UndoLog(capacity_bytes=capacity)
+                make_wal(undo_capacity=capacity)
 
-    def test_oversized_record_rejected(self):
-        log = RedoLog(capacity_bytes=8)
+    def test_oversized_record_rejected(self, make_wal):
+        wal = make_wal(redo_capacity=8)
         with pytest.raises(LogError):
-            log.log(_redo(1))
+            wal.append_redo(_redo(1))
+        assert wal.lsn.current == 0  # rejected before any LSN is assigned
 
-    def test_wraps_exactly_at_byte_capacity(self):
+    def test_wraps_exactly_at_byte_capacity(self, make_wal):
         record = _redo(1)
         size = len(record.to_bytes())
-        log = RedoLog(capacity_bytes=size * 3)  # room for exactly 3 records
+        wal = make_wal(redo_capacity=size * 3)  # room for exactly 3 records
+        log = wal.redo_stream
         for i in range(3):
-            log.log(_redo(i))
+            wal.append_redo(_redo(i))
         assert log.num_records == 3
         assert log.total_evicted == 0
         assert log.used_bytes == size * 3
 
-        log.log(_redo(3))  # one byte over -> oldest goes
+        wal.append_redo(_redo(3))  # one byte over -> oldest goes
         assert log.num_records == 3
         assert log.total_evicted == 1
         assert log.used_bytes == size * 3
         assert [r.txn_id for r in log.records()] == [1, 2, 3]
 
-    def test_lsn_strictly_increases_across_eviction(self):
+    def test_lsn_strictly_increases_across_eviction(self, make_wal):
         record = _redo(1)
         size = len(record.to_bytes())
-        log = UndoLog(capacity_bytes=size * 2)
+        wal = make_wal(undo_capacity=size * 2)
         lsns = [
-            log.log(
+            wal.append_undo(
                 UndoRecord(
                     txn_id=i, table="t", op="insert", key=i, before_image=b""
                 )
@@ -63,15 +66,16 @@ class TestCircularLog:
         ]
         assert lsns == sorted(lsns)
         assert len(set(lsns)) == len(lsns)
-        assert log.oldest_lsn == lsns[-2]
-        assert log.newest_lsn == lsns[-1]
+        assert wal.undo_stream.oldest_lsn == lsns[-2]
+        assert wal.undo_stream.newest_lsn == lsns[-1]
 
-    def test_raw_bytes_covers_only_retained_records(self):
+    def test_raw_bytes_covers_only_retained_records(self, make_wal):
         record = _redo(1)
         size = len(record.to_bytes())
-        log = RedoLog(capacity_bytes=size * 2)
+        wal = make_wal(redo_capacity=size * 2)
         for i in range(5):
-            log.log(_redo(i))
+            wal.append_redo(_redo(i))
+        log = wal.redo_stream
         raw = log.raw_bytes()
         # lsn(8) + len(4) framing per record
         assert len(raw) == 2 * (8 + 4 + size)

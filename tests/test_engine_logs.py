@@ -1,4 +1,6 @@
-"""Unit tests for LSN, circular logs, binlog, and query logs."""
+"""Unit tests for LSN, the redo/undo logs, binlog, and query logs."""
+
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,11 @@ from repro.engine import (
     Binlog,
     GeneralQueryLog,
     QueryLogEntry,
-    RedoLog,
-    RedoRecord,
     SlowQueryLog,
-    UndoLog,
-    UndoRecord,
 )
 from repro.errors import LogError
-from repro.wal import LsnCounter
+from repro.wal import LogManager, LsnCounter
+from repro.wal.records import RedoRecord, UndoRecord
 
 
 class TestLsn:
@@ -39,35 +38,36 @@ def make_redo(txn=1, table="t", op="insert", key=1, image=b"row"):
 
 
 class TestRedoLog:
-    def test_append_and_read(self):
-        log = RedoLog()
+    def test_append_and_read(self, make_wal):
+        wal = make_wal()
         record = make_redo()
-        lsn = log.log(record)
+        lsn = wal.append_redo(record)
         assert lsn == 0
-        assert log.records() == [record]
+        assert wal.redo_stream.records() == [record]
 
-    def test_lsn_reflects_record_size(self):
-        log = RedoLog()
+    def test_lsn_reflects_record_size(self, make_wal):
+        wal = make_wal()
         first = make_redo()
-        log.log(first)
-        second_lsn = log.log(make_redo(key=2))
+        wal.append_redo(first)
+        second_lsn = wal.append_redo(make_redo(key=2))
         assert second_lsn == len(first.to_bytes())
 
-    def test_circular_eviction(self):
+    def test_circular_eviction(self, make_wal):
         record = make_redo()
         size = len(record.to_bytes())
-        log = RedoLog(capacity_bytes=size * 3)
+        wal = make_wal(redo_capacity=size * 3)
         for key in range(10):
-            log.log(make_redo(key=key))
+            wal.append_redo(make_redo(key=key))
+        log = wal.redo_stream
         assert log.num_records == 3
         assert log.total_evicted == 7
         # The retained window is the most recent writes.
         assert [r.key for r in log.records()] == [7, 8, 9]
 
-    def test_oversized_record_rejected(self):
-        log = RedoLog(capacity_bytes=8)
+    def test_oversized_record_rejected(self, make_wal):
+        wal = make_wal(redo_capacity=8)
         with pytest.raises(LogError):
-            log.log(make_redo(image=b"x" * 100))
+            wal.append_redo(make_redo(image=b"x" * 100))
 
     def test_bad_op_rejected(self):
         with pytest.raises(LogError):
@@ -79,10 +79,11 @@ class TestRedoLog:
         assert parsed == record
         assert consumed == len(record.to_bytes())
 
-    def test_raw_bytes_framing(self):
-        log = RedoLog()
-        log.log(make_redo())
-        log.log(make_redo(key=2))
+    def test_raw_bytes_framing(self, make_wal):
+        wal = make_wal()
+        wal.append_redo(make_redo())
+        wal.append_redo(make_redo(key=2))
+        log = wal.redo_stream
         raw = log.raw_bytes()
         # 12 framing bytes (lsn 8 + len 4) per record.
         assert len(raw) == log.used_bytes + 2 * 12
@@ -90,10 +91,13 @@ class TestRedoLog:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 20), st.integers(50, 400))
     def test_capacity_invariant(self, n_records, capacity):
-        log = RedoLog(capacity_bytes=max(capacity, len(make_redo().to_bytes())))
-        for key in range(n_records):
-            log.log(make_redo(key=key))
-        assert log.used_bytes <= log.capacity_bytes
+        capacity = max(capacity, len(make_redo().to_bytes()))
+        with tempfile.TemporaryDirectory() as wal_dir:
+            wal = LogManager(wal_dir=wal_dir, redo_capacity=capacity)
+            for key in range(n_records):
+                wal.append_redo(make_redo(key=key))
+            assert wal.redo_stream.used_bytes <= wal.redo_stream.capacity_bytes
+            wal.close()
 
 
 class TestUndoLog:
@@ -104,12 +108,10 @@ class TestUndoLog:
         parsed, _ = UndoRecord.from_bytes(record.to_bytes())
         assert parsed == record
 
-    def test_shares_lsn_with_redo(self):
-        lsn = LsnCounter()
-        redo = RedoLog(lsn=lsn)
-        undo = UndoLog(lsn=lsn)
-        undo.log(UndoRecord(1, "t", "insert", 1, b""))
-        second = redo.log(make_redo())
+    def test_shares_lsn_with_redo(self, make_wal):
+        wal = make_wal()
+        wal.append_undo(UndoRecord(1, "t", "insert", 1, b""))
+        second = wal.append_redo(make_redo())
         assert second > 0  # the undo write consumed LSN space first
 
 

@@ -92,7 +92,7 @@ class TestSerialFrontendEquivalence:
         ]
         assert not diffs, f"artifacts diverged between serial/frontend: {diffs}"
         # The paged-only artifacts must actually be part of the comparison.
-        for name in ("tablespace_file", "page_free_list", "checkpoint_lsn"):
+        for name in ("tablespace_images", "page_free_list", "checkpoint_lsn"):
             assert name in serial_fp
 
     def test_artifacts_byte_identical_single_engine_paged(self):

@@ -163,10 +163,10 @@ class TestServerPaged:
         server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         server.execute(session, "INSERT INTO t (id, v) VALUES (1, 10)")
         snap = capture(server, AttackScenario.FULL_COMPROMISE, escalated=True)
-        assert "tablespace_file" in snap.artifacts
+        assert "tablespace_images" in snap.artifacts
         assert "page_free_list" in snap.artifacts
         assert "checkpoint_lsn" in snap.artifacts
-        blob = snap.artifacts["tablespace_file"]["t"]
+        blob = snap.artifacts["tablespace_images"]["t"]
         assert len(blob) % PAGED_PAGE_SIZE == 0
         server.close()
 

@@ -1,6 +1,4 @@
-"""Unit tests for the unified WAL: frame codec, LogManager, facades."""
-
-import os
+"""Unit tests for the unified WAL: frame codec, LogManager, retention streams."""
 
 import pytest
 
@@ -113,8 +111,8 @@ class TestLogStream:
 
 
 class TestLogManagerAppend:
-    def test_redo_undo_advance_by_length(self):
-        mgr = LogManager()
+    def test_redo_undo_advance_by_length(self, make_wal):
+        mgr = make_wal()
         r, u = redo(), undo()
         lsn_r = mgr.append_redo(r)
         assert lsn_r == 0
@@ -123,8 +121,8 @@ class TestLogManagerAppend:
         assert lsn_u == len(r.to_bytes())
         assert mgr.lsn.current == len(r.to_bytes()) + len(u.to_bytes())
 
-    def test_control_records_advance_zero(self):
-        mgr = LogManager()
+    def test_control_records_advance_zero(self, make_wal):
+        mgr = make_wal()
         mgr.append_redo(redo())
         before = mgr.lsn.current
         assert mgr.append_begin(7) == before
@@ -135,16 +133,16 @@ class TestLogManagerAppend:
         assert mgr.append_table_register("t") == before
         assert mgr.lsn.current == before
 
-    def test_control_records_not_in_retention_streams(self):
-        mgr = LogManager()
+    def test_control_records_not_in_retention_streams(self, make_wal):
+        mgr = make_wal()
         mgr.append_redo(redo())
         mgr.append_clr(redo(op="delete", image=b""))
         mgr.append_commit(1)
         assert mgr.redo_stream.num_records == 1
         assert mgr.undo_stream.num_records == 0
 
-    def test_replaying_suppresses_appends(self):
-        mgr = LogManager()
+    def test_replaying_suppresses_appends(self, make_wal):
+        mgr = make_wal()
         with mgr.replaying():
             mgr.append_redo(redo())
             mgr.append_commit(1)
@@ -152,26 +150,29 @@ class TestLogManagerAppend:
         mgr.flush()
         assert mgr.records() == []
 
-    def test_closed_manager_rejects_appends(self):
-        mgr = LogManager()
+    def test_closed_manager_rejects_appends(self, make_wal):
+        mgr = make_wal()
         mgr.close()
         with pytest.raises(WalError, match="closed"):
             mgr.append_redo(redo())
 
-    def test_bad_segment_bytes_rejected(self):
+    def test_bad_segment_bytes_rejected(self, make_wal):
         with pytest.raises(WalError, match="segment size"):
-            LogManager(segment_bytes=0)
+            make_wal(segment_bytes=0)
 
-    def test_shared_lsn_counter(self):
-        counter = LsnCounter(start=500)
-        mgr = LogManager(lsn=counter)
-        mgr.append_redo(redo())
-        assert counter.current == 500 + len(redo().to_bytes())
+    def test_shared_lsn_counter(self, make_wal):
+        # ``mgr.lsn`` is the one counter every append draws from (the
+        # engine shares it as ``engine.lsn``).
+        mgr = make_wal()
+        assert isinstance(mgr.lsn, LsnCounter)
+        mgr.lsn.advance(500)
+        assert mgr.append_redo(redo()) == 500
+        assert mgr.lsn.current == 500 + len(redo().to_bytes())
 
 
 class TestGroupFlush:
-    def test_segments_exclude_pending(self):
-        mgr = LogManager()
+    def test_segments_exclude_pending(self, make_wal):
+        mgr = make_wal()
         mgr.append_redo(redo())
         assert mgr.segments() == {segment_name(1): b""}
         assert mgr.flush() == 1
@@ -179,34 +180,34 @@ class TestGroupFlush:
         assert error is None
         assert len(frames) == 1
 
-    def test_flushed_lsn_tracks_flush(self):
-        mgr = LogManager()
+    def test_flushed_lsn_tracks_flush(self, make_wal):
+        mgr = make_wal()
         mgr.append_redo(redo())
         assert mgr.flushed_lsn == 0
         mgr.flush()
         assert mgr.flushed_lsn == mgr.lsn.current
 
-    def test_flush_to_is_noop_when_covered(self):
-        mgr = LogManager()
+    def test_flush_to_is_noop_when_covered(self, make_wal):
+        mgr = make_wal()
         mgr.append_redo(redo())
         mgr.flush()
         flushes_before = mgr.stats["flushes"]
         mgr.flush_to(mgr.flushed_lsn)  # already durable
         assert mgr.stats["flushes"] == flushes_before
 
-    def test_flush_to_forces_pending(self):
-        mgr = LogManager()
+    def test_flush_to_forces_pending(self, make_wal):
+        mgr = make_wal()
         mgr.append_redo(redo())
         mgr.flush_to(mgr.lsn.current)
         assert mgr.stats["pending_frames"] == 0
         assert mgr.flushed_lsn == mgr.lsn.current
 
-    def test_empty_flush_returns_zero(self):
-        mgr = LogManager()
+    def test_empty_flush_returns_zero(self, make_wal):
+        mgr = make_wal()
         assert mgr.flush() == 0
 
-    def test_crash_discards_pending(self):
-        mgr = LogManager()
+    def test_crash_discards_pending(self, make_wal):
+        mgr = make_wal()
         mgr.append_redo(redo())
         mgr.flush()
         mgr.append_redo(redo(key=2))
@@ -217,8 +218,8 @@ class TestGroupFlush:
 
 
 class TestSegments:
-    def test_rollover_at_segment_bytes(self):
-        mgr = LogManager(segment_bytes=128, sync=False)
+    def test_rollover_at_segment_bytes(self, make_wal):
+        mgr = make_wal(segment_bytes=128, sync=False)
         for i in range(10):
             mgr.append_redo(redo(key=i))
             mgr.flush()
@@ -244,18 +245,6 @@ class TestSegments:
         assert mgr.stats["syncs"] == n_segments
         mgr.close()
 
-    def test_memory_mode_drops_oldest_sealed(self):
-        mgr = LogManager(segment_bytes=64, max_resident_segments=2)
-        for i in range(12):
-            mgr.append_redo(redo(key=i))
-            mgr.flush()
-        segs = mgr.segments()
-        assert mgr.stats["dropped_segments"] > 0
-        dropped = [name for name, data in segs.items() if data == b""]
-        assert dropped == sorted(dropped)
-        # The newest segments are still materialised.
-        assert segs[mgr.segment_names()[-1]] != b""
-
     def test_disk_mode_retains_all_segments(self, tmp_path):
         mgr = LogManager(wal_dir=str(tmp_path), segment_bytes=64, sync=False)
         for i in range(12):
@@ -264,11 +253,10 @@ class TestSegments:
         segs = mgr.segments()
         assert len(segs) > 2
         assert all(data for data in segs.values())
-        assert mgr.stats["dropped_segments"] == 0
         mgr.close()
 
-    def test_checksum_changes_with_content(self):
-        mgr = LogManager()
+    def test_checksum_changes_with_content(self, make_wal):
+        mgr = make_wal()
         empty = mgr.checksum()
         mgr.append_redo(redo())
         mgr.flush()
@@ -355,17 +343,17 @@ class TestResume:
 
 
 class TestFacadeByteIdentity:
-    """The circular-log views must stay byte-identical through the manager."""
+    """The engine's redo/undo logs are the manager's retention streams."""
 
-    def test_raw_bytes_framing_matches_forensic_parser(self):
-        mgr = LogManager()
+    def test_raw_bytes_framing_matches_forensic_parser(self, make_wal):
+        mgr = make_wal()
         records = [redo(key=i, image=bytes([i])) for i in range(3)]
         lsns = [mgr.append_redo(r) for r in records]
         parsed = parse_redo_log(mgr.redo_stream.raw_bytes())
         assert parsed == list(zip(lsns, records))
 
-    def test_undo_raw_bytes_parse(self):
-        mgr = LogManager()
+    def test_undo_raw_bytes_parse(self, make_wal):
+        mgr = make_wal()
         records = [undo(key=i) for i in range(3)]
         lsns = [mgr.append_undo(r) for r in records]
         parsed = parse_undo_log(mgr.undo_stream.raw_bytes())
@@ -375,14 +363,14 @@ class TestFacadeByteIdentity:
         from repro.engine import StorageEngine
 
         engine = StorageEngine()
-        assert engine.redo_log.manager is engine.wal
-        assert engine.undo_log.manager is engine.wal
+        assert engine.redo_log is engine.wal.redo_stream
+        assert engine.undo_log is engine.wal.undo_stream
         assert engine.lsn is engine.wal.lsn
         engine.register_table("t")
         txn = engine.begin()
         engine.insert(txn, "t", 1, b"v")
         engine.commit(txn)
-        # The same append is visible through the facade and the WAL.
+        # The same append is visible in the window and the WAL frames.
         assert engine.redo_log.num_records == 1
         redo_frames = [
             f for f in engine.wal.records() if f.rtype is WalRecordType.REDO
