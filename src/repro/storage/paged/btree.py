@@ -22,6 +22,7 @@ engine's sorted index build bypasses the buffer pool.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -55,15 +56,12 @@ class AccessPath:
 
 
 def _leaf_slot(entries: List[Tuple[int, bytes]], key: int) -> int:
-    """bisect_left over leaf entries without materializing a key list."""
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    """bisect_left over leaf entries without materializing a key list.
+
+    ``(key,)`` sorts before ``(key, payload)`` and after every smaller key
+    (tuples, because Python 3.9's ``bisect`` has no ``key=``).
+    """
+    return bisect_left(entries, (key,))
 
 
 class PagedBTree:

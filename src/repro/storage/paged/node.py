@@ -17,6 +17,7 @@ decisions are made against the real 4 KB budget, not an entry count.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from typing import List, Tuple, Union
 
 from ...errors import PageError, StorageError
@@ -41,6 +42,10 @@ NEG_INF = -(1 << 63)
 
 _LEAF_ENTRY = struct.Struct("<qI")
 _INTERNAL_ENTRY = struct.Struct("<qI")
+
+#: Sorts after ``(key, child)`` for every u32 child page id, so bisecting
+#: ``(key, _ABOVE_ANY_CHILD)`` passes every separator equal to ``key``.
+_ABOVE_ANY_CHILD = 1 << 32
 
 #: Largest row payload that fits a leaf page.
 MAX_LEAF_PAYLOAD = PAGE_CAPACITY - LEAF_ENTRY_OVERHEAD
@@ -136,29 +141,35 @@ class LeafNode:
             raise PageError(
                 f"page {image.page_id} is {image.page_type.name}, not a leaf"
             )
+        payload = bytes(image.payload)
+        size = len(payload)
+        unpack_from = _LEAF_ENTRY.unpack_from
         entries: List[Tuple[int, bytes]] = []
-        payload = image.payload
-        offset = 0
-        for _ in range(image.n_entries):
-            try:
-                key, length = _LEAF_ENTRY.unpack_from(payload, offset)
-            except struct.error:
-                raise PageError(
-                    f"truncated leaf entry on page {image.page_id}"
-                ) from None
-            offset += LEAF_ENTRY_OVERHEAD
-            if offset + length > len(payload):
-                raise PageError(
-                    f"leaf entry on page {image.page_id} overruns the page"
-                )
-            entries.append((key, bytes(payload[offset:offset + length])))
-            offset += length
-        return cls(
+        append = entries.append
+        end = 0
+        try:
+            for _ in range(image.n_entries):
+                key, length = unpack_from(payload, end)
+                start = end + LEAF_ENTRY_OVERHEAD
+                end = start + length
+                if end > size:
+                    raise PageError(
+                        f"leaf entry on page {image.page_id} overruns the page"
+                    )
+                append((key, payload[start:end]))
+        except struct.error:
+            raise PageError(
+                f"truncated leaf entry on page {image.page_id}"
+            ) from None
+        node = cls(
             image.page_id,
-            entries,
             prev_page=image.prev_page,
             next_page=image.next_page,
         )
+        node.entries = entries
+        # The entries lie end to end, each its fixed overhead plus payload.
+        node._used = end
+        return node
 
 
 class InternalNode:
@@ -193,15 +204,15 @@ class InternalNode:
         return moved
 
     def route(self, key: int) -> int:
-        """The child page that covers ``key`` (last separator ``<= key``)."""
+        """The child page that covers ``key`` (last separator ``<= key``).
+
+        A key below slot 0's separator goes to slot 0's child: only the
+        leftmost spine carries ``NEG_INF`` there, and a node off it may
+        hold the real separator it was split off with.
+        """
         entries = self.entries
-        child = entries[0][1]
-        for sep, candidate in entries:
-            if key >= sep:
-                child = candidate
-            else:
-                break
-        return child
+        slot = bisect_right(entries, (key, _ABOVE_ANY_CHILD))
+        return entries[slot - 1][1] if slot else entries[0][1]
 
     def child_slot(self, child_page_id: int) -> int:
         for slot, (_, child) in enumerate(self.entries):
@@ -248,17 +259,10 @@ class InternalNode:
                 f"page {image.page_id} is {image.page_type.name}, "
                 "not an internal node"
             )
-        entries: List[Tuple[int, int]] = []
-        offset = 0
-        for _ in range(image.n_entries):
-            try:
-                sep, child = _INTERNAL_ENTRY.unpack_from(image.payload, offset)
-            except struct.error:
-                raise PageError(
-                    f"truncated internal entry on page {image.page_id}"
-                ) from None
-            entries.append((sep, child))
-            offset += INTERNAL_ENTRY_SIZE
+        size = image.n_entries * INTERNAL_ENTRY_SIZE
+        if size > len(image.payload):
+            raise PageError(f"truncated internal entry on page {image.page_id}")
+        entries = list(_INTERNAL_ENTRY.iter_unpack(image.payload[:size]))
         return cls(image.page_id, image.level, entries)
 
 

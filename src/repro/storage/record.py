@@ -13,10 +13,11 @@ little-endian two's complement; strings and blobs are 4-byte length-prefixed.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence, Tuple, Union
 
 from ..errors import RecordError
-from ..util.serialization import encode_uint, read_uint
+from ..util.serialization import encode_uint
 
 Value = Union[int, str, bytes, None]
 Row = Tuple[Value, ...]
@@ -25,6 +26,9 @@ _TAG_INT = ord("i")
 _TAG_STR = ord("s")
 _TAG_BYTES = ord("b")
 _TAG_NULL = ord("n")
+
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
 
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
@@ -51,30 +55,8 @@ def encode_value(value: Value) -> bytes:
 
 def decode_value(data: bytes, offset: int) -> Tuple[Value, int]:
     """Decode one tagged value at ``offset``; return ``(value, new_offset)``."""
-    if offset >= len(data):
-        raise RecordError(f"truncated value at offset {offset}")
-    tag = data[offset]
-    offset += 1
-    if tag == _TAG_NULL:
-        return None, offset
-    if tag == _TAG_INT:
-        end = offset + 8
-        if end > len(data):
-            raise RecordError(f"truncated integer at offset {offset}")
-        return int.from_bytes(data[offset:end], "little", signed=True), end
-    if tag in (_TAG_STR, _TAG_BYTES):
-        length, offset = read_uint(data, offset)
-        end = offset + length
-        if end > len(data):
-            raise RecordError(f"truncated string/blob at offset {offset}")
-        body = data[offset:end]
-        if tag == _TAG_STR:
-            try:
-                return body.decode("utf-8"), end
-            except UnicodeDecodeError as exc:
-                raise RecordError(f"invalid UTF-8 in record: {exc}") from exc
-        return body, end
-    raise RecordError(f"unknown value tag {tag:#x} at offset {offset - 1}")
+    values, offset = _decode_values(data, offset, 1)
+    return values[0], offset
 
 
 def encode_row(row: Sequence[Value]) -> bytes:
@@ -86,12 +68,57 @@ def encode_row(row: Sequence[Value]) -> bytes:
 
 def decode_row(data: bytes, offset: int = 0) -> Tuple[Row, int]:
     """Decode a row at ``offset``; return ``(row, new_offset)``."""
-    count, offset = read_uint(data, offset)
-    values: List[Value] = []
-    for _ in range(count):
-        value, offset = decode_value(data, offset)
-        values.append(value)
+    count, offset = _read_u32(data, offset, len(data))
+    values, offset = _decode_values(data, offset, count)
     return tuple(values), offset
+
+
+def _read_u32(data: bytes, offset: int, size: int) -> Tuple[int, int]:
+    """A 4-byte count or length at ``offset``: ``read_uint``'s check and
+    error message, read in place instead of through a slice."""
+    end = offset + 4
+    if end > size:
+        raise RecordError(
+            f"truncated integer at offset {offset} (need 4 bytes, "
+            f"have {size - offset})"
+        )
+    return _U32.unpack_from(data, offset)[0], end
+
+
+def _decode_values(data: bytes, offset: int, count: int) -> Tuple[List[Value], int]:
+    """Decode ``count`` tagged values from ``offset`` in one loop."""
+    size = len(data)
+    values: List[Value] = []
+    append = values.append
+    for _ in range(count):
+        if offset >= size:
+            raise RecordError(f"truncated value at offset {offset}")
+        tag = data[offset]
+        offset += 1
+        if tag == _TAG_INT:
+            end = offset + 8
+            if end > size:
+                raise RecordError(f"truncated integer at offset {offset}")
+            append(_I64.unpack_from(data, offset)[0])
+            offset = end
+        elif tag == _TAG_STR or tag == _TAG_BYTES:
+            length, offset = _read_u32(data, offset, size)
+            end = offset + length
+            if end > size:
+                raise RecordError(f"truncated string/blob at offset {offset}")
+            body = data[offset:end]
+            if tag == _TAG_STR:
+                try:
+                    body = body.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise RecordError(f"invalid UTF-8 in record: {exc}") from exc
+            append(body)
+            offset = end
+        elif tag == _TAG_NULL:
+            append(None)
+        else:
+            raise RecordError(f"unknown value tag {tag:#x} at offset {offset - 1}")
+    return values, offset
 
 
 def row_size(row: Sequence[Value]) -> int:
