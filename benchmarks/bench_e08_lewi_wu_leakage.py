@@ -5,6 +5,8 @@ queries, 1-bit blocks, 1,000 trials. Reported: 5 queries -> ~12% of bits,
 25 -> 19%, 50 -> 25% ("on average, 8 bits of each 32-bit value").
 """
 
+import statistics
+
 from repro.experiments import run_lewi_wu_sweep
 from repro.experiments.e08_lewi_wu import run_end_to_end_token_recovery
 
@@ -35,6 +37,38 @@ def test_lewi_wu_sweep_paper_fidelity(benchmark, report):
     assert result.monotone
     anchor = [r for r in result.rows() if r[0] == 50][0]
     assert 0.23 <= anchor[1] <= 0.27
+
+
+def test_lewi_wu_seed_distribution(benchmark, report):
+    """The full-fidelity sweep over seeds 0-9: median and range per point.
+
+    The 50-query anchor must hold on every seed, not just on seed 0.
+    """
+
+    def sweep():
+        return [
+            run_lewi_wu_sweep(num_values=10_000, trials=1_000, seed=seed)
+            for seed in range(10)
+        ]
+
+    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    lines = [
+        "E8 over seeds 0-9: fraction of database bits leaked",
+        "(10,000 uniform 32-bit values, 1-bit blocks, 1,000 trials per seed)",
+        "",
+        f"{'queries':>8s} {'median':>8s} {'min':>8s} {'max':>8s} {'paper':>6s}",
+    ]
+    for rows in zip(*(result.rows() for result in results)):
+        queries, paper = rows[0][0], rows[0][2]
+        fractions = [measured for _, measured, _, _ in rows]
+        lines.append(
+            f"{queries:>8d} {statistics.median(fractions):>8.2%} "
+            f"{min(fractions):>8.2%} {max(fractions):>8.2%} {paper:>5.0%}"
+        )
+        if queries == 50:
+            assert all(0.23 <= f <= 0.27 for f in fractions)
+    report("e08_seed_sweep", lines)
+    assert all(result.monotone for result in results)
 
 
 def test_lewi_wu_block_size_ablation(benchmark, report):

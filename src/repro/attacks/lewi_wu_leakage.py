@@ -18,8 +18,20 @@ tokens.
 
 The functions here compute that leakage **directly from plaintexts** via
 :func:`repro.crypto.ore_lewi_wu.reference_compare`, which the test suite
-proves agrees with honest ciphertext-level evaluation — this is what makes
-the 10,000-value x 100-token x 1,000-trial sweep tractable in Python.
+proves agrees with honest ciphertext-level evaluation.
+
+**Nearest endpoints suffice.** The leaked-bit count is a non-increasing
+function of ``msb(value XOR endpoint)``, i.e. a non-decreasing function of
+the length of their common prefix. Over a sorted endpoint set the longest
+common prefix with ``value`` is always reached at its predecessor or its
+successor: an endpoint below the predecessor can share a prefix with
+``value`` only if the predecessor, which lies between them, shares it too,
+and likewise above the successor. So the maximum over all ``2q`` tokens
+equals the maximum over those two. :func:`bits_leaked_vectorized`
+therefore sorts the endpoints once, finds both neighbours of every value
+with one ``searchsorted`` and does the accounting on one XOR per value,
+exactly and in ``O((N + q) log q)``: the 10,000-value x 100-token x
+1,000-trial sweep runs in seconds.
 """
 
 from __future__ import annotations
@@ -103,20 +115,26 @@ def bits_leaked_vectorized(
     Exactly the same leakage accounting, computed via XOR bit positions:
     for 1-bit blocks the comparison reveals ``bit_length - msb(x XOR y)``
     bits; for k-bit blocks only the fully-matched prefix blocks count.
-    Requires ``bit_length <= 52`` (exact float64 exponents).
+    Only each value's nearest endpoints below and above are compared (see
+    the module docstring): the smaller of their two XORs has the highest
+    common prefix of all. Requires ``bit_length <= 52`` (exact float64
+    exponents).
     """
     if bit_length > 52:
         raise AttackError("vectorized path supports bit_length <= 52")
     if endpoints.size == 0:
         return np.zeros(len(values), dtype=np.int64)
-    xor = values[:, None] ^ endpoints[None, :]
+    ordered = np.sort(endpoints)
+    above = np.searchsorted(ordered, values)
+    successor = ordered[np.minimum(above, ordered.size - 1)]
+    predecessor = ordered[np.maximum(above - 1, 0)]
+    xor = np.minimum(values ^ successor, values ^ predecessor)
     # floor(log2(xor)) + 1 via float64 exponent; 0 stays 0.
     exponents = np.frexp(xor.astype(np.float64))[1]  # msb position + 1
     first_diff_block = (bit_length - exponents) // block_bits
     leaked_blocks = first_diff_block + (1 if block_bits == 1 else 0)
     leaked = np.minimum(leaked_blocks * block_bits, bit_length)
-    leaked = np.where(xor == 0, bit_length, leaked)
-    return leaked.max(axis=1)
+    return np.where(xor == 0, bit_length, leaked)
 
 
 def simulate_leakage(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CatalogError, ServerError
@@ -25,70 +26,110 @@ Row = Tuple[Literal, ...]
 Udf = Callable[..., bool]
 UdfRegistry = Dict[str, Udf]
 
+#: A compiled WHERE clause: ``row -> bool``.
+RowPredicate = Callable[[Row], bool]
 
-def _compare(op: str, left: Literal, right: Literal) -> bool:
-    """SQL three-valued-ish comparison: NULL never matches."""
-    if left is None or right is None:
-        return False
-    if type(left) is not type(right):
-        # Cross-type comparisons (e.g. INT column vs string literal) never
-        # match in this dialect rather than coercing.
-        return False
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ServerError(f"unknown comparison operator {op!r}")
+_OPERATORS: Dict[str, Callable[[Literal, Literal], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
-def condition_matches(
-    schema: TableSchema,
-    row: Row,
-    condition: Condition,
-    udfs: Optional[UdfRegistry] = None,
-) -> bool:
-    """Evaluate one WHERE condition against a row."""
+def _never(row: Row) -> bool:
+    return False
+
+
+def _always(row: Row) -> bool:
+    return True
+
+
+def _compile_comparison(idx: int, op: str, constant: Literal) -> RowPredicate:
+    """SQL three-valued-ish comparison: NULL never matches.
+
+    Cross-type comparisons (e.g. INT column vs string literal) never match
+    in this dialect rather than coercing, so a row matches only when its
+    value has exactly the constant's type.
+    """
+    compare = _OPERATORS.get(op)
+    if compare is None:
+        raise ServerError(f"unknown comparison operator {op!r}")
+    if constant is None:
+        return _never
+    kind = type(constant)
+
+    def comparison(row: Row) -> bool:
+        value = row[idx]
+        return type(value) is kind and compare(value, constant)
+
+    return comparison
+
+
+def _compile_condition(
+    schema: TableSchema, condition: Condition, udfs: Optional[UdfRegistry]
+) -> RowPredicate:
+    """One WHERE condition as a row predicate, its constants bound once."""
     idx = schema.column_index(condition.column)
-    value = row[idx]
     if isinstance(condition, Comparison):
-        return _compare(condition.op, value, condition.value)
+        return _compile_comparison(idx, condition.op, condition.value)
     if isinstance(condition, BetweenCondition):
-        return _compare(">=", value, condition.low) and _compare(
-            "<=", value, condition.high
-        )
+        at_least = _compile_comparison(idx, ">=", condition.low)
+        at_most = _compile_comparison(idx, "<=", condition.high)
+        return lambda row: at_least(row) and at_most(row)
     if isinstance(condition, MatchCondition):
-        if not isinstance(value, str):
-            return False
-        # Word-boundary keyword containment (the SEARCH-onion semantic).
-        return condition.keyword.lower() in value.lower().split()
+        keyword = condition.keyword.lower()
+
+        def match(row: Row) -> bool:
+            value = row[idx]
+            # Word-boundary keyword containment (the SEARCH-onion semantic).
+            return isinstance(value, str) and keyword in value.lower().split()
+
+        return match
     if isinstance(condition, FunctionCondition):
-        udf = (udfs or {}).get(condition.function)
-        if udf is None:
-            raise ServerError(f"unknown function {condition.function!r}")
-        return bool(udf(value, *condition.args))
+        registry = udfs or {}
+        name, args = condition.function, condition.args
+
+        def function(row: Row) -> bool:
+            # Looked up per row, so an unknown function raises only once a
+            # row reaches this condition.
+            udf = registry.get(name)
+            if udf is None:
+                raise ServerError(f"unknown function {name!r}")
+            return bool(udf(row[idx], *args))
+
+        return function
     raise ServerError(f"unknown condition type {type(condition).__name__}")
 
 
-def where_matches(
+def compile_where(
     schema: TableSchema,
-    row: Row,
     where: Optional[WhereClause],
     udfs: Optional[UdfRegistry] = None,
-) -> bool:
-    """Evaluate a (conjunctive) WHERE clause; no clause matches everything."""
+) -> RowPredicate:
+    """Compile a (conjunctive) WHERE clause into one row predicate.
+
+    Column indexes, operators, constants and the lowered MATCH keyword are
+    resolved once per statement; the conditions still run left to right
+    and stop at the first that fails. No clause matches everything.
+    """
     if where is None:
+        return _always
+    predicates = [
+        _compile_condition(schema, cond, udfs) for cond in where.conditions
+    ]
+    if len(predicates) == 1:
+        return predicates[0]
+
+    def conjunction(row: Row) -> bool:
+        for predicate in predicates:
+            if not predicate(row):
+                return False
         return True
-    return all(
-        condition_matches(schema, row, cond, udfs) for cond in where.conditions
-    )
+
+    return conjunction
 
 
 def filter_rows(
@@ -104,7 +145,7 @@ def filter_rows(
     registry once per query (not per row), so instrumented filtering costs
     the same as the bare list comprehension it replaces.
     """
-    matching = [row for row in rows if where_matches(schema, row, where, udfs)]
+    matching = list(filter(compile_where(schema, where, udfs), rows))
     if instr is not None:
         instr.count("executor.rows_examined", n=len(rows))
         instr.count("executor.rows_matched", n=len(matching))

@@ -49,11 +49,11 @@ from .catalog import Catalog, TableSchema
 from .executor import (
     aggregate_grouped,
     aggregate_rows,
+    compile_where,
     filter_rows,
     project,
     result_columns,
     validate_select,
-    where_matches,
 )
 from .information_schema import InformationSchema
 from .performance_schema import DEFAULT_HISTORY_SIZE, PerformanceSchema
@@ -687,9 +687,9 @@ class MySQLServer:
             if col.primary_key:
                 raise CatalogError("updating the primary key is not supported")
             schema.validate_value(col, value)
-        if stmt.where is not None:
-            for cond in stmt.where.conditions:
-                schema.column(cond.column)
+        # Compiling resolves every WHERE column, so an unknown one raises
+        # CatalogError here, before the statement opens a transaction.
+        matches = compile_where(schema, stmt.where, self._udfs)
 
         txn, autocommit = self._begin_write(session, stmt.raw)
         affected = 0
@@ -699,7 +699,7 @@ class MySQLServer:
             for key, payload in entries:
                 examined += 1
                 row, _ = decode_row(payload)
-                if not where_matches(schema, row, stmt.where, self._udfs):
+                if not matches(row):
                     continue
                 new_row = list(row)
                 for column, value in stmt.assignments:
@@ -724,9 +724,7 @@ class MySQLServer:
 
     def _execute_delete(self, session: Session, stmt: Delete) -> QueryResult:
         schema = self.catalog.table(stmt.table)
-        if stmt.where is not None:
-            for cond in stmt.where.conditions:
-                schema.column(cond.column)
+        matches = compile_where(schema, stmt.where, self._udfs)
         txn, autocommit = self._begin_write(session, stmt.raw)
         affected = 0
         examined = 0
@@ -735,7 +733,7 @@ class MySQLServer:
             for key, payload in entries:
                 examined += 1
                 row, _ = decode_row(payload)
-                if not where_matches(schema, row, stmt.where, self._udfs):
+                if not matches(row):
                     continue
                 self.engine.delete(txn, stmt.table, key)
                 affected += 1

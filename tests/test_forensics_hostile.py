@@ -12,25 +12,40 @@ import pytest
 
 from repro.errors import ReproError
 from repro.forensics import (
+    carve_spans,
+    extract_trace_report,
     infer_access_paths,
     parse_dump_text,
+    parse_trace_store,
     parse_wal_segments,
+    read_binlog_text,
     read_checkpoints,
     read_leaf_entries,
     reconstruct_modifications,
+    scan_for_query,
+    scan_for_tokens,
 )
-from repro.server import MySQLServer
+from repro.forensics.memory_scan import carve_statements_containing
+from repro.memory import MemoryDump
+from repro.server import MySQLServer, ServerConfig
 from repro.snapshot import AttackScenario, capture
 from repro.storage.paged.format import PAGED_PAGE_SIZE, checksum_of
 
 #: Mutated inputs per reader and mutation kind.
 MUTATIONS = 200
+#: The trace-store and memory-dump scans cost ~8 ms an input; fewer of
+#: them keep those six cases under 2 s together.
+SCAN_MUTATIONS = 30
+
+#: A statement carrying a hex token, and the marker scanned for with it.
+TOKEN_QUERY = "SELECT * FROM t WHERE name = '" + "0123456789abcdef" * 3 + "'"
+MARKER = "0123456789abcdef"
 
 
 @pytest.fixture(scope="module")
 def artifacts():
     """Every artifact the readers parse, from one small workload."""
-    server = MySQLServer()
+    server = MySQLServer(ServerConfig(obs_enabled=True))
     session = server.connect("app")
     server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v INT, name TEXT)")
     for i in range(60):
@@ -41,6 +56,7 @@ def artifacts():
     server.execute(session, "DELETE FROM t WHERE id = 4")
     for i in range(0, 60, 7):
         server.execute(session, f"SELECT * FROM t WHERE id = {i}")
+    server.execute(session, TOKEN_QUERY)
     server.engine.checkpoint()
     snap = capture(server, AttackScenario.FULL_COMPROMISE, escalated=True)
     dump_text = server.dump_buffer_pool().to_text()
@@ -53,6 +69,9 @@ def artifacts():
         "wal": wal,
         "wal_name": segment,
         "dump": dump_text.encode(),
+        "binlog": snap.require("binlog_text").encode(),
+        "obs_trace": snap.require_obs_trace(),
+        "memory": snap.require_memory_dump().data,
     }
 
 
@@ -109,12 +128,34 @@ def carve_dump(a, data):
     return infer_access_paths(parse_dump_text(data.decode("latin-1")))
 
 
+def carve_binlog(a, data):
+    return read_binlog_text(data.decode("latin-1"))
+
+
+def carve_trace(a, data):
+    spans = carve_spans(data)
+    return spans, parse_trace_store(data), extract_trace_report(data)
+
+
+def carve_memory(a, data):
+    dump = MemoryDump(data)
+    found = (
+        scan_for_tokens(dump),
+        scan_for_query(dump, TOKEN_QUERY, MARKER),
+        carve_statements_containing(dump, MARKER),
+    )
+    return found, carve_trace(a, data)
+
+
 READERS = {
     "tablespace": carve_tablespace,
     "redo": carve_logs,
     "undo": carve_logs,
     "wal": carve_wal,
     "dump": carve_dump,
+    "binlog": carve_binlog,
+    "obs_trace": carve_trace,
+    "memory": carve_memory,
 }
 
 KINDS = {"truncate": truncate, "bit_flip": bit_flip, "splice": splice}
@@ -124,11 +165,13 @@ KINDS = {"truncate": truncate, "bit_flip": bit_flip, "splice": splice}
 @pytest.mark.parametrize("artifact", sorted(READERS))
 def test_mutations_never_crash_a_reader(artifacts, artifact, kind):
     reader, original = READERS[artifact], artifacts[artifact]
-    reader(dict(artifacts, mutated=artifact), original)  # intact input parses
+    if artifact != "memory":  # a heap dump is not one parseable trace store
+        reader(dict(artifacts, mutated=artifact), original)  # intact input parses
     mutate = KINDS[kind]
     if artifact == "tablespace" and kind != "truncate":
         mutate = resealed(mutate)  # past the checksum, into the page decoders
-    for seed in range(MUTATIONS):
+    count = SCAN_MUTATIONS if artifact in ("obs_trace", "memory") else MUTATIONS
+    for seed in range(count):
         data = mutate(random.Random(seed), original)
         try:
             reader(dict(artifacts, mutated=artifact), data)
