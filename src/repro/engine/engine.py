@@ -383,7 +383,7 @@ class StorageEngine:
             entries, path = tree.range(low, high)
         self.obs.count("engine.rows_read", n=len(entries), label=table)
         if self.mvcc is not None:
-            entries = self._snapshot_entries(table, low, high, entries, txn)
+            entries = self.mvcc.visible_entries(table, low, high, entries, txn)
         return entries, path
 
     def scan(self, table: str) -> List[Tuple[int, bytes]]:
@@ -404,31 +404,8 @@ class StorageEngine:
             entries, path = tree.range(None, None)
         self.obs.count("engine.rows_read", n=len(entries), label=table)
         if self.mvcc is not None:
-            entries = self._snapshot_entries(table, None, None, entries, txn)
+            entries = self.mvcc.visible_entries(table, None, None, entries, txn)
         return entries, path
-
-    def _snapshot_entries(
-        self,
-        table: str,
-        low: Optional[int],
-        high: Optional[int],
-        entries: List[Tuple[int, bytes]],
-        txn: Optional[Transaction],
-    ) -> List[Tuple[int, bytes]]:
-        """Roll a scan's entries back to the reader's snapshot."""
-        assert self.mvcc is not None
-        out: List[Tuple[int, bytes]] = []
-        present = set()
-        for key, value in entries:
-            present.add(key)
-            visible = self.mvcc.read_row(table, key, value, txn)
-            if visible is not None:
-                out.append((key, visible))
-        extras = self.mvcc.visible_extra_rows(table, low, high, present, txn)
-        if extras:
-            out.extend(extras)
-            out.sort(key=lambda kv: kv[0])
-        return out
 
     # -- maintenance ------------------------------------------------------------
 

@@ -72,8 +72,9 @@ class MVCCManager:
 
     The engine applies writes to the B+ tree immediately (preserving the
     redo/undo/binlog leakage the paper catalogs) and records a
-    :class:`RowVersion` here; readers call :meth:`read_row` to roll the
-    tree's current value back to their snapshot.
+    :class:`RowVersion` here; readers call :meth:`read_row` (point reads)
+    or :meth:`visible_entries` (scans) to roll the tree's current values
+    back to their snapshot.
     """
 
     def __init__(self) -> None:
@@ -248,26 +249,41 @@ class MVCCManager:
             node = node.prev
         return value
 
-    def visible_extra_rows(
+    def visible_entries(
         self,
         table: str,
         low: Optional[int],
         high: Optional[int],
-        present: Set[int],
+        entries: List[Tuple[int, bytes]],
         txn: Optional[Transaction] = None,
     ) -> List[Tuple[int, bytes]]:
-        """Rows absent from the tree but visible at the snapshot.
+        """Roll a range scan's ``entries`` (keys ``low..high``, either end
+        open when ``None``) back to the reader's snapshot.
 
-        Covers concurrently-deleted rows: an uncommitted (or
-        post-snapshot-committed) delete removed the key from the tree, but
-        the reader's snapshot still contains it.
+        Only a key with a version chain can read differently from the tree,
+        and only such a key can be absent from the tree yet visible: an
+        uncommitted (or post-snapshot-committed) delete removed it, but the
+        snapshot still contains it. A table without chains therefore gets
+        ``entries`` back as they are — every table of an autocommit
+        workload, whose chains are cleared whenever the active set drains.
         """
         chain = self._chains.get(table)
         if not chain:
-            return []
-        extras: List[Tuple[int, bytes]] = []
+            return entries
+        out: List[Tuple[int, bytes]] = []
+        seen: Set[int] = set()
+        for entry in entries:
+            key = entry[0]
+            if key not in chain:
+                out.append(entry)
+                continue
+            seen.add(key)
+            value = self.read_row(table, key, entry[1], txn)
+            if value is not None:
+                out.append((key, value))
+        from_tree = len(out)
         for key in chain:
-            if key in present:
+            if key in seen:
                 continue
             if low is not None and key < low:
                 continue
@@ -275,8 +291,10 @@ class MVCCManager:
                 continue
             value = self.read_row(table, key, None, txn)
             if value is not None:
-                extras.append((key, value))
-        return extras
+                out.append((key, value))
+        if len(out) > from_tree:
+            out.sort(key=lambda kv: kv[0])
+        return out
 
     @staticmethod
     def _visible(version: RowVersion, txn: Optional[Transaction]) -> bool:

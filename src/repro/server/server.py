@@ -17,6 +17,7 @@ leaves behind every artifact the paper catalogs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clock import SimClock
@@ -61,6 +62,17 @@ from .query_cache import QueryCache
 from .session import Session
 
 Row = Tuple[Literal, ...]
+
+#: Rows the per-server decode memo keeps. Its job is rescans of unchanged
+#: tables, and the largest table an experiment rescans is E7's corpus at
+#: 2,000 rows (every carved tag is replayed as a MATCH full scan), so it
+#: fits twice over; a scan of a larger table cycles the memo and decodes
+#: every row, as it would without one.
+DECODE_MEMO_ROWS = 4096
+
+
+def _decode_payload(payload: bytes) -> Row:
+    return decode_row(payload)[0]
 
 
 @dataclass(frozen=True)
@@ -184,6 +196,12 @@ class MySQLServer:
         self.catalog = Catalog()
         # Parse trees per statement shape: out of band, no artifact sees it.
         self.statement_cache = StatementCache()
+        # Decoded rows per stored payload, also out of band: it lives in
+        # Python memory, not the simulated heap, so no dump sees it. It is
+        # exact: a row is a pure function of its immutable bytes and a
+        # tuple of immutable values, and lru_cache never caches an
+        # exception, so a corrupt payload raises RecordError every time.
+        self.decode_memo = lru_cache(maxsize=DECODE_MEMO_ROWS)(_decode_payload)
         self.general_log = GeneralQueryLog(enabled=self.config.general_log_enabled)
         self.slow_log = SlowQueryLog(
             enabled=self.config.slow_log_enabled,
@@ -458,15 +476,15 @@ class MySQLServer:
             self.adaptive_hash.record_lookup(schema.name, plan.key_equal)
             if payload is None:
                 return [], 0
-            row, _ = decode_row(payload)
-            return [row], 1
+            return [self.decode_memo(payload)], 1
         if plan.kind is PlanKind.PK_RANGE:
             entries, _ = self.engine.range(
                 schema.name, plan.key_low, plan.key_high, txn=txn
             )
         else:
             entries, _ = self.engine.full_scan(schema.name, txn=txn)
-        rows = [decode_row(payload)[0] for _, payload in entries]
+        decode = self.decode_memo
+        rows = [decode(payload) for _, payload in entries]
         return rows, len(rows)
 
     # -- virtual (diagnostic) tables ---------------------------------------------------
@@ -690,6 +708,10 @@ class MySQLServer:
         # Compiling resolves every WHERE column, so an unknown one raises
         # CatalogError here, before the statement opens a transaction.
         matches = compile_where(schema, stmt.where, self._udfs)
+        assignments = [
+            (schema.column_index(column), value)
+            for column, value in stmt.assignments
+        ]
 
         txn, autocommit = self._begin_write(session, stmt.raw)
         affected = 0
@@ -698,12 +720,12 @@ class MySQLServer:
             entries, _ = self.engine.full_scan(stmt.table, txn=txn)
             for key, payload in entries:
                 examined += 1
-                row, _ = decode_row(payload)
+                row = self.decode_memo(payload)
                 if not matches(row):
                     continue
                 new_row = list(row)
-                for column, value in stmt.assignments:
-                    new_row[schema.column_index(column)] = value
+                for idx, value in assignments:
+                    new_row[idx] = value
                 self.engine.update(txn, stmt.table, key, encode_row(tuple(new_row)))
                 affected += 1
         except Exception:
@@ -732,7 +754,7 @@ class MySQLServer:
             entries, _ = self.engine.full_scan(stmt.table, txn=txn)
             for key, payload in entries:
                 examined += 1
-                row, _ = decode_row(payload)
+                row = self.decode_memo(payload)
                 if not matches(row):
                     continue
                 self.engine.delete(txn, stmt.table, key)

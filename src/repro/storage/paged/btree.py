@@ -245,19 +245,28 @@ class PagedBTree:
     def range(
         self, low: Optional[int], high: Optional[int]
     ) -> Tuple[List[Tuple[int, bytes]], AccessPath]:
-        """Inclusive range scan following the leaf sibling chain."""
+        """Inclusive range scan following the leaf sibling chain.
+
+        Each leaf contributes its in-range slice, found by bisection. The
+        scan stops at the first leaf holding a key at or above both ``low``
+        and ``high + 1`` — the leaf where a per-entry walk would meet its
+        first key past the range — so the same pages are fetched.
+        """
         path = AccessPath()
         start_key = low if low is not None else NEG_INF + 1
         frame = self._descend(start_key, path)
         results: List[Tuple[int, bytes]] = []
+        stop_key = None
+        if high is not None:
+            stop_key = high + 1 if low is None else max(low, high + 1)
         while True:
-            for entry_key, payload in frame.node.entries:
-                if low is not None and entry_key < low:
-                    continue
-                if high is not None and entry_key > high:
-                    self._pool.unpin(frame)
-                    return results, path
-                results.append((entry_key, payload))
+            entries = frame.node.entries
+            start = 0 if low is None else _leaf_slot(entries, low)
+            if stop_key is not None and entries and entries[-1][0] >= stop_key:
+                results.extend(entries[start:_leaf_slot(entries, high + 1)])
+                self._pool.unpin(frame)
+                return results, path
+            results.extend(entries[start:])
             next_page = frame.node.next_page
             self._pool.unpin(frame)
             if next_page == NO_PAGE:
