@@ -34,6 +34,12 @@ class ChangeOp(enum.Enum):
     DELETE = "delete"
 
 
+# The op strings the write path stamps on every log record and change.
+_INSERT = ChangeOp.INSERT.value
+_UPDATE = ChangeOp.UPDATE.value
+_DELETE = ChangeOp.DELETE.value
+
+
 class StorageEngine:
     """An InnoDB-like engine instance.
 
@@ -232,28 +238,28 @@ class StorageEngine:
             # Compensation record first (WAL discipline: log before apply);
             # replay then repeats history — forward changes *and* their
             # undo — so aborted transactions need no work at restart.
-            if change.op == ChangeOp.INSERT.value:
+            if change.op == _INSERT:
                 self.wal.append_clr(
-                    RedoRecord(txn.txn_id, change.table, "delete", change.key, b"")
+                    RedoRecord(txn.txn_id, change.table, _DELETE, change.key, b"")
                 )
                 tree.delete(change.key)
-            elif change.op == ChangeOp.UPDATE.value:
+            elif change.op == _UPDATE:
                 self.wal.append_clr(
                     RedoRecord(
                         txn.txn_id,
                         change.table,
-                        "update",
+                        _UPDATE,
                         change.key,
                         change.before_image,
                     )
                 )
                 tree.update(change.key, change.before_image)
-            elif change.op == ChangeOp.DELETE.value:
+            elif change.op == _DELETE:
                 self.wal.append_clr(
                     RedoRecord(
                         txn.txn_id,
                         change.table,
-                        "insert",
+                        _INSERT,
                         change.key,
                         change.before_image,
                     )
@@ -292,18 +298,18 @@ class StorageEngine:
             path = tree.insert(key, row)
         self.obs.count("engine.rows_written", label=table)
         self.wal.append_undo(
-            UndoRecord(txn.txn_id, table, ChangeOp.INSERT.value, key, b"")
+            UndoRecord(txn.txn_id, table, _INSERT, key, b"")
         )
         txn.note_lsn(
             self.wal.append_redo(
-                RedoRecord(txn.txn_id, table, ChangeOp.INSERT.value, key, row)
+                RedoRecord(txn.txn_id, table, _INSERT, key, row)
             )
         )
         if self.mvcc is not None:
             self.mvcc.record_write(
-                txn, table, key, ChangeOp.INSERT.value, b"", self.lsn.current
+                txn, table, key, _INSERT, b"", self.lsn.current
             )
-        txn.record_change(table, ChangeOp.INSERT.value, key, b"", row)
+        txn.record_change(table, _INSERT, key, b"", row)
         return path
 
     def update(self, txn: Transaction, table: str, key: int, row: bytes) -> AccessPath:
@@ -315,18 +321,18 @@ class StorageEngine:
             before, path = tree.update(key, row)
         self.obs.count("engine.rows_written", label=table)
         self.wal.append_undo(
-            UndoRecord(txn.txn_id, table, ChangeOp.UPDATE.value, key, before)
+            UndoRecord(txn.txn_id, table, _UPDATE, key, before)
         )
         txn.note_lsn(
             self.wal.append_redo(
-                RedoRecord(txn.txn_id, table, ChangeOp.UPDATE.value, key, row)
+                RedoRecord(txn.txn_id, table, _UPDATE, key, row)
             )
         )
         if self.mvcc is not None:
             self.mvcc.record_write(
-                txn, table, key, ChangeOp.UPDATE.value, before, self.lsn.current
+                txn, table, key, _UPDATE, before, self.lsn.current
             )
-        txn.record_change(table, ChangeOp.UPDATE.value, key, before, row)
+        txn.record_change(table, _UPDATE, key, before, row)
         return path
 
     def delete(self, txn: Transaction, table: str, key: int) -> AccessPath:
@@ -338,18 +344,18 @@ class StorageEngine:
             before, path = tree.delete(key)
         self.obs.count("engine.rows_written", label=table)
         self.wal.append_undo(
-            UndoRecord(txn.txn_id, table, ChangeOp.DELETE.value, key, before)
+            UndoRecord(txn.txn_id, table, _DELETE, key, before)
         )
         txn.note_lsn(
             self.wal.append_redo(
-                RedoRecord(txn.txn_id, table, ChangeOp.DELETE.value, key, b"")
+                RedoRecord(txn.txn_id, table, _DELETE, key, b"")
             )
         )
         if self.mvcc is not None:
             self.mvcc.record_write(
-                txn, table, key, ChangeOp.DELETE.value, before, self.lsn.current
+                txn, table, key, _DELETE, before, self.lsn.current
             )
-        txn.record_change(table, ChangeOp.DELETE.value, key, before, b"")
+        txn.record_change(table, _DELETE, key, before, b"")
         return path
 
     # -- reads --------------------------------------------------------------------

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
 from ..sql.ast import ColumnDef, Literal
+
+#: The Python type each column type stores.
+_COLUMN_TYPES = {"INT": int, "TEXT": str, "BLOB": bytes}
 
 
 @dataclass
@@ -62,33 +65,63 @@ class TableSchema:
                     f"primary key {column.name!r} cannot be NULL"
                 )
             return
-        expected = {"INT": int, "TEXT": str, "BLOB": bytes}[column.type]
+        expected = _COLUMN_TYPES[column.type]
         if not isinstance(value, expected):
             raise CatalogError(
                 f"column {self.name}.{column.name} expects {column.type}, "
                 f"got {type(value).__name__}"
             )
 
-    def build_row(
-        self, insert_columns: Sequence[str], values: Sequence[Literal]
-    ) -> Tuple[Literal, ...]:
-        """Assemble a full row tuple from an INSERT's column/value lists."""
-        if len(insert_columns) != len(values):
-            raise CatalogError(
-                f"{len(insert_columns)} columns but {len(values)} values"
-            )
-        provided = dict(zip(insert_columns, values))
-        unknown = set(provided) - set(self.column_names)
+    def row_builder(
+        self, insert_columns: Sequence[str]
+    ) -> Callable[[Sequence[Literal]], Tuple[Literal, ...]]:
+        """Compile an INSERT's column list into a per-row builder.
+
+        The columns are resolved once per statement; the builder turns
+        each VALUES tuple into a full row, NULL for every column not
+        listed. An empty list means every column in table order. Each row
+        raises, in order: a count mismatch, an unknown or repeated column,
+        then the first type or NULL-key error in schema order.
+        """
+        columns = tuple(insert_columns) or tuple(self.column_names)
+        width = len(columns)
+        column_error = None
+        unknown = set(columns) - set(self.column_names)
         if unknown:
-            raise CatalogError(
+            column_error = (
                 f"unknown column(s) {sorted(unknown)} in INSERT into {self.name!r}"
             )
-        row = []
-        for col in self.columns:
-            value = provided.get(col.name)
-            self.validate_value(col, value)
-            row.append(value)
-        return tuple(row)
+        elif len(set(columns)) != width:
+            repeated = next(n for i, n in enumerate(columns) if n in columns[:i])
+            column_error = (
+                f"column {repeated!r} specified twice in INSERT into {self.name!r}"
+            )
+        slots = [
+            (
+                columns.index(col.name) if col.name in columns else -1,
+                col,
+                _COLUMN_TYPES[col.type],
+            )
+            for col in self.columns
+        ]
+
+        def build(values: Sequence[Literal]) -> Tuple[Literal, ...]:
+            if len(values) != width:
+                raise CatalogError(f"{width} columns but {len(values)} values")
+            if column_error is not None:
+                raise CatalogError(column_error)
+            row = []
+            for position, column, expected in slots:
+                value = values[position] if position >= 0 else None
+                if value is None:
+                    if column.primary_key:
+                        self.validate_value(column, value)  # raises
+                elif not isinstance(value, expected):
+                    self.validate_value(column, value)  # raises
+                row.append(value)
+            return tuple(row)
+
+        return build
 
     def clustering_key(self, row: Sequence[Literal]) -> int:
         """The integer key a row is stored under (PK or hidden rowid)."""

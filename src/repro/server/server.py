@@ -670,11 +670,12 @@ class MySQLServer:
 
     def _execute_insert(self, session: Session, stmt: Insert) -> QueryResult:
         schema = self.catalog.table(stmt.table)
+        build_row = schema.row_builder(stmt.columns)
         txn, autocommit = self._begin_write(session, stmt.raw)
         inserted = 0
         try:
             for values in stmt.rows:
-                row = schema.build_row(stmt.columns, values)
+                row = build_row(values)
                 key = schema.clustering_key(row)
                 try:
                     self.engine.insert(txn, stmt.table, key, encode_row(row))

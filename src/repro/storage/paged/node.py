@@ -40,6 +40,9 @@ INTERNAL_ENTRY_SIZE = 12
 #: to the left later.
 NEG_INF = -(1 << 63)
 
+#: Largest key a leaf entry can hold (keys are stored as i64).
+_KEY_MAX = (1 << 63) - 1
+
 _LEAF_ENTRY = struct.Struct("<qI")
 _INTERNAL_ENTRY = struct.Struct("<qI")
 
@@ -85,6 +88,8 @@ class LeafNode:
         return self._used > PAGE_CAPACITY
 
     def insert_entry(self, slot: int, key: int, payload: bytes) -> None:
+        if not NEG_INF <= key <= _KEY_MAX:
+            raise StorageError(f"key {key} outside the signed 64-bit range")
         if len(payload) > MAX_LEAF_PAYLOAD:
             raise StorageError(
                 f"row of {len(payload)} bytes cannot fit a "

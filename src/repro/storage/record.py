@@ -17,7 +17,6 @@ import struct
 from typing import List, Sequence, Tuple, Union
 
 from ..errors import RecordError
-from ..util.serialization import encode_uint
 
 Value = Union[int, str, bytes, None]
 Row = Tuple[Value, ...]
@@ -29,28 +28,35 @@ _TAG_NULL = ord("n")
 
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
-
-_INT_MIN = -(1 << 63)
-_INT_MAX = (1 << 63) - 1
+#: ``tag u8 | i64``: a whole integer value.
+_INT_VALUE = struct.Struct("<Bq")
+#: ``tag u8 | u32 length``: the head of a string or blob value.
+_LENGTH_HEAD = struct.Struct("<BI")
+_NULL_VALUE = bytes((_TAG_NULL,))
 
 
 def encode_value(value: Value) -> bytes:
     """Encode one column value with its type tag."""
     if value is None:
-        return bytes([_TAG_NULL])
-    if isinstance(value, bool):
-        raise RecordError("boolean values are not part of the storage format")
+        return _NULL_VALUE
     if isinstance(value, int):
-        if not _INT_MIN <= value <= _INT_MAX:
-            raise RecordError(f"integer {value} outside 64-bit signed range")
-        return bytes([_TAG_INT]) + value.to_bytes(8, "little", signed=True)
+        if isinstance(value, bool):
+            raise RecordError("boolean values are not part of the storage format")
+        try:
+            return _INT_VALUE.pack(_TAG_INT, value)
+        except struct.error:
+            raise RecordError(
+                f"integer {value} outside 64-bit signed range"
+            ) from None
     if isinstance(value, str):
-        body = value.encode("utf-8")
-        return bytes([_TAG_STR]) + encode_uint(len(body)) + body
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        body = bytes(value)
-        return bytes([_TAG_BYTES]) + encode_uint(len(body)) + body
-    raise RecordError(f"unsupported value type {type(value).__name__}")
+        tag, body = _TAG_STR, value.encode("utf-8")
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        tag, body = _TAG_BYTES, bytes(value)
+    else:
+        raise RecordError(f"unsupported value type {type(value).__name__}")
+    if len(body) > 0xFFFFFFFF:
+        raise RecordError(f"{len(body)} does not fit in 4 bytes")
+    return _LENGTH_HEAD.pack(tag, len(body)) + body
 
 
 def decode_value(data: bytes, offset: int) -> Tuple[Value, int]:
@@ -61,9 +67,7 @@ def decode_value(data: bytes, offset: int) -> Tuple[Value, int]:
 
 def encode_row(row: Sequence[Value]) -> bytes:
     """Encode a full row: 4-byte column count then tagged values."""
-    parts = [encode_uint(len(row))]
-    parts.extend(encode_value(value) for value in row)
-    return b"".join(parts)
+    return _U32.pack(len(row)) + b"".join([encode_value(value) for value in row])
 
 
 def decode_row(data: bytes, offset: int = 0) -> Tuple[Row, int]:

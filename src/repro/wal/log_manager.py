@@ -7,7 +7,9 @@ and every log append in the engine goes through it:
   §3. They advance the LSN by the record's serialized length and are also
   retained in capacity-bounded :class:`LogStream` windows, the circular
   redo and undo logs the engine exposes as ``redo_log`` / ``undo_log``
-  (the E2/E5/E13 snapshot artifacts).
+  (the E2/E5/E13 snapshot artifacts). A window holds each record's LSN
+  and body bytes and nothing else; its structured views decode those
+  bytes on demand, so the artifact and the views come from one source.
 * ``append_clr`` / txn lifecycle / checkpoints / table registration — new
   control records for ARIES recovery. They are stamped with the current
   LSN but advance it by **zero** bytes, keeping the logical redo stream
@@ -15,11 +17,11 @@ and every log append in the engine goes through it:
 
 Appends are *staged*: nothing reaches the operating system until
 :meth:`LogManager.flush` (group flush), which writes the pending frames to
-the active segment file under ``wal_dir``, rolls segments at
-``segment_bytes``, and — when ``sync`` is on — ``fsync``\\ s before
-returning. :meth:`LogManager.flush_to` is the buffer pool's WAL-rule
-hook: force the log up to a dirty page's page-LSN before that page may
-hit disk.
+the active segment file under ``wal_dir`` (one write per segment it
+touches), rolls segments at ``segment_bytes``, and — when ``sync`` is on —
+``fsync``\\ s before returning. :meth:`LogManager.flush_to` is the buffer
+pool's WAL-rule hook: force the log up to a dirty page's page-LSN before
+that page may hit disk.
 
 Durability is also the leakage boundary: :meth:`LogManager.segments`
 exposes exactly the flushed bytes — what a snapshot attacker gets from the
@@ -34,6 +36,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Deque,
     Dict,
     Generic,
@@ -88,14 +91,24 @@ class LogStream(Generic[RecordT]):
     worth of inserts" observation (Section 3, experiment E2). The stream
     does the byte accounting and evicts the oldest records once
     ``capacity_bytes`` is exceeded; the :class:`LogManager` assigns each
-    LSN and hands ``(lsn, raw, record)`` triples in via :meth:`admit`.
+    LSN and hands ``(lsn, raw)`` pairs in via :meth:`admit`.
+
+    The window holds only those bytes — exactly what :meth:`raw_bytes`
+    (the ``redo_log_raw`` / ``undo_log_raw`` artifact) frames. The
+    structured views decode them with ``decode`` on demand, as a reader of
+    the on-disk log would.
     """
 
-    def __init__(self, capacity_bytes: int) -> None:
+    def __init__(
+        self,
+        capacity_bytes: int,
+        decode: Callable[[bytes], Tuple[RecordT, int]],
+    ) -> None:
         if capacity_bytes <= 0:
             raise LogError(f"log capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self._entries: Deque[Tuple[int, bytes, RecordT]] = deque()
+        self._decode = decode
+        self._entries: Deque[Tuple[int, bytes]] = deque()
         self._used_bytes = 0
         self._total_appended = 0
         self._total_evicted = 0
@@ -108,13 +121,13 @@ class LogStream(Generic[RecordT]):
                 f"{self.capacity_bytes}"
             )
 
-    def admit(self, lsn: int, raw: bytes, record: RecordT) -> None:
-        """Retain an already-LSN-stamped record, evicting the oldest."""
-        self._entries.append((lsn, raw, record))
+    def admit(self, lsn: int, raw: bytes) -> None:
+        """Retain an already-LSN-stamped record body, evicting the oldest."""
+        self._entries.append((lsn, raw))
         self._used_bytes += len(raw)
         self._total_appended += 1
         while self._used_bytes > self.capacity_bytes:
-            _, old_raw, _ = self._entries.popleft()
+            _, old_raw = self._entries.popleft()
             self._used_bytes -= len(old_raw)
             self._total_evicted += 1
 
@@ -148,12 +161,14 @@ class LogStream(Generic[RecordT]):
         return self._entries[-1][0] if self._entries else -1
 
     def records(self) -> List[RecordT]:
-        """Retained records, oldest first (structured view)."""
-        return [record for _, _, record in self._entries]
+        """Retained records, oldest first, decoded from their bytes."""
+        decode = self._decode
+        return [decode(raw)[0] for _, raw in self._entries]
 
     def records_with_lsn(self) -> List[Tuple[int, RecordT]]:
         """Retained ``(lsn, record)`` pairs, oldest first."""
-        return [(lsn, record) for lsn, _, record in self._entries]
+        decode = self._decode
+        return [(lsn, decode(raw)[0]) for lsn, raw in self._entries]
 
     def raw_bytes(self) -> bytes:
         """The raw circular-log image a disk-theft attacker obtains.
@@ -164,7 +179,7 @@ class LogStream(Generic[RecordT]):
         from ..util.serialization import encode_uint
 
         parts = []
-        for lsn, raw, _ in self._entries:
+        for lsn, raw in self._entries:
             parts.append(encode_uint(lsn, 8))
             parts.append(encode_uint(len(raw)))
             parts.append(raw)
@@ -206,8 +221,12 @@ class LogManager:
         self.segment_bytes = segment_bytes
         self.sync = sync
         self.lsn = LsnCounter()
-        self.redo_stream: LogStream[RedoRecord] = LogStream(redo_capacity)
-        self.undo_stream: LogStream[UndoRecord] = LogStream(undo_capacity)
+        self.redo_stream: LogStream[RedoRecord] = LogStream(
+            redo_capacity, RedoRecord.from_bytes
+        )
+        self.undo_stream: LogStream[UndoRecord] = LogStream(
+            undo_capacity, UndoRecord.from_bytes
+        )
         self._segments: List[_Segment] = []
         self._pending: List[bytes] = []
         self._pending_frames = 0
@@ -257,10 +276,14 @@ class LogManager:
                 with open(path, "r+b") as fh:
                     fh.truncate(good_end)
             for frame in frames:
+                # Decoding validates the body (a corrupt one fails the open);
+                # the window keeps only the bytes.
                 if frame.rtype is WalRecordType.REDO:
-                    self.redo_stream.admit(frame.lsn, frame.body, frame.decode())
+                    frame.decode()
+                    self.redo_stream.admit(frame.lsn, frame.body)
                 elif frame.rtype is WalRecordType.UNDO:
-                    self.undo_stream.admit(frame.lsn, frame.body, frame.decode())
+                    frame.decode()
+                    self.undo_stream.admit(frame.lsn, frame.body)
                 end_lsn = max(end_lsn, frame.lsn + frame.lsn_advance)
                 self.resumed_frames += 1
             self._segments.append(_Segment(name, path, size=good_end))
@@ -314,7 +337,7 @@ class LogManager:
         with self._obs.span("log.append", table=record.table, detail="redo"):
             self.redo_stream.check_fits(raw)
             lsn = self.lsn.advance(len(raw))
-            self.redo_stream.admit(lsn, raw, record)
+            self.redo_stream.admit(lsn, raw)
             self._stage(lsn, WalRecordType.REDO, raw)
         self._obs.count("redo.appended_bytes", n=len(raw))
         return lsn
@@ -328,7 +351,7 @@ class LogManager:
         with self._obs.span("log.append", table=record.table, detail="undo"):
             self.undo_stream.check_fits(raw)
             lsn = self.lsn.advance(len(raw))
-            self.undo_stream.admit(lsn, raw, record)
+            self.undo_stream.admit(lsn, raw)
             self._stage(lsn, WalRecordType.UNDO, raw)
         self._obs.count("undo.appended_bytes", n=len(raw))
         return lsn
@@ -392,19 +415,23 @@ class LogManager:
         if not self._pending:
             self._flushed_lsn = self.lsn.current
             return 0
-        written = 0
+        # Frames are cut into one run per segment they land in, rolling at
+        # the frame boundary where the next frame would overflow a
+        # non-empty segment; each run is one write.
+        active = self._segments[-1]
+        run: List[bytes] = []
         for frame in self._pending:
-            active = self._segments[-1]
             if active.size > 0 and active.size + len(frame) > self.segment_bytes:
+                self._write_run(active, run)
+                run = []
                 next_name = segment_name(self._next_index())
                 self._seal_active()
                 self._open_segment(next_name)
                 active = self._segments[-1]
-            active.handle.write(frame)
+            run.append(frame)
             active.size += len(frame)
-            self._bytes_written += len(frame)
-            written += 1
-        active = self._segments[-1]
+        self._write_run(active, run)
+        written = len(self._pending)
         active.handle.flush()
         if self.sync:
             os.fsync(active.handle.fileno())
@@ -416,6 +443,13 @@ class LogManager:
         self._flushed_lsn = self.lsn.current
         self._obs.count("wal.flushed_frames", n=written)
         return written
+
+    def _write_run(self, segment: _Segment, run: List[bytes]) -> None:
+        """Write one segment's run of frames (its size is already counted)."""
+        if run:
+            data = b"".join(run)
+            segment.handle.write(data)
+            self._bytes_written += len(data)
 
     def flush_to(self, lsn: int) -> None:
         """WAL rule hook: make the log durable at least up to ``lsn``.

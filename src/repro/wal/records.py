@@ -28,7 +28,6 @@ from ..errors import LogError, WalError
 from ..util.serialization import (
     decode_bytes,
     decode_str,
-    encode_bytes,
     encode_str,
     encode_uint,
     read_uint,
@@ -52,6 +51,42 @@ class WalRecordType(IntEnum):
 
 #: Frame header: lsn u64 | body_len u32 | crc u32 | type u8.
 FRAME_HEADER = struct.Struct("<QIIB")
+
+_U64 = struct.Struct("<Q")
+_U32 = struct.Struct("<I")
+#: ``key u64 | image_len u32``: the fixed-width tail of a redo/undo body.
+_KEY_AND_LEN = struct.Struct("<QI")
+_KEY_MASK = 0xFFFFFFFFFFFFFFFF
+
+#: Each op's length-prefixed body field, encoded once.
+_OP_FIELDS = {op: _U32.pack(len(op)) + op.encode("ascii") for op in _OPS}
+
+#: CRC-32 of each possible type byte: the seed of a frame's checksum.
+_TYPE_CRC = tuple(zlib.crc32(bytes((t,))) for t in range(256))
+
+
+def _encode_body(txn_id: int, table: str, op: str, key: int, image: bytes) -> bytes:
+    """The redo/undo body ``txn u64 | table str | op str | key u64 | image``.
+
+    Strings and the image are u32-length-prefixed. The key is stored as
+    its two's-complement u64; ``from_bytes`` reads it back signed.
+    """
+    try:
+        txn = _U64.pack(txn_id)
+    except struct.error:
+        encode_uint(txn_id, 8)  # raises the RecordError naming the value
+        raise
+    name = table.encode("utf-8")
+    return b"".join(
+        (
+            txn,
+            _U32.pack(len(name)),
+            name,
+            _OP_FIELDS[op],
+            _KEY_AND_LEN.pack(key & _KEY_MASK, len(image)),
+            image,
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -81,14 +116,8 @@ class RedoRecord:
             raise LogError(f"unknown redo op {self.op!r}")
 
     def to_bytes(self) -> bytes:
-        return b"".join(
-            (
-                encode_uint(self.txn_id, 8),
-                encode_str(self.table),
-                encode_str(self.op),
-                encode_uint(self.key & 0xFFFFFFFFFFFFFFFF, 8),
-                encode_bytes(self.after_image),
-            )
+        return _encode_body(
+            self.txn_id, self.table, self.op, self.key, self.after_image
         )
 
     @classmethod
@@ -128,14 +157,8 @@ class UndoRecord:
             raise LogError(f"unknown undo op {self.op!r}")
 
     def to_bytes(self) -> bytes:
-        return b"".join(
-            (
-                encode_uint(self.txn_id, 8),
-                encode_str(self.table),
-                encode_str(self.op),
-                encode_uint(self.key & 0xFFFFFFFFFFFFFFFF, 8),
-                encode_bytes(self.before_image),
-            )
+        return _encode_body(
+            self.txn_id, self.table, self.op, self.key, self.before_image
         )
 
     @classmethod
@@ -247,7 +270,7 @@ def table_register_body(name: str) -> bytes:
 
 def pack_frame(lsn: int, rtype: WalRecordType, body: bytes) -> bytes:
     """Frame ``body`` for the on-disk segment, checksummed over type+body."""
-    crc = zlib.crc32(bytes([rtype]) + body) & 0xFFFFFFFF
+    crc = zlib.crc32(body, _TYPE_CRC[rtype])
     return FRAME_HEADER.pack(lsn, len(body), crc, rtype) + body
 
 
@@ -278,7 +301,7 @@ def parse_frames(
                 raise WalError(error)
             return frames, error
         body = data[body_start : body_start + body_len]
-        if zlib.crc32(bytes([type_byte]) + body) & 0xFFFFFFFF != crc:
+        if zlib.crc32(body, _TYPE_CRC[type_byte]) != crc:
             error = f"checksum mismatch at offset {offset}"
             if strict:
                 raise WalError(error)

@@ -87,22 +87,28 @@ class TestFrameCodec:
         assert decoded.key == -42
 
 
+def first_letter(raw):
+    """A toy record decoder: the record is the body's first letter."""
+    return raw[:1].decode(), len(raw)
+
+
 class TestLogStream:
     def test_capacity_validated(self):
         with pytest.raises(LogError):
-            LogStream(0)
+            LogStream(0, first_letter)
 
     def test_check_fits_rejects_oversize(self):
-        stream = LogStream(16)
+        stream = LogStream(16, first_letter)
         with pytest.raises(LogError, match="exceeds log capacity"):
             stream.check_fits(b"x" * 17)
 
     def test_eviction_oldest_first(self):
-        stream = LogStream(10)
-        stream.admit(0, b"aaaa", "a")
-        stream.admit(4, b"bbbb", "b")
-        stream.admit(8, b"cccc", "c")  # 12 bytes used -> evict "a"
+        stream = LogStream(10, first_letter)
+        stream.admit(0, b"aaaa")
+        stream.admit(4, b"bbbb")
+        stream.admit(8, b"cccc")  # 12 bytes used -> evict "a"
         assert stream.records() == ["b", "c"]
+        assert stream.records_with_lsn() == [(4, "b"), (8, "c")]
         assert stream.oldest_lsn == 4
         assert stream.newest_lsn == 8
         assert stream.total_appended == 3
