@@ -6,7 +6,7 @@ Two layers, reported honestly side by side in ``BENCH_concurrency.json``:
   per-shard parallelism a real 8-shard deployment gets. This is the record
   the ≥10k statements/s acceptance gate rides on.
 * **SQL path** — 64 sessions submitting through the scheduler front end
-  (one-pass scan → cached parse → engine → logs per statement).
+  (one-pass scan → prepared statement → engine → logs per statement).
   Pure-Python statement processing costs roughly 75–100µs/stmt, so this
   layer reports its real ops/s and p50/p99 dispatch latencies without a
   throughput gate.

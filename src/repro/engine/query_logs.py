@@ -35,10 +35,13 @@ class GeneralQueryLog:
         self.enabled = enabled
         self._entries: List[QueryLogEntry] = []
 
+    def keeps(self, duration: float) -> bool:
+        """Whether a statement that took ``duration`` would be logged."""
+        return self.enabled
+
     def log(self, entry: QueryLogEntry) -> None:
-        if not self.enabled:
-            return
-        self._entries.append(entry)
+        if self.keeps(entry.duration):
+            self._entries.append(entry)
 
     @property
     def entries(self) -> List[QueryLogEntry]:
@@ -64,10 +67,12 @@ class SlowQueryLog:
         self.long_query_time = long_query_time
         self._entries: List[QueryLogEntry] = []
 
+    def keeps(self, duration: float) -> bool:
+        """Whether a statement that took ``duration`` would be logged."""
+        return self.enabled and duration >= self.long_query_time
+
     def log(self, entry: QueryLogEntry) -> None:
-        if not self.enabled:
-            return
-        if entry.duration >= self.long_query_time:
+        if self.keeps(entry.duration):
             self._entries.append(entry)
 
     @property

@@ -81,6 +81,11 @@ class Transaction:
     def is_write(self) -> bool:
         return bool(self._changes)
 
+    @property
+    def tables_written(self) -> List[str]:
+        """The tables this transaction changed, sorted."""
+        return sorted({change.table for change in self._changes})
+
     def mark_committed(self) -> None:
         self._ensure_active()
         self.state = TransactionState.COMMITTED

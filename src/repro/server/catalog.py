@@ -160,6 +160,10 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
 
+    def get(self, name: str) -> Optional[TableSchema]:
+        """The table's schema, or ``None`` if there is no such table."""
+        return self._tables.get(name)
+
     def has_table(self, name: str) -> bool:
         return name in self._tables
 

@@ -7,7 +7,9 @@ internal to MySQL and cannot be exposed via information_schema, but will be
 visible to a whole-system snapshot attacker."
 
 Entries key on the *exact* statement text (like MySQL) and are invalidated
-by any write to a table they touch. Query text and result images live in
+by any write to a table they touch. The server reads and fills the cache
+only for SELECTs outside a transaction, which see exactly the committed
+state, and invalidates every table a transaction wrote when it commits. Query text and result images live in
 the simulated heap, so the cache contributes full query texts (including
 search tokens) to any memory snapshot.
 """

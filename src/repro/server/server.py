@@ -18,44 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..clock import SimClock
 from ..engine import StorageEngine
 from ..engine.query_logs import GeneralQueryLog, QueryLogEntry, SlowQueryLog
-from ..errors import (
-    CatalogError,
-    DuplicateEntryError,
-    DuplicateKeyError,
-    ServerError,
-)
+from ..errors import CatalogError, ServerError
 from ..memory import SimulatedHeap
 from ..obs import Instrumentation
-from ..sql.ast import (
-    BeginTxn,
-    CommitTxn,
-    CreateTable,
-    Delete,
-    Insert,
-    Literal,
-    RollbackTxn,
-    Select,
-    Update,
-)
+from ..sql.ast import ColumnDef, Literal
 from ..sql.fastpath import ScannedStatement, StatementCache, scan
-from ..sql.planner import PlanKind, plan_select
-from ..storage import BufferPoolDump, BufferPoolManager, decode_row, encode_row
+from ..storage import BufferPoolDump, BufferPoolManager, decode_row
 from .adaptive_hash import AdaptiveHashIndex
 from .catalog import Catalog, TableSchema
-from .executor import (
-    aggregate_grouped,
-    aggregate_rows,
-    compile_where,
-    filter_rows,
-    project,
-    result_columns,
-    validate_select,
-)
+from .executor import prepare
 from .information_schema import InformationSchema
 from .performance_schema import DEFAULT_HISTORY_SIZE, PerformanceSchema
 from .query_cache import QueryCache
@@ -69,6 +45,45 @@ Row = Tuple[Literal, ...]
 #: fits twice over; a scan of a larger table cycles the memo and decodes
 #: every row, as it would without one.
 DECODE_MEMO_ROWS = 4096
+
+
+_STATEMENT_EVENT_COLUMNS = (
+    ("thread_id", "INT"),
+    ("event_id", "INT"),
+    ("sql_text", "TEXT"),
+    ("digest", "TEXT"),
+    ("timer_start", "INT"),
+    ("timer_wait_us", "INT"),
+    ("rows_examined", "INT"),
+    ("rows_sent", "INT"),
+)
+
+#: Every diagnostic table's columns, (name, type) in row order.
+_VIRTUAL_COLUMNS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "information_schema.processlist": (
+        ("id", "INT"),
+        ("user", "TEXT"),
+        ("command", "TEXT"),
+        ("time", "INT"),
+        ("state", "TEXT"),
+        ("info", "TEXT"),
+    ),
+    "performance_schema.events_statements_current": _STATEMENT_EVENT_COLUMNS,
+    "performance_schema.events_statements_history": _STATEMENT_EVENT_COLUMNS,
+    "performance_schema.events_statements_summary_by_digest": (
+        ("digest", "TEXT"),
+        ("digest_text", "TEXT"),
+        ("count_star", "INT"),
+        ("sum_rows_examined", "INT"),
+        ("sum_rows_sent", "INT"),
+        ("first_seen", "INT"),
+        ("last_seen", "INT"),
+    ),
+    "performance_schema.global_status": (
+        ("variable_name", "TEXT"),
+        ("variable_value", "INT"),
+    ),
+}
 
 
 def _decode_payload(payload: bytes) -> Row:
@@ -194,7 +209,7 @@ class MySQLServer:
                 **engine_wal_kwargs,
             )
         self.catalog = Catalog()
-        # Parse trees per statement shape: out of band, no artifact sees it.
+        # Executors per statement shape: out of band, no artifact sees it.
         self.statement_cache = StatementCache()
         # Decoded rows per stored payload, also out of band: it lives in
         # Python memory, not the simulated heap, so no dump sees it. It is
@@ -223,7 +238,8 @@ class MySQLServer:
             promotion_threshold=self.config.ahi_threshold,
         )
         self._sessions: Dict[int, Session] = {}
-        self._udfs: Dict[str, object] = {}
+        #: Server-side UDFs by lower-cased name, looked up per row.
+        self.udfs: Dict[str, object] = {}
         self._next_session_id = 1
         self._buffer_pool_dump: Optional[BufferPoolDump] = None
         #: Attached session scheduler (set by ServerFrontend); its queue
@@ -240,7 +256,7 @@ class MySQLServer:
         """Install a server-side UDF predicate (CryptDB-style extension)."""
         if not name or not name.isidentifier():
             raise ServerError(f"bad UDF name {name!r}")
-        self._udfs[name.lower()] = fn
+        self.udfs[name.lower()] = fn
 
     def connect(self, user: str = "app") -> Session:
         """Open a client connection."""
@@ -273,33 +289,30 @@ class MySQLServer:
     # -- statement execution -------------------------------------------------------
 
     def execute(self, session: Session, sql: str) -> QueryResult:
-        """Run one SQL statement on ``session``."""
+        """Run one SQL statement on ``session``.
+
+        The statement's shape is prepared once (parsed as a template and
+        compiled against the catalog); every statement of the shape then
+        runs the same executor with its own literals.
+        """
         timestamp = self.clock.timestamp()
         session.begin_statement(sql, timestamp)
         scanned = self._spill_statement_strings(session, sql)
         query_span = self.obs.begin_span("query")
         try:
+            cache = self.statement_cache
             with self.obs.span("parse"):
-                stmt = self.statement_cache.parse(sql, scanned)
-            with self.obs.span("execute", detail=type(stmt).__name__):
-                if isinstance(stmt, Select):
-                    result = self._execute_select(session, stmt)
-                elif isinstance(stmt, Insert):
-                    result = self._execute_insert(session, stmt)
-                elif isinstance(stmt, Update):
-                    result = self._execute_update(session, stmt)
-                elif isinstance(stmt, Delete):
-                    result = self._execute_delete(session, stmt)
-                elif isinstance(stmt, CreateTable):
-                    result = self._execute_create(stmt)
-                elif isinstance(stmt, BeginTxn):
-                    result = self._execute_begin(session, stmt)
-                elif isinstance(stmt, CommitTxn):
-                    result = self._execute_commit(session, stmt)
-                elif isinstance(stmt, RollbackTxn):
-                    result = self._execute_rollback(session, stmt)
-                else:  # pragma: no cover - parse() only returns the above
-                    raise ServerError(f"unhandled statement {type(stmt).__name__}")
+                prepared = cache.lookup(scanned, self.catalog)
+                if prepared is None:
+                    template = cache.template(sql, scanned)
+            # A template exists only when the lexer accepted the statement.
+            literals = scanned.literals  # type: ignore[union-attr]
+            detail = type(template).__name__ if prepared is None else prepared.statement
+            with self.obs.span("execute", detail=detail):
+                if prepared is None:
+                    prepared = prepare(self, template, literals)
+                    cache.store(scanned, prepared)  # type: ignore[arg-type]
+                outcome = prepared.run(self, session, literals, sql)
         except Exception:
             # Failed statements still leave their trace (MySQL instruments
             # errored statements too), then surface the error. The session
@@ -314,12 +327,13 @@ class MySQLServer:
                 self.obs.count("server.errors")
                 session.abort_statement()
             raise
+        columns, rows, rows_examined, rows_affected, from_cache = outcome
         duration, digest_value = self._account_statement(
             session,
             sql,
             timestamp,
-            rows_examined=result.rows_examined,
-            rows_sent=result.rows_sent,
+            rows_examined=rows_examined,
+            rows_sent=len(rows),
             scanned=scanned,
         )
         # The root span closes after accounting so its duration covers the
@@ -328,13 +342,13 @@ class MySQLServer:
         self.obs.end_span(query_span, detail=digest_value)
         session.end_statement()
         return QueryResult(
-            statement=result.statement,
-            columns=result.columns,
-            rows=result.rows,
-            rows_examined=result.rows_examined,
-            rows_affected=result.rows_affected,
+            statement=sql,
+            columns=columns,
+            rows=rows,
+            rows_examined=rows_examined,
+            rows_affected=rows_affected,
             duration=duration,
-            from_cache=result.from_cache,
+            from_cache=from_cache,
         )
 
     # -- memory spill of statement strings (Section 5 mechanisms) -----------------
@@ -376,15 +390,16 @@ class MySQLServer:
             + rows_examined * self.config.row_cost_seconds
         )
         self.clock.advance(duration)
-        entry = QueryLogEntry(
-            timestamp=timestamp,
-            session_id=session.session_id,
-            statement=sql,
-            duration=duration,
-            rows_examined=rows_examined,
-        )
-        self.general_log.log(entry)
-        self.slow_log.log(entry)
+        if self.general_log.keeps(duration) or self.slow_log.keeps(duration):
+            entry = QueryLogEntry(
+                timestamp=timestamp,
+                session_id=session.session_id,
+                statement=sql,
+                duration=duration,
+                rows_examined=rows_examined,
+            )
+            self.general_log.log(entry)
+            self.slow_log.log(entry)
         self.obs.count("server.statements")
         if scanned is None:
             return duration, ""
@@ -400,170 +415,35 @@ class MySQLServer:
         )
         return duration, scanned.digest
 
-    # -- SELECT ---------------------------------------------------------------------
-
-    def _execute_select(self, session: Session, stmt: Select) -> QueryResult:
-        if stmt.table.startswith(("information_schema.", "performance_schema.")):
-            return self._execute_virtual_select(stmt)
-
-        schema = self.catalog.table(stmt.table)
-        validate_select(schema, stmt)
-
-        cached = self.query_cache.lookup(stmt.raw)
-        if cached is not None:
-            return QueryResult(
-                statement=stmt.raw,
-                columns=tuple(result_columns(schema, stmt)),
-                rows=cached.rows,
-                rows_examined=0,
-                rows_affected=0,
-                duration=0.0,
-                from_cache=True,
-            )
-
-        candidate_rows, rows_examined = self._fetch_candidates(
-            schema, stmt, txn=session.active_txn
-        )
-        # Executor string copies: the comparison constants of the WHERE
-        # clause are materialized once per query (Item::val_str style).
-        if stmt.where is not None:
-            for cond in stmt.where.conditions:
-                for value in _condition_literals(cond):
-                    session.query_arena.alloc_str(value)
-
-        matching = filter_rows(
-            schema, candidate_rows, stmt.where, self._udfs, instr=self.obs
-        )
-        if stmt.order_by is not None:
-            order_idx = schema.column_index(stmt.order_by)
-            matching.sort(key=lambda r: (r[order_idx] is None, r[order_idx]))
-        if stmt.limit is not None:
-            matching = matching[: stmt.limit]
-
-        if stmt.aggregate is not None:
-            if stmt.group_by is not None:
-                out_rows = aggregate_grouped(
-                    schema, matching, stmt.aggregate, stmt.group_by
-                )
-            else:
-                out_rows = aggregate_rows(schema, matching, stmt.aggregate)
-        else:
-            out_rows = [project(schema, row, stmt) for row in matching]
-
-        self.query_cache.store(stmt.raw, (stmt.table,), out_rows)
-        return QueryResult(
-            statement=stmt.raw,
-            columns=tuple(result_columns(schema, stmt)),
-            rows=tuple(tuple(r) for r in out_rows),
-            rows_examined=rows_examined,
-            rows_affected=0,
-            duration=0.0,
-        )
-
-    def _fetch_candidates(
-        self, schema: TableSchema, stmt: Select, txn=None
-    ) -> Tuple[List[Row], int]:
-        """Fetch rows via the planned access path, touching the buffer pool.
-
-        ``txn`` is the session's open transaction (or ``None`` for
-        autocommit reads); under MVCC it fixes the snapshot.
-        """
-        with self.obs.span("plan", table=schema.name):
-            plan = plan_select(stmt, schema.primary_key)
-        if plan.kind is PlanKind.PK_LOOKUP:
-            assert plan.key_equal is not None
-            payload, _ = self.engine.get(schema.name, plan.key_equal, txn=txn)
-            self.adaptive_hash.record_lookup(schema.name, plan.key_equal)
-            if payload is None:
-                return [], 0
-            return [self.decode_memo(payload)], 1
-        if plan.kind is PlanKind.PK_RANGE:
-            entries, _ = self.engine.range(
-                schema.name, plan.key_low, plan.key_high, txn=txn
-            )
-        else:
-            entries, _ = self.engine.full_scan(schema.name, txn=txn)
-        decode = self.decode_memo
-        rows = [decode(payload) for _, payload in entries]
-        return rows, len(rows)
-
     # -- virtual (diagnostic) tables ---------------------------------------------------
 
-    def _execute_virtual_select(self, stmt: Select) -> QueryResult:
-        schema, rows = self._virtual_table(stmt.table)
-        validate_select(schema, stmt)
-        matching = filter_rows(schema, rows, stmt.where, self._udfs, instr=self.obs)
-        if stmt.order_by is not None:
-            idx = schema.column_index(stmt.order_by)
-            matching.sort(key=lambda r: (r[idx] is None, r[idx]))
-        if stmt.limit is not None:
-            matching = matching[: stmt.limit]
-        if stmt.aggregate is not None:
-            if stmt.group_by is not None:
-                out_rows = aggregate_grouped(
-                    schema, matching, stmt.aggregate, stmt.group_by
-                )
-            else:
-                out_rows = aggregate_rows(schema, matching, stmt.aggregate)
-        else:
-            out_rows = [project(schema, row, stmt) for row in matching]
-        return QueryResult(
-            statement=stmt.raw,
-            columns=tuple(result_columns(schema, stmt)),
-            rows=tuple(tuple(r) for r in out_rows),
-            rows_examined=len(rows),
-            rows_affected=0,
-            duration=0.0,
+    def virtual_schema(self, name: str) -> TableSchema:
+        """The schema of a diagnostic table (``CatalogError`` if unknown)."""
+        columns = _VIRTUAL_COLUMNS.get(name)
+        if columns is None:
+            raise CatalogError(f"unknown diagnostic table {name!r}")
+        return TableSchema(
+            name=name,
+            columns=tuple(ColumnDef(n, t) for n, t in columns),
+            primary_key=None,
         )
 
-    def _virtual_table(self, name: str) -> Tuple[TableSchema, List[Row]]:
-        from ..sql.ast import ColumnDef
-
-        def make_schema(columns: Sequence[Tuple[str, str]]) -> TableSchema:
-            return TableSchema(
-                name=name,
-                columns=tuple(ColumnDef(n, t) for n, t in columns),
-                primary_key=None,
-            )
-
+    def virtual_rows(self, name: str) -> List[Row]:
+        """A diagnostic table's rows now, in its schema's column order."""
         if name == "information_schema.processlist":
-            schema = make_schema(
-                [
-                    ("id", "INT"),
-                    ("user", "TEXT"),
-                    ("command", "TEXT"),
-                    ("time", "INT"),
-                    ("state", "TEXT"),
-                    ("info", "TEXT"),
-                ]
-            )
-            rows = [
+            return [
                 (r.session_id, r.user, r.command, r.time, r.state, r.info)
                 for r in self.info_schema.processlist(self.clock.timestamp())
             ]
-            return schema, rows
-
         if name in (
             "performance_schema.events_statements_current",
             "performance_schema.events_statements_history",
         ):
-            schema = make_schema(
-                [
-                    ("thread_id", "INT"),
-                    ("event_id", "INT"),
-                    ("sql_text", "TEXT"),
-                    ("digest", "TEXT"),
-                    ("timer_start", "INT"),
-                    ("timer_wait_us", "INT"),
-                    ("rows_examined", "INT"),
-                    ("rows_sent", "INT"),
-                ]
-            )
             if name.endswith("current"):
                 events = self.perf_schema.events_statements_current()
             else:
                 events = self.perf_schema.events_statements_history()
-            rows = [
+            return [
                 (
                     e.thread_id,
                     e.event_id,
@@ -576,21 +456,8 @@ class MySQLServer:
                 )
                 for e in events
             ]
-            return schema, rows
-
         if name == "performance_schema.events_statements_summary_by_digest":
-            schema = make_schema(
-                [
-                    ("digest", "TEXT"),
-                    ("digest_text", "TEXT"),
-                    ("count_star", "INT"),
-                    ("sum_rows_examined", "INT"),
-                    ("sum_rows_sent", "INT"),
-                    ("first_seen", "INT"),
-                    ("last_seen", "INT"),
-                ]
-            )
-            rows = [
+            return [
                 (
                     s.digest,
                     s.digest_text,
@@ -602,12 +469,9 @@ class MySQLServer:
                 )
                 for s in self.perf_schema.events_statements_summary_by_digest()
             ]
-            return schema, rows
-
         if name == "performance_schema.global_status":
-            schema = make_schema([("variable_name", "TEXT"), ("variable_value", "INT")])
             pool = self.engine.buffer_pool.stats
-            rows: List[Row] = [
+            return [
                 ("Queries", self.perf_schema.statements_total),
                 ("Threads_connected", self.info_schema.active_connections),
                 ("Innodb_buffer_pool_read_requests", pool["hits"] + pool["misses"]),
@@ -615,13 +479,11 @@ class MySQLServer:
                 ("Innodb_buffer_pool_pages_data", pool["resident"]),
                 ("Qcache_hits", self.query_cache.stats["hits"]),
             ]
-            return schema, rows
-
         raise CatalogError(f"unknown diagnostic table {name!r}")
 
     # -- writes ------------------------------------------------------------------------
 
-    def _begin_write(self, session: Session, raw: str):
+    def begin_write(self, session: Session, raw: str):
         """The statement's transaction: the session's open one, or a fresh
         autocommit transaction. Returns ``(txn, autocommit)``."""
         if session.active_txn is not None:
@@ -631,165 +493,13 @@ class MySQLServer:
         txn.record_statement(raw)
         return txn, True
 
-    def _write_failed(self, session: Session, txn, autocommit: bool) -> None:
+    def write_failed(self, session: Session, txn, autocommit: bool) -> None:
         """Error cleanup: roll back the whole transaction (an error inside
         an explicit transaction aborts it, simplified vs MySQL's
         statement-level rollback)."""
         self.engine.rollback(txn)
         if not autocommit:
             session.active_txn = None
-
-    def _execute_begin(self, session: Session, stmt: BeginTxn) -> QueryResult:
-        if session.active_txn is not None:
-            raise ServerError("transaction already open on this session")
-        session.active_txn = self.engine.begin()
-        return QueryResult(
-            statement=stmt.raw, columns=(), rows=(),
-            rows_examined=0, rows_affected=0, duration=0.0,
-        )
-
-    def _execute_commit(self, session: Session, stmt: CommitTxn) -> QueryResult:
-        if session.active_txn is None:
-            raise ServerError("no open transaction to commit")
-        self.engine.commit(session.active_txn)
-        session.active_txn = None
-        return QueryResult(
-            statement=stmt.raw, columns=(), rows=(),
-            rows_examined=0, rows_affected=0, duration=0.0,
-        )
-
-    def _execute_rollback(self, session: Session, stmt: RollbackTxn) -> QueryResult:
-        if session.active_txn is None:
-            raise ServerError("no open transaction to roll back")
-        self.engine.rollback(session.active_txn)
-        session.active_txn = None
-        return QueryResult(
-            statement=stmt.raw, columns=(), rows=(),
-            rows_examined=0, rows_affected=0, duration=0.0,
-        )
-
-    def _execute_insert(self, session: Session, stmt: Insert) -> QueryResult:
-        schema = self.catalog.table(stmt.table)
-        build_row = schema.row_builder(stmt.columns)
-        txn, autocommit = self._begin_write(session, stmt.raw)
-        inserted = 0
-        try:
-            for values in stmt.rows:
-                row = build_row(values)
-                key = schema.clustering_key(row)
-                try:
-                    self.engine.insert(txn, stmt.table, key, encode_row(row))
-                except DuplicateEntryError as exc:
-                    raise DuplicateKeyError(
-                        f"duplicate primary key {key} in {stmt.table!r}"
-                    ) from exc
-                inserted += 1
-        except Exception:
-            self._write_failed(session, txn, autocommit)
-            raise
-        if autocommit:
-            self.engine.commit(txn)
-        self.query_cache.invalidate_table(stmt.table)
-        return QueryResult(
-            statement=stmt.raw,
-            columns=(),
-            rows=(),
-            rows_examined=0,
-            rows_affected=inserted,
-            duration=0.0,
-        )
-
-    def _execute_update(self, session: Session, stmt: Update) -> QueryResult:
-        schema = self.catalog.table(stmt.table)
-        for column, value in stmt.assignments:
-            col = schema.column(column)
-            if col.primary_key:
-                raise CatalogError("updating the primary key is not supported")
-            schema.validate_value(col, value)
-        # Compiling resolves every WHERE column, so an unknown one raises
-        # CatalogError here, before the statement opens a transaction.
-        matches = compile_where(schema, stmt.where, self._udfs)
-        assignments = [
-            (schema.column_index(column), value)
-            for column, value in stmt.assignments
-        ]
-
-        txn, autocommit = self._begin_write(session, stmt.raw)
-        affected = 0
-        examined = 0
-        try:
-            entries, _ = self.engine.full_scan(stmt.table, txn=txn)
-            for key, payload in entries:
-                examined += 1
-                row = self.decode_memo(payload)
-                if not matches(row):
-                    continue
-                new_row = list(row)
-                for idx, value in assignments:
-                    new_row[idx] = value
-                self.engine.update(txn, stmt.table, key, encode_row(tuple(new_row)))
-                affected += 1
-        except Exception:
-            self._write_failed(session, txn, autocommit)
-            raise
-        if autocommit:
-            self.engine.commit(txn)
-        if affected:
-            self.query_cache.invalidate_table(stmt.table)
-        return QueryResult(
-            statement=stmt.raw,
-            columns=(),
-            rows=(),
-            rows_examined=examined,
-            rows_affected=affected,
-            duration=0.0,
-        )
-
-    def _execute_delete(self, session: Session, stmt: Delete) -> QueryResult:
-        schema = self.catalog.table(stmt.table)
-        matches = compile_where(schema, stmt.where, self._udfs)
-        txn, autocommit = self._begin_write(session, stmt.raw)
-        affected = 0
-        examined = 0
-        try:
-            entries, _ = self.engine.full_scan(stmt.table, txn=txn)
-            for key, payload in entries:
-                examined += 1
-                row = self.decode_memo(payload)
-                if not matches(row):
-                    continue
-                self.engine.delete(txn, stmt.table, key)
-                affected += 1
-        except Exception:
-            self._write_failed(session, txn, autocommit)
-            raise
-        if autocommit:
-            self.engine.commit(txn)
-        if affected:
-            self.query_cache.invalidate_table(stmt.table)
-        return QueryResult(
-            statement=stmt.raw,
-            columns=(),
-            rows=(),
-            rows_examined=examined,
-            rows_affected=affected,
-            duration=0.0,
-        )
-
-    def _execute_create(self, stmt: CreateTable) -> QueryResult:
-        self.catalog.create_table(stmt.table, stmt.columns, stmt.primary_key)
-        self.engine.register_table(stmt.table)
-        # DDL goes to the binlog like any replicated statement (but never
-        # opens a transaction — see StorageEngine.log_ddl).
-        self.engine.log_ddl(self.clock.timestamp(), stmt.raw)
-        return QueryResult(
-            statement=stmt.raw,
-            columns=(),
-            rows=(),
-            rows_examined=0,
-            rows_affected=0,
-            duration=0.0,
-        )
 
     # -- secondary indexes -------------------------------------------------------------
 
@@ -843,23 +553,3 @@ class MySQLServer:
         self.adaptive_hash.clear()
         for session in list(self._sessions.values()):
             self.disconnect(session)
-
-
-def _condition_literals(condition) -> List[str]:
-    """String forms of a condition's comparison constants."""
-    from ..sql.ast import (
-        BetweenCondition,
-        Comparison,
-        FunctionCondition,
-        MatchCondition,
-    )
-
-    if isinstance(condition, Comparison) and condition.value is not None:
-        return [str(condition.value)]
-    if isinstance(condition, BetweenCondition):
-        return [str(condition.low), str(condition.high)]
-    if isinstance(condition, MatchCondition):
-        return [condition.keyword]
-    if isinstance(condition, FunctionCondition):
-        return [str(arg) for arg in condition.args if arg is not None]
-    return []

@@ -123,6 +123,13 @@ class ShardedTransaction:
     def num_changes(self) -> int:
         return sum(t.num_changes for t in self._branches.values())
 
+    @property
+    def tables_written(self) -> List[str]:
+        """The tables any branch changed, sorted."""
+        return sorted(
+            {table for t in self._branches.values() for table in t.tables_written}
+        )
+
     def mark_committed(self) -> None:
         self._ensure_active()
         self.state = TransactionState.COMMITTED

@@ -25,7 +25,7 @@ from .ast import (
 )
 from .parser import parse
 from .digest import canonicalize, digest
-from .planner import Plan, PlanKind, plan_select
+from .planner import Plan, PlanKind, plan_shape
 
 __all__ = [
     "Token",
@@ -49,5 +49,5 @@ __all__ = [
     "digest",
     "Plan",
     "PlanKind",
-    "plan_select",
+    "plan_shape",
 ]

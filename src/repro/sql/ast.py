@@ -15,6 +15,19 @@ Literal = Union[int, str, bytes, None]
 
 
 @dataclass(frozen=True)
+class Slot:
+    """Stands for the ``index``-th literal of a statement template.
+
+    A prepared statement's template is parsed with every literal replaced by
+    a slot; ``kind`` is the literal's kind (``n``umber, ``s``tring, ``h``ex),
+    which the digest text does not show but the template's shape fixes.
+    """
+
+    index: int
+    kind: str
+
+
+@dataclass(frozen=True)
 class Comparison:
     """``column OP literal`` with OP in ``= != < <= > >=``."""
 

@@ -1,29 +1,30 @@
-"""The statement fast path: one pass over the tokens, and a parse cache.
+"""The statement fast path: one pass over the tokens, and prepared statements.
 
 The server needs four things from every statement's tokens: the strings
 the lexer and parser copy into the session arena, the canonical digest
-text for ``performance_schema``, the literal values, and the parse tree.
-:func:`scan` produces the first three in one regex pass without building
-:class:`~repro.sql.lexer.Token` objects. :class:`StatementCache` produces
-the last: statements with the same digest text and the same literal kinds
-have the same parse tree up to their literals, so the tree is parsed once
-per shape and later statements only bind their literals into it.
+text for ``performance_schema``, the literal values, and the statement's
+structure. :func:`scan` produces the first three in one regex pass without
+building :class:`~repro.sql.lexer.Token` objects. :class:`StatementCache`
+covers the last: statements with the same digest text and the same literal
+kinds have the same parse tree up to their literals, so each shape is
+parsed once, as a template, and compiled once into an executor
+(:mod:`repro.server.executor`); later statements only bind their literals.
 
 Both are pure speed-ups. The scan's canonical text equals
-:func:`~repro.sql.digest.canonicalize` and a bound tree equals
-:func:`~repro.sql.parser.parse` on every input; anything the fast path
-cannot handle (a lexer error) falls back to the full path, which raises the
-same error it always did. The cache holds no statement text and no literal
-values: a template keeps only what the digest text already shows.
+:func:`~repro.sql.digest.canonicalize`, and a template parses exactly the
+statements :func:`~repro.sql.parser.parse` accepts, with the same errors;
+anything the scan cannot handle (a lexer error) falls back to the full
+parser, which raises the same error it always did. The cache holds no
+statement text and no literal values: an executor keeps only what the
+digest text already shows.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .ast import Statement
+from .ast import Slot, Statement
 from .digest import digest_canonical, render_canonical
 from .lexer import KEYWORDS, TOKEN_RULES, TokenType, tokenize
 from .parser import parse
@@ -33,8 +34,6 @@ from .parser import parse
 _SCAN_RE = re.compile(
     r"\s*(?:" + "|".join(f"({rule})" for _, rule in TOKEN_RULES) + r"|(\S))"
 )
-
-_LITERAL_TYPES = (TokenType.NUMBER, TokenType.STRING, TokenType.HEX)
 
 #: Statement shapes one server's cache keeps. The busiest server in
 #: perfbench sees 22 shapes (leak_pipeline; oltp_txn and point_read_evict
@@ -112,101 +111,69 @@ def scan(sql: str) -> Optional[ScannedStatement]:
     return ScannedStatement(render_canonical(parts), shape, tuple(literals), spill)
 
 
-# -- templates ------------------------------------------------------------
+# -- prepared statements -----------------------------------------------------
 
-
-class _Slot:
-    """Stands for the ``index``-th literal while a template is parsed."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-
-#: Rebuilds one node of a statement from ``(literals, sql)``.
-_Builder = Callable[[tuple, str], object]
-
-
-def _compile(node) -> Tuple[_Builder, bool]:
-    """A builder for ``node`` and whether it depends on the literals.
-
-    Nodes that hold no slot are shared by every bound statement; the AST
-    is frozen, so sharing is safe.
-    """
-    if type(node) is _Slot:
-        index = node.index
-        return (lambda values, sql: values[index]), True
-    if type(node) is tuple:
-        compiled = [_compile(item) for item in node]
-        if not any(dynamic for _, dynamic in compiled):
-            return (lambda values, sql: node), False
-        builders = [builder for builder, _ in compiled]
-        return (lambda values, sql: tuple([b(values, sql) for b in builders])), True
-    if dataclasses.is_dataclass(node):
-        cls = type(node)
-        compiled = [_compile(getattr(node, f.name)) for f in dataclasses.fields(node)]
-        if not any(dynamic for _, dynamic in compiled):
-            return (lambda values, sql: node), False
-        builders = [builder for builder, _ in compiled]
-        return (lambda values, sql: cls(*[b(values, sql) for b in builders])), True
-    return (lambda values, sql: node), False
-
-
-def _compile_statement(template: Statement) -> _Builder:
-    """A builder for a whole statement: ``raw`` is the bound statement's
-    text, every other field is rebuilt by :func:`_compile`."""
-    cls = type(template)
-    builders = [
-        (lambda values, sql: sql) if f.name == "raw"
-        else _compile(getattr(template, f.name))[0]
-        for f in dataclasses.fields(template)
-    ]
-    return lambda values, sql: cls(*[b(values, sql) for b in builders])
+_SLOT_KINDS = {TokenType.NUMBER: "n", TokenType.STRING: "s", TokenType.HEX: "h"}
 
 
 class StatementCache:
-    """Parsed statements keyed on the digest text and literal kinds.
+    """Prepared statements keyed on the digest text and literal kinds.
 
-    A miss parses the statement with each literal replaced by a slot and
-    compiles the tree into a builder; a hit calls the builder with the new
-    literals. Statements that fail to parse are never cached, so every
-    error comes from :func:`parse` itself. The oldest shape is evicted
-    once :data:`CAPACITY` shapes are held.
+    Statements with the same key have the same parse tree up to their
+    literals, so one executor serves them all. A miss parses the statement's
+    *template* (:meth:`template`: each literal replaced by a
+    :class:`~repro.sql.ast.Slot`); the caller prepares an executor from it
+    and stores it (:meth:`store`) only once preparation succeeded, so a
+    statement that fails to parse or prepare leaves nothing behind. A hit
+    (:meth:`lookup`) returns the executor, which binds only the literals.
+    The oldest shape is evicted once :data:`CAPACITY` shapes are held.
+
+    An executor must offer ``is_current(catalog)``: an executor prepared
+    against a catalog entry that has since changed is a miss, never served.
     """
 
     def __init__(self) -> None:
-        #: (digest text, literal kinds) -> (digest, builder)
-        self._entries: Dict[Tuple[str, str], Tuple[str, _Builder]] = {}
+        #: (digest text, literal kinds) -> (digest, executor)
+        self._entries: Dict[Tuple[str, str], Tuple[str, object]] = {}
         self.hits = 0
         self.misses = 0
 
-    def parse(self, sql: str, scanned: Optional[ScannedStatement]) -> Statement:
-        """The parse tree of ``sql``, whose scan is ``scanned``.
+    def lookup(self, scanned: Optional[ScannedStatement], catalog):
+        """The current executor for ``scanned``'s shape, or ``None``."""
+        if scanned is None:
+            return None
+        entry = self._entries.get((scanned.canonical, scanned.shape))
+        if entry is None or not entry[1].is_current(catalog):
+            return None
+        self.hits += 1
+        scanned._digest = entry[0]
+        return entry[1]
+
+    def template(self, sql: str, scanned: Optional[ScannedStatement]) -> Statement:
+        """Parse ``sql`` with its literals as slots (a cache miss).
 
         ``scanned`` is ``None`` for a statement the lexer rejects; the full
         parser then raises the lexer's error.
         """
         if scanned is None:
             return parse(sql)
-        key = (scanned.canonical, scanned.shape)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            scanned._digest, build = entry
-            return build(scanned.literals, sql)
         self.misses += 1
         tokens = tokenize(sql)
         slot = 0
         for token in tokens:
-            if token.type in _LITERAL_TYPES:
-                token.value = _Slot(slot)
+            kind = _SLOT_KINDS.get(token.type)
+            if kind is not None:
+                token.value = Slot(slot, kind)
                 slot += 1
-        build = _compile_statement(parse(sql, tokens=tokens))
+        return parse(sql, tokens=tokens)
+
+    def store(self, scanned: ScannedStatement, executor) -> None:
+        """Keep ``executor`` for ``scanned``'s shape, evicting the oldest."""
+        key = (scanned.canonical, scanned.shape)
+        self._entries.pop(key, None)
         if len(self._entries) >= CAPACITY:
             del self._entries[next(iter(self._entries))]
-        self._entries[key] = (scanned.digest, build)
-        return build(scanned.literals, sql)
+        self._entries[key] = (scanned.digest, executor)
 
     def __len__(self) -> int:
         return len(self._entries)

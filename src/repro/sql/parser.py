@@ -334,7 +334,8 @@ def parse(sql: str, tokens=None) -> Statement:
 
     ``tokens`` may carry the statement's token stream in place of lexing
     ``sql``: :class:`~repro.sql.fastpath.StatementCache` passes tokens whose
-    literal values are slots, to parse a statement's template.
+    literal values are slots (:class:`~repro.sql.ast.Slot`), to parse a
+    statement's template.
     """
     if not sql or not sql.strip():
         raise ParseError("empty statement")

@@ -1,9 +1,11 @@
-"""The statement fast path: one-pass scan, parse cache, batched arena spill.
+"""The statement fast path: one-pass scan, prepared statements, batched
+arena spill.
 
 Every piece is a pure speed-up, so every test here is an equivalence: the
-scan against the lexer and the digest, a cached parse against the parser,
-the batched spill against one copy per string, and the server's artifacts
-against the ones the code before the fast path left behind.
+scan against the lexer and the digest, prepared statements against cold
+runs that prepare every statement afresh, the batched spill against one
+copy per string, and the server's artifacts against the ones the code
+before the fast path left behind.
 """
 
 import gc
@@ -16,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParseError, ReproError, SQLError
+from repro.errors import CatalogError, ParseError, ReproError, ServerError, SQLError
 from repro.memory import BumpArena, MemoryDump, SimulatedHeap
 from repro.server import MySQLServer, ServerConfig
 from repro.snapshot import AttackScenario, capture
-from repro.sql import canonicalize, digest, parse, tokenize
+from repro.sql import canonicalize, digest, tokenize
 from repro.sql import fastpath
-from repro.sql.fastpath import StatementCache, scan
+from repro.sql.fastpath import scan
 from repro.sql.lexer import TokenType
 
 # -- scan -------------------------------------------------------------------
@@ -64,7 +66,7 @@ class TestScan:
         assert scanned.spill == ["t", "t", "a", "a", "b", "b", "'x y'", "x y", "c", "c"]
 
 
-# -- statement cache ------------------------------------------------------------
+# -- prepared statements ------------------------------------------------------------
 
 _IDENT = st.sampled_from(["id", "v", "name", "Body", "c_3"])
 _NUMBER = st.integers(-10**6, 10**6).map(str)
@@ -109,82 +111,127 @@ def _statements(draw):
     return draw(st.text(alphabet=_SQLISH, max_size=60))
 
 
-def _outcome(fn, sql):
+def _outcome(server, session, sql):
     try:
-        return repr(fn(sql))
-    except SQLError as exc:
+        return repr(server.execute(session, sql))
+    except Exception as exc:  # UDFs may raise anything
         return f"{type(exc).__name__}: {exc}"
 
 
+def _new_server():
+    server = MySQLServer(ServerConfig())
+    server.register_udf("udf", lambda value, *args: value in args)
+    session = server.connect("app")
+    server.execute(
+        session, "CREATE TABLE t (id INT PRIMARY KEY, v INT, name TEXT, c_3 INT)"
+    )
+    return server, session
+
+
+def _run_statements(statements, cold):
+    """Each statement's outcome on a fresh server; ``cold`` forgets every
+    prepared statement before each one, so every statement is prepared."""
+    server, session = _new_server()
+    try:
+        outcomes = []
+        for sql in statements:
+            if cold:
+                server.statement_cache._entries.clear()
+            outcomes.append(_outcome(server, session, sql))
+        return outcomes, server.statement_cache
+    finally:
+        server.close()
+
+
 class TestStatementCache:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(_statements(), min_size=1, max_size=25))
-    def test_cached_parse_equals_parse(self, statements):
-        cache = StatementCache()
-
-        def cached(sql):
-            return cache.parse(sql, scan(sql))
-
+    def test_prepared_runs_equal_cold_runs(self, statements):
+        sequence = statements + statements[::-1]
         with mock.patch.object(fastpath, "CAPACITY", 8):  # evictions too
-            for sql in statements + statements[::-1]:
-                assert _outcome(cached, sql) == _outcome(parse, sql), sql
+            warm, cache = _run_statements(sequence, cold=False)
+        cold, _ = _run_statements(sequence, cold=True)
+        assert warm == cold
+        assert len(cache) <= 8
 
     def test_same_shape_hits(self):
-        cache = StatementCache()
+        server, session = _new_server()
+        cache = server.statement_cache
+        before = (cache.hits, cache.misses, len(cache))
         first = "SELECT * FROM t WHERE id = 1 AND name = 'a'"
         second = "select *  FROM t where id = 99 and name = 'zz'"
-        assert cache.parse(first, scan(first)) == parse(first)
-        assert cache.parse(second, scan(second)) == parse(second)
-        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+        server.execute(session, first)
+        server.execute(session, second)
+        after = (cache.hits, cache.misses, len(cache))
+        assert tuple(a - b for a, b in zip(after, before)) == (1, 1, 1)
+        server.close()
 
     def test_hit_reports_the_digest(self):
-        cache = StatementCache()
+        server, session = _new_server()
         for sql in ("SELECT * FROM t WHERE id = 1", "SELECT * FROM t WHERE id = 2"):
+            server.execute(session, sql)
             scanned = scan(sql)
-            cache.parse(sql, scanned)
+            assert server.statement_cache.lookup(scanned, server.catalog) is not None
             assert scanned.digest == digest(sql)
+        history = server.perf_schema.events_statements_history()
+        assert [e.digest for e in history[-2:]] == [digest("SELECT * FROM t WHERE id = 1")] * 2
+        server.close()
 
     def test_literal_kinds_are_part_of_the_key(self):
         # One digest text, two literal kinds: only a number parses after LIMIT.
-        cache = StatementCache()
+        server, session = _new_server()
         good, bad = "SELECT * FROM t LIMIT 5", "SELECT * FROM t LIMIT 'x'"
         assert scan(good).canonical == scan(bad).canonical
-        cache.parse(good, scan(good))
+        server.execute(session, good)
         with pytest.raises(ParseError, match="LIMIT expects a number"):
-            cache.parse(bad, scan(bad))
+            server.execute(session, bad)
+        server.close()
 
     def test_placeholder_punctuation_never_binds(self):
-        cache = StatementCache()
+        server, session = _new_server()
         good, bad = "SELECT * FROM t WHERE id = 5", "SELECT * FROM t WHERE id = ?"
         assert scan(good).canonical == scan(bad).canonical
-        cache.parse(good, scan(good))
+        server.execute(session, good)
         with pytest.raises(ParseError):
-            cache.parse(bad, scan(bad))
+            server.execute(session, bad)
+        server.close()
 
     def test_errors_are_never_cached(self):
-        cache = StatementCache()
+        server, session = _new_server()
+        cache = server.statement_cache
+        held, misses = len(cache), cache.misses
         for _ in range(2):
             with pytest.raises(ParseError):
-                cache.parse("SELEC * FROM t", scan("SELEC * FROM t"))
-        assert len(cache) == 0
+                server.execute(session, "SELEC * FROM t")
+            with pytest.raises(CatalogError):
+                server.execute(session, "SELECT nope FROM t WHERE id = 1")
+        assert len(cache) == held
+        assert cache.misses == misses + 4
+        server.close()
 
     def test_oldest_shape_is_evicted(self, monkeypatch):
         monkeypatch.setattr(fastpath, "CAPACITY", 2)
-        cache = StatementCache()
-        for sql in ("BEGIN", "COMMIT", "ROLLBACK"):
-            cache.parse(sql, scan(sql))
+        server, session = _new_server()
+        cache = server.statement_cache
+        misses = cache.misses
+        server.execute(session, "BEGIN")
+        server.execute(session, "COMMIT")
+        with pytest.raises(ServerError):
+            server.execute(session, "ROLLBACK")  # a run error still caches
         assert len(cache) == 2
-        cache.parse("BEGIN", scan("BEGIN"))
-        assert cache.misses == 4
+        server.execute(session, "BEGIN")  # evicted: prepared again
+        assert cache.misses == misses + 4
+        server.close()
 
     def test_cache_holds_no_statement_text_or_literal(self):
-        cache = StatementCache()
+        server, session = _new_server()
         sql = "SELECT name FROM t WHERE id = 424242 AND name = 'hunter2secret'"
-        cache.parse(sql, scan(sql))
-        held = _reachable(cache._entries)
+        server.execute(session, sql)
+        held = _reachable(server.statement_cache._entries)
         assert "name" in held  # identifiers are in the digest text anyway
         assert 424242 not in held
         assert not any(isinstance(v, str) and "hunter2" in v for v in held)
+        server.close()
 
 
 def _reachable(root):
