@@ -106,8 +106,14 @@ class ClassInfo:
     fields: List[Tuple[str, Optional[ast.expr]]] = field(default_factory=list)
 
     @property
-    def is_dataclass(self) -> bool:
-        return "dataclass" in self.decorators
+    def is_record(self) -> bool:
+        """A dataclass or ``NamedTuple``: its constructor's parameters are
+        its fields, in declaration order."""
+        return "dataclass" in self.decorators or any(
+            (isinstance(base, ast.Name) and base.id == "NamedTuple")
+            or (isinstance(base, ast.Attribute) and base.attr == "NamedTuple")
+            for base in self.base_exprs
+        )
 
     @property
     def has_init(self) -> bool:

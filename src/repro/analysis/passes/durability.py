@@ -1,6 +1,6 @@
 """Durability-ordering pass: static verification of the WAL protocol.
 
-ROADMAP item 4 rewrites the WAL (encryption, padding, batching) on top of
+ROADMAP item 9 rewrites the WAL (encryption, padding, batching) on top of
 the ordering discipline PR 9 established; this pass turns that discipline
 into a gate the rewrite inherits, the same way the paged engine inherited
 the pin/lockset gate. Against a ``durability_protocol`` spec section it

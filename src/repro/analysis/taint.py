@@ -34,7 +34,8 @@ Precision notes (what keeps the false-positive rate workable):
   does not make every string it formats key-tainted.
 - Calls that cannot be resolved conservatively return the union of argument
   and receiver kinds.
-- First-class *function references* are tracked through dataclass fields:
+- First-class *function references* are tracked through record fields
+  (dataclass or ``NamedTuple``):
   ``Provider(capture=_capture_redo_log)`` records the function under
   ``attr_funcs[(Provider, "capture")]``, and a later ``provider.capture(x)``
   invokes every recorded callee — this is how the snapshot artifact registry
@@ -1116,7 +1117,7 @@ class TaintEngine:
         init = self.resolver.method(cls_qual, "__init__")
         if init is not None:
             self._invoke(node, init, arg_values, kw_values, all_kinds)
-        elif info.is_dataclass:
+        elif info.is_record:
             field_names = [name for name, _ in info.fields]
             for i, value in enumerate(arg_values):
                 if i < len(field_names) and value.kinds:

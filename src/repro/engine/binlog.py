@@ -13,14 +13,12 @@ have aged out of the binlog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from ..errors import LogError
 
 
-@dataclass(frozen=True)
-class BinlogEvent:
+class BinlogEvent(NamedTuple):
     """One committed write transaction: time, statement text, LSN, txn id."""
 
     timestamp: int

@@ -11,14 +11,12 @@ enabled with a configurable ``long_query_time`` threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from ..errors import LogError
 
 
-@dataclass(frozen=True)
-class QueryLogEntry:
+class QueryLogEntry(NamedTuple):
     """A logged query: time, session, text, duration, rows examined."""
 
     timestamp: int

@@ -30,7 +30,7 @@ import random
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import SchedulerError
 from .server import MySQLServer, QueryResult
@@ -48,8 +48,7 @@ class SchedulingPolicy(enum.Enum):
     RANDOM = "random"  #: seeded random session pick (interleaving fuzzing)
 
 
-@dataclass(frozen=True)
-class ClientRequest:
+class ClientRequest(NamedTuple):
     """One queued statement: who sent it, what, and when."""
 
     seq: int
@@ -58,9 +57,12 @@ class ClientRequest:
     arrival_ts: int
 
 
-@dataclass(frozen=True)
-class CompletedRequest:
-    """A dispatched request and its outcome (result or error)."""
+class CompletedRequest(NamedTuple):
+    """A dispatched request and its outcome (result or error).
+
+    The front end hands each completion to its caller and keeps none:
+    only :class:`QueueTelemetry` outlives a statement.
+    """
 
     request: ClientRequest
     result: Optional[QueryResult]
@@ -107,7 +109,9 @@ class SessionScheduler:
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._queues: Dict[int, Deque[ClientRequest]] = {}
-        self._rr_order: Deque[int] = deque()  # fair-policy rotation
+        # Sessions with queued work in rotation order, maintained only under
+        # the FAIR policy: no other policy pops it, so it would only grow.
+        self._rr_order: Deque[int] = deque()
         # Global arrival order, maintained only under the FIFO policy (the
         # policy is fixed per scheduler): per-session queues are FIFO and
         # seqs are global, so FIFO dispatch is a single O(1) popleft here
@@ -145,7 +149,7 @@ class SessionScheduler:
             if queue is None:
                 queue = deque()
                 self._queues[session_id] = queue
-            if not queue:
+            if not queue and self.policy is SchedulingPolicy.FAIR:
                 self._rr_order.append(session_id)
             queue.append(request)
             if self.policy is SchedulingPolicy.FIFO:
@@ -213,7 +217,6 @@ class ServerFrontend:
         )
         self._lock = threading.Lock()
         self._sessions: Dict[int, Session] = {}
-        self._completed: List[CompletedRequest] = []
         server.attach_frontend(self)
 
     # -- sessions -------------------------------------------------------------
@@ -264,45 +267,33 @@ class ServerFrontend:
             return None
         session = self._sessions.get(request.session_id)
         if session is None:
-            completed = CompletedRequest(
-                request, None, "session closed before dispatch"
-            )
-            with self._lock:
-                self._completed.append(completed)
-            return completed
+            return CompletedRequest(request, None, "session closed before dispatch")
         try:
-            result = self.server.execute(session, request.sql)
-            completed = CompletedRequest(request, result, None)
-        except Exception as exc:
-            completed = CompletedRequest(
-                request, None, f"{type(exc).__name__}: {exc}"
+            return CompletedRequest(
+                request, self.server.execute(session, request.sql), None
             )
-        with self._lock:
-            self._completed.append(completed)
-        return completed
+        except Exception as exc:
+            return CompletedRequest(request, None, f"{type(exc).__name__}: {exc}")
 
-    def drain(self) -> int:
+    def drain(self) -> Tuple[CompletedRequest, ...]:
         """Run workers until every queued statement has been served.
 
-        Returns the number of statements dispatched. Worker rounds serve at
-        most ``num_workers`` statements before re-consulting the scheduler,
-        so FAIR/RANDOM policies re-evaluate readiness at the same cadence a
-        pool of blocking workers would.
+        Returns the completions served, in dispatch order; the front end
+        keeps none of them. Worker rounds serve at most ``num_workers``
+        statements before re-consulting the scheduler, so FAIR/RANDOM
+        policies re-evaluate readiness at the same cadence a pool of
+        blocking workers would.
         """
-        served = 0
+        served: List[CompletedRequest] = []
         while True:
-            progressed = 0
+            before = len(served)
             for _ in range(self.num_workers):
-                if self.dispatch_one() is None:
+                completed = self.dispatch_one()
+                if completed is None:
                     break
-                progressed += 1
-            served += progressed
-            if progressed == 0:
-                return served
-
-    @property
-    def completed(self) -> Tuple[CompletedRequest, ...]:
-        return tuple(self._completed)
+                served.append(completed)
+            if len(served) == before:
+                return tuple(served)
 
     def queue_telemetry(self) -> Dict[str, object]:
         """The ``scheduler_queue`` snapshot artifact payload."""

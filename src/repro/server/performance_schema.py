@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..errors import ServerError
 from ..memory import SimulatedHeap
@@ -30,8 +30,7 @@ from ..memory import SimulatedHeap
 DEFAULT_HISTORY_SIZE = 10
 
 
-@dataclass(frozen=True)
-class StatementEvent:
+class StatementEvent(NamedTuple):
     """One executed statement as performance_schema records it."""
 
     thread_id: int

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..clock import SimClock
 from ..engine import StorageEngine
@@ -141,8 +141,7 @@ class ServerConfig:
     wal_sync: bool = False
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """What the client gets back from one statement."""
 
     statement: str

@@ -1,8 +1,14 @@
 """Fixtures shared across test modules."""
 
 import pytest
+from hypothesis import settings
 
 from repro.wal import LogManager
+
+#: ``--hypothesis-profile=oracle-sweep``: the longer SQLite-oracle sweep
+#: (tests/test_sqlite_oracle.py), whose test takes hypothesis's budget
+#: from the active profile.
+settings.register_profile("oracle-sweep", max_examples=2000)
 
 
 @pytest.fixture

@@ -24,7 +24,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.memory import MemoryDump
 from repro.server import MySQLServer, ServerConfig
-from repro.server.frontend import SchedulingPolicy, ServerFrontend
+from repro.server.frontend import (
+    CompletedRequest,
+    SchedulingPolicy,
+    ServerFrontend,
+)
 from repro.snapshot import AttackScenario, capture
 
 #: Artifacts that exist only in one of the serial/concurrent pair.
@@ -160,8 +164,12 @@ def run_frontend(
     num_workers: int = 8,
     seed: int = 0,
     queue_capacity: int = 1 << 20,
-) -> Tuple[MySQLServer, ServerFrontend]:
-    """Run the same scripts through the scheduler front end."""
+) -> Tuple[MySQLServer, ServerFrontend, Tuple[CompletedRequest, ...]]:
+    """Run the same scripts through the scheduler front end.
+
+    Returns the server, the front end and the completions ``drain``
+    served, in dispatch order (the front end itself keeps none).
+    """
     server = MySQLServer(config)
     admin = server.connect("harness-admin")
     for statement in setup:
@@ -177,8 +185,7 @@ def run_frontend(
     sessions = [frontend.open_session(f"harness-{i}") for i in range(len(scripts))]
     for idx, statement in _arrival_order(scripts):
         frontend.submit(sessions[idx], statement)
-    frontend.drain()
-    return server, frontend
+    return server, frontend, frontend.drain()
 
 
 def artifact_fingerprint(

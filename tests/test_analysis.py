@@ -1,6 +1,7 @@
 """Tests for repro.analysis: the taint analyzer and leakage-spec gate."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,33 @@ class TestFixturePackages:
             ("plaintext", "capture")
         ]
         # And crucially: nothing stale — the documented flow IS observed.
+        assert not report.stale_documented
+
+    def test_function_reference_flow_through_a_namedtuple_field(self, tmp_path):
+        # The same registry with a NamedTuple record: its constructor's
+        # arguments are its fields, exactly as for a dataclass.
+        root = tmp_path / "fnref_pkg"
+        shutil.copytree(
+            FIXTURES / "fnref_pkg", root,
+            ignore=shutil.ignore_patterns(".repro-lint-cache"),
+        )
+        app = root / "src" / "fnref_pkg" / "app.py"
+        source = app.read_text()
+        for old, new in (
+            ("from dataclasses import dataclass\n", ""),
+            ("Callable, Dict, Tuple", "Callable, Dict, NamedTuple, Tuple"),
+            ("@dataclass(frozen=True)\nclass Provider:", "class Provider(NamedTuple):"),
+        ):
+            assert old in source
+            source = source.replace(old, new)
+        app.write_text(source)
+        report = run_analysis(
+            root / "src" / "fnref_pkg", "fnref_pkg", root / "leakage_spec.json"
+        )
+        assert report.exit_code == 0
+        assert [(f.taint, f.sink) for f in report.flows] == [
+            ("plaintext", "capture")
+        ]
         assert not report.stale_documented
 
 

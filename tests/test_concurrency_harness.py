@@ -170,7 +170,7 @@ class TestStressByteEquivalence:
     def test_64_sessions_8_shards_fifo_equals_serial(self):
         setup, scripts = stress_scripts()
         serial = run_serial(scripts, setup=setup, config=ServerConfig(**STRESS_CONFIG))
-        concurrent, frontend = run_frontend(
+        concurrent, frontend, _ = run_frontend(
             scripts,
             setup=setup,
             config=ServerConfig(**STRESS_CONFIG),
@@ -206,15 +206,17 @@ class TestStressByteEquivalence:
 class TestSchedulerQueueTelemetryArtifact:
     def test_fifo_dispatch_order_equals_arrival_order(self):
         scripts = [["SELECT id FROM t"] for _ in range(6)]
-        _, frontend = run_frontend(scripts, setup=SETUP)
-        order = [c.request.session_id for c in frontend.completed]
-        arrivals = [c.request.seq for c in frontend.completed]
+        _, _, completed = run_frontend(scripts, setup=SETUP)
+        assert len(completed) == 6
+        assert all(c.error is None for c in completed)
+        order = [c.request.session_id for c in completed]
+        arrivals = [c.request.seq for c in completed]
         assert arrivals == sorted(arrivals)
         assert order == sorted(order, key=lambda s: order.index(s))
 
     def test_queue_telemetry_counts(self):
         scripts = [["SELECT id FROM t", "SELECT v FROM t"] for _ in range(3)]
-        _, frontend = run_frontend(scripts, setup=SETUP)
+        _, frontend, _ = run_frontend(scripts, setup=SETUP)
         telemetry = frontend.queue_telemetry()
         assert len(telemetry["arrivals"]) == 6
         # Arrival records carry (seq, session_id, arrival_ts).

@@ -116,8 +116,7 @@ class TestServerFrontend:
         _, frontend = self.make()
         session = frontend.open_session()
         frontend.submit(session, "SELECT id FROM missing_table")
-        frontend.drain()
-        (done,) = frontend.completed
+        (done,) = frontend.drain()
         assert done.result is None
         assert done.error is not None
         assert "missing_table" in done.error
@@ -132,7 +131,11 @@ class TestServerFrontend:
             frontend.submit(
                 session, f"INSERT INTO t (id, v) VALUES ({i}, {i})"
             )
-        assert frontend.drain() == 10
+        completed = frontend.drain()
+        assert len(completed) == 10
+        assert [c.request.seq for c in completed] == list(range(10))
+        assert all(c.error is None for c in completed)
+        assert completed[-1].result.rows_affected == 1
         result = server.execute(
             server.connect("check"), "SELECT COUNT(*) FROM t"
         )

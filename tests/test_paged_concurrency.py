@@ -67,13 +67,13 @@ class TestEvictionUnderConcurrency:
 
     def test_deep_eviction_via_frontend(self):
         scripts = round_robin_scripts(write_heavy_statements(), 6)
-        server, frontend = run_frontend(
+        server, _, completed = run_frontend(
             scripts, setup=SETUP, config=paged_config(num_shards=4)
         )
         stats = pool_stats(server)
         assert stats["evictions"] > 0
         assert stats["pinned"] == 0
-        assert len(frontend.completed) == sum(len(s) for s in scripts)
+        assert len(completed) == sum(len(s) for s in scripts)
 
 
 class TestSerialFrontendEquivalence:
@@ -81,7 +81,7 @@ class TestSerialFrontendEquivalence:
         scripts = round_robin_scripts(write_heavy_statements(), 6)
         config = paged_config(num_shards=4)
         serial = run_serial(scripts, setup=SETUP, config=config)
-        concurrent, _ = run_frontend(scripts, setup=SETUP, config=config)
+        concurrent, _, _ = run_frontend(scripts, setup=SETUP, config=config)
         serial_fp = artifact_fingerprint(serial)
         concurrent_fp = artifact_fingerprint(concurrent)
         assert set(serial_fp) == set(concurrent_fp)
