@@ -2,10 +2,12 @@
 
 Two records land in ``BENCH_wal.json``:
 
-* ``wal_append`` — staged ``append_redo`` throughput (records/s) with
-  per-record latency percentiles. Appends only frame + stage bytes in
-  memory (nothing reaches the segment files until a flush), so this is
-  the upper bound every transaction pays per change.
+* ``wal_append`` — staged row-change throughput (changes/s) with
+  per-change latency percentiles: encode an insert's undo and redo bodies
+  and ``append_row_change`` them, as ``StorageEngine.insert`` does.
+  Appends only frame + stage bytes in memory (nothing reaches the segment
+  files until a flush), so this is the upper bound every transaction
+  pays per change.
 * ``wal_group_flush`` — committed-transaction throughput through a paged
   engine with the durable on-disk WAL (``wal_sync=False``: the group-flush
   write path without the fsync constant, which a shared CI container
@@ -22,7 +24,7 @@ from typing import List
 
 from repro.engine import StorageEngine
 from repro.wal import LogManager
-from repro.wal.records import RedoRecord
+from repro.wal.records import _encode_body
 
 N_APPENDS = 50_000
 N_COMMITS = 1_500
@@ -33,9 +35,10 @@ def test_wal_append_throughput(bench_json, report, tmp_path):
     manager = LogManager(wal_dir=str(tmp_path))
     latencies: List[float] = []
     for i in range(N_APPENDS):
-        record = RedoRecord(1, "t", "insert", i, PAYLOAD)
         start = time.perf_counter()
-        manager.append_redo(record)
+        undo = _encode_body(1, "t", "insert", i, b"")
+        redo = _encode_body(1, "t", "insert", i, PAYLOAD)
+        manager.append_row_change("t", undo, redo)
         latencies.append(time.perf_counter() - start)
     ops = N_APPENDS / sum(latencies)
 
@@ -43,8 +46,8 @@ def test_wal_append_throughput(bench_json, report, tmp_path):
     report(
         "bench_wal_append",
         [
-            f"appends                  {N_APPENDS}",
-            f"appends/s                {ops:,.0f}",
+            f"row changes              {N_APPENDS}",
+            f"row changes/s            {ops:,.0f}",
             f"staged frames            {manager.stats['pending_frames']}",
         ],
     )

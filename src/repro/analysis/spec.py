@@ -812,15 +812,16 @@ def load_spec(path) -> LeakageSpec:
         # observed params (union); entries with a sink id + category add a
         # new sink. Done at load time so the taint engine needs no
         # volume-specific sink handling.
-        by_callable = {s.callable: idx for idx, s in enumerate(sinks)}
+        by_callable: Dict[str, List[int]] = {}
+        for idx, snk in enumerate(sinks):
+            by_callable.setdefault(snk.callable, []).append(idx)
         for i, entry in enumerate(raw_volume.get("sinks", [])):
             try:
                 cal = entry["callable"]
                 extra = _as_tuple(
                     entry.get("params"), f"volume_surface.sinks[{i}].params"
                 )
-                if cal in by_callable:
-                    idx = by_callable[cal]
+                for idx in by_callable.get(cal, ()):
                     prev = sinks[idx]
                     merged = (
                         tuple(dict.fromkeys(prev.params + extra))
@@ -834,7 +835,7 @@ def load_spec(path) -> LeakageSpec:
                         params=merged,
                         note=prev.note,
                     )
-                else:
+                if cal not in by_callable:
                     sinks.append(
                         SinkSpec(
                             callable=cal,
@@ -844,7 +845,7 @@ def load_spec(path) -> LeakageSpec:
                             note=entry.get("note", ""),
                         )
                     )
-                    by_callable[cal] = len(sinks) - 1
+                    by_callable[cal] = [len(sinks) - 1]
             except (KeyError, TypeError) as exc:
                 raise AnalysisError(
                     f"{path}: volume_surface.sinks[{i}] malformed: {exc}"

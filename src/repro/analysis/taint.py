@@ -216,7 +216,9 @@ class TaintEngine:
 
         self.return_sources: Dict[str, str] = {}
         self.param_source_seeds: List[Tuple[str, str, str]] = []  # fn, param, taint
-        self.sinks: Dict[str, SinkSpec] = {}
+        #: callable -> its sinks; one callable may feed several sink ids,
+        #: each through its own ``params``.
+        self.sinks: Dict[str, Tuple[SinkSpec, ...]] = {}
         self.sanitizers: Set[str] = set()
         self.artifacts: Set[str] = set()
         self.release_points: Set[str] = set()
@@ -297,7 +299,7 @@ class TaintEngine:
         for snk in self.spec.sinks:
             qual = resolve(snk.callable, "sink")
             if qual is not None:
-                self.sinks[qual] = snk
+                self.sinks[qual] = self.sinks.get(qual, ()) + (snk,)
         for name in self.spec.sanitizers:
             qual = resolve(name, "sanitizer")
             if qual is not None:
@@ -1137,8 +1139,7 @@ class TaintEngine:
                         self._write_attr(cls_qual, name, value.kinds, node.lineno)
                     if value.funcs:
                         self._write_attr_funcs(cls_qual, name, value.funcs)
-        sink = self.sinks.get(cls_qual)
-        if sink is not None:
+        for sink in self.sinks.get(cls_qual, ()):
             self._hit_sink(sink, cls_qual, all_kinds, node.lineno)
         taint = self.return_sources.get(cls_qual)
         if taint is not None:
@@ -1236,8 +1237,7 @@ class TaintEngine:
         if changed:
             self._enqueue(qual)
 
-        sink = self.sinks.get(qual)
-        if sink is not None:
+        for sink in self.sinks.get(qual, ()):
             if sink.params:
                 observed: FrozenSet[str] = _EMPTY
                 for pname in sink.params:

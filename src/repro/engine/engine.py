@@ -16,11 +16,16 @@ import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..clock import SimClock
-from ..errors import ConcurrentTransactionError, EngineError, TransactionError
+from ..errors import (
+    ConcurrentTransactionError,
+    EngineError,
+    LogError,
+    TransactionError,
+)
 from ..obs.instrumentation import NO_OP_INSTRUMENTATION, Instrumentation
 from ..storage.paged import AccessPath, BufferPoolManager, PagedTable, PageFile
 from ..wal.log_manager import DEFAULT_CAPACITY, DEFAULT_SEGMENT_BYTES, LogManager
-from ..wal.records import RedoRecord, UndoRecord
+from ..wal.records import RedoRecord, _encode_body
 from .binlog import Binlog
 from .mvcc import MVCCManager
 from .transaction import Transaction
@@ -208,7 +213,7 @@ class StorageEngine:
         if txn_id is None:
             txn_id = self._next_txn_id
         self._next_txn_id = max(self._next_txn_id, txn_id) + 1
-        txn = Transaction(txn_id=txn_id, snapshot_lsn=self.lsn.current)
+        txn = Transaction(txn_id=txn_id)
         self.wal.append_begin(txn_id)
         self._active_txn_ids.add(txn.txn_id)
         if self.mvcc is not None:
@@ -220,7 +225,7 @@ class StorageEngine:
         txn.mark_committed()
         self._active_txn_ids.discard(txn.txn_id)
         if self.mvcc is not None:
-            self.mvcc.commit(txn, commit_lsn=self.lsn.current)
+            self.mvcc.commit(txn)
         if txn.is_write and self.binlog.enabled:
             timestamp = self.clock.timestamp()
             for statement in txn.statements or ["<unlogged statement>"]:
@@ -290,21 +295,17 @@ class StorageEngine:
     # -- writes ----------------------------------------------------------------
 
     def insert(self, txn: Transaction, table: str, key: int, row: bytes) -> AccessPath:
-        """Insert a row, logging redo (after) and undo (empty before)."""
+        """Insert a row, logging undo (empty before-image) and redo (after)."""
         _, tree = self._lookup(table)
         if self.mvcc is not None:
             self.mvcc.check_write(txn, table, key)
+        undo = _encode_body(txn.txn_id, table, _INSERT, key, b"")
+        redo = _encode_body(txn.txn_id, table, _INSERT, key, row)
+        self.wal.check_row_change(undo, redo)
         with self.obs.span("storage.insert", table=table):
             path = tree.insert(key, row)
+        txn.note_lsn(self.wal.append_row_change(table, undo, redo))
         self.obs.count("engine.rows_written", label=table)
-        self.wal.append_undo(
-            UndoRecord(txn.txn_id, table, _INSERT, key, b"")
-        )
-        txn.note_lsn(
-            self.wal.append_redo(
-                RedoRecord(txn.txn_id, table, _INSERT, key, row)
-            )
-        )
         if self.mvcc is not None:
             self.mvcc.record_write(
                 txn, table, key, _INSERT, b"", self.lsn.current
@@ -317,17 +318,19 @@ class StorageEngine:
         _, tree = self._lookup(table)
         if self.mvcc is not None:
             self.mvcc.check_write(txn, table, key)
+        redo = _encode_body(txn.txn_id, table, _UPDATE, key, row)
+        # The before-image, and so the undo body, comes out of the tree.
+        self.wal.check_row_change(b"", redo)
         with self.obs.span("storage.update", table=table):
             before, path = tree.update(key, row)
+        undo = _encode_body(txn.txn_id, table, _UPDATE, key, before)
+        try:
+            lsn = self.wal.append_row_change(table, undo, redo)
+        except LogError:
+            tree.update(key, before)  # the log refused the change
+            raise
+        txn.note_lsn(lsn)
         self.obs.count("engine.rows_written", label=table)
-        self.wal.append_undo(
-            UndoRecord(txn.txn_id, table, _UPDATE, key, before)
-        )
-        txn.note_lsn(
-            self.wal.append_redo(
-                RedoRecord(txn.txn_id, table, _UPDATE, key, row)
-            )
-        )
         if self.mvcc is not None:
             self.mvcc.record_write(
                 txn, table, key, _UPDATE, before, self.lsn.current
@@ -340,17 +343,19 @@ class StorageEngine:
         _, tree = self._lookup(table)
         if self.mvcc is not None:
             self.mvcc.check_write(txn, table, key)
+        redo = _encode_body(txn.txn_id, table, _DELETE, key, b"")
+        # The before-image, and so the undo body, comes out of the tree.
+        self.wal.check_row_change(b"", redo)
         with self.obs.span("storage.delete", table=table):
             before, path = tree.delete(key)
+        undo = _encode_body(txn.txn_id, table, _DELETE, key, before)
+        try:
+            lsn = self.wal.append_row_change(table, undo, redo)
+        except LogError:
+            tree.insert(key, before)  # the log refused the change
+            raise
+        txn.note_lsn(lsn)
         self.obs.count("engine.rows_written", label=table)
-        self.wal.append_undo(
-            UndoRecord(txn.txn_id, table, _DELETE, key, before)
-        )
-        txn.note_lsn(
-            self.wal.append_redo(
-                RedoRecord(txn.txn_id, table, _DELETE, key, b"")
-            )
-        )
         if self.mvcc is not None:
             self.mvcc.record_write(
                 txn, table, key, _DELETE, before, self.lsn.current

@@ -8,9 +8,12 @@ InnoDB-style MVCC:
 * the B+ tree always holds the **newest** write (possibly uncommitted), and
   every row carries a **version chain** of before-images — the shape of
   InnoDB's undo chains — keyed by the write's LSN;
-* readers reconstruct the row as of their **snapshot LSN** by walking the
+* readers reconstruct the row as of their **snapshot** by walking the
   chain past versions that are uncommitted or committed after the snapshot
-  (no dirty reads, repeatable snapshot reads);
+  (no dirty reads, repeatable snapshot reads). A snapshot is the number of
+  commits stamped before the reader began, not an LSN: a commit record
+  advances the LSN by zero bytes, so a transaction that commits right
+  after another begins shares its LSN yet is not in its snapshot;
 * writers take **first-writer-wins** conflict detection: touching a row
   that an uncommitted transaction already wrote, or that committed after
   the writer's snapshot, raises :class:`~repro.errors.WriteConflictError`
@@ -27,27 +30,42 @@ state that was never meant to reach the disk logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..errors import TransactionError, WriteConflictError
 from .transaction import Transaction
 
+#: The chain map of a table without chains: lookups allocate nothing.
+_NO_CHAINS: Mapping[int, "RowVersion"] = MappingProxyType({})
 
-@dataclass
+
 class RowVersion:
     """One link of a row's version chain: the before-image of a write.
 
-    ``commit_lsn`` is ``None`` while the writing transaction is active.
+    ``commit_seq`` is ``None`` while the writing transaction is active,
+    then the manager's commit count including this commit.
     ``before_image`` is the serialized row the write replaced (``b""`` when
     the row did not exist — i.e. this version is an insert).
     """
 
-    txn_id: int
-    lsn: int
-    op: str
-    before_image: bytes
-    commit_lsn: Optional[int] = None
-    prev: Optional["RowVersion"] = None
+    __slots__ = ("txn_id", "lsn", "op", "before_image", "commit_seq", "prev")
+
+    def __init__(
+        self,
+        txn_id: int,
+        lsn: int,
+        op: str,
+        before_image: bytes,
+        commit_seq: Optional[int] = None,
+        prev: Optional["RowVersion"] = None,
+    ) -> None:
+        self.txn_id = txn_id
+        self.lsn = lsn
+        self.op = op
+        self.before_image = before_image
+        self.commit_seq = commit_seq
+        self.prev = prev
 
     def chain_length(self) -> int:
         length, node = 0, self
@@ -80,7 +98,10 @@ class MVCCManager:
     def __init__(self) -> None:
         #: table -> key -> newest version (chain head).
         self._chains: Dict[str, Dict[int, RowVersion]] = {}
-        #: txn_id -> snapshot LSN of every active (begun, unfinished) txn.
+        #: Commits stamped so far; a commit's versions carry the new count.
+        self._commits = 0
+        #: txn_id -> snapshot (commits stamped before it began) of every
+        #: active (begun, unfinished) txn.
         self._active: Dict[int, int] = {}
         #: txn_id -> rows written, in write order.
         self._writes: Dict[int, List[Tuple[str, int]]] = {}
@@ -88,7 +109,7 @@ class MVCCManager:
     # -- transaction lifecycle --------------------------------------------
 
     def begin(self, txn: Transaction) -> None:
-        self._active[txn.txn_id] = txn.snapshot_lsn
+        self._active[txn.txn_id] = self._commits
         self._writes[txn.txn_id] = []
 
     @property
@@ -106,20 +127,22 @@ class MVCCManager:
             raise TransactionError(
                 f"transaction {txn.txn_id} is not registered with MVCC"
             )
-        head = self._chains.get(table, {}).get(key)
+        head = self._chains.get(table, _NO_CHAINS).get(key)
         if head is None:
             return
-        if head.commit_lsn is None and head.txn_id != txn.txn_id:
+        if head.commit_seq is None and head.txn_id != txn.txn_id:
             raise WriteConflictError(
                 f"txn {txn.txn_id} lost write-write conflict on "
                 f"{table}[{key}]: txn {head.txn_id} wrote it first and is "
                 "uncommitted (first-writer-wins)"
             )
-        if head.commit_lsn is not None and head.commit_lsn > txn.snapshot_lsn:
+        snapshot = self._active[txn.txn_id]
+        if head.commit_seq is not None and head.commit_seq > snapshot:
             raise WriteConflictError(
                 f"txn {txn.txn_id} lost write-write conflict on "
-                f"{table}[{key}]: committed at LSN {head.commit_lsn}, after "
-                f"this transaction's snapshot LSN {txn.snapshot_lsn}"
+                f"{table}[{key}]: txn {head.txn_id} committed it (commit "
+                f"{head.commit_seq}) after this transaction's snapshot "
+                f"(commit {snapshot})"
             )
 
     def record_write(
@@ -127,24 +150,25 @@ class MVCCManager:
         before_image: bytes, lsn: int,
     ) -> None:
         """Push a new uncommitted version at the head of the row's chain."""
-        chain = self._chains.setdefault(table, {})
-        head = chain.get(key)
+        chain = self._chains.get(table)
+        if chain is None:
+            chain = self._chains[table] = {}
         chain[key] = RowVersion(
-            txn_id=txn.txn_id, lsn=lsn, op=op,
-            before_image=before_image, prev=head,
+            txn.txn_id, lsn, op, before_image, None, chain.get(key)
         )
         self._writes[txn.txn_id].append((table, key))
 
     # -- commit / rollback -------------------------------------------------
 
-    def commit(self, txn: Transaction, commit_lsn: int) -> None:
+    def commit(self, txn: Transaction) -> None:
         """Stamp the transaction's versions committed, then truncate."""
         touched = self._finish(txn)
+        self._commits += 1
         for table, key in touched:
-            node = self._chains.get(table, {}).get(key)
-            while node is not None and node.commit_lsn is None:
+            node = self._chains.get(table, _NO_CHAINS).get(key)
+            while node is not None and node.commit_seq is None:
                 if node.txn_id == txn.txn_id:
-                    node.commit_lsn = commit_lsn
+                    node.commit_seq = self._commits
                 node = node.prev
         if not self._active:
             self._clear_committed()
@@ -156,9 +180,9 @@ class MVCCManager:
         """Drop the transaction's (contiguous, newest) versions."""
         touched = self._finish(txn)
         for table, key in touched:
-            chain = self._chains.get(table, {})
+            chain = self._chains[table]  # record_write created it
             head = chain.get(key)
-            while head is not None and head.commit_lsn is None and (
+            while head is not None and head.commit_seq is None and (
                 head.txn_id == txn.txn_id
             ):
                 head = head.prev
@@ -192,7 +216,7 @@ class MVCCManager:
         """
         for table in list(self._chains):
             chain = self._chains[table]
-            dead = [k for k, head in chain.items() if head.commit_lsn is not None]
+            dead = [k for k, head in chain.items() if head.commit_seq is not None]
             for key in dead:
                 del chain[key]
 
@@ -211,13 +235,13 @@ class MVCCManager:
             return
         horizon = self.oldest_active_snapshot()
         if horizon is None:
-            if head.commit_lsn is not None:
+            if head.commit_seq is not None:
                 del chain[key]
             return
         node = head
         while node is not None:
             visible_to_oldest = (
-                node.commit_lsn is not None and node.commit_lsn <= horizon
+                node.commit_seq is not None and node.commit_seq <= horizon
             )
             if visible_to_oldest:
                 node.prev = None
@@ -239,11 +263,18 @@ class MVCCManager:
         still no dirty reads). Returns ``None`` when the row is invisible
         at the snapshot.
         """
-        head = self._chains.get(table, {}).get(key)
+        node = self._chains.get(table, _NO_CHAINS).get(key)
+        if node is None:
+            return current
+        if txn is None:
+            reader, snapshot = None, self._commits  # latest committed
+        else:
+            reader, snapshot = txn.txn_id, self._snapshot(txn)
         value = current
-        node = head
         while node is not None:
-            if self._visible(node, txn):
+            if node.txn_id == reader:
+                break  # read-your-own-writes
+            if node.commit_seq is not None and node.commit_seq <= snapshot:
                 break
             value = node.before_image if node.before_image else None
             node = node.prev
@@ -296,15 +327,13 @@ class MVCCManager:
             out.sort(key=lambda kv: kv[0])
         return out
 
-    @staticmethod
-    def _visible(version: RowVersion, txn: Optional[Transaction]) -> bool:
-        if txn is not None and version.txn_id == txn.txn_id:
-            return True  # read-your-own-writes
-        if version.commit_lsn is None:
-            return False
-        if txn is None:
-            return True  # latest committed
-        return version.commit_lsn <= txn.snapshot_lsn
+    def _snapshot(self, txn: Transaction) -> int:
+        try:
+            return self._active[txn.txn_id]
+        except KeyError:
+            raise TransactionError(
+                f"transaction {txn.txn_id} is not active under MVCC"
+            ) from None
 
     # -- introspection / artifacts ----------------------------------------
 
@@ -318,14 +347,14 @@ class MVCCManager:
                 length, uncommitted, node = 0, 0, head
                 while node is not None:
                     length += 1
-                    if node.commit_lsn is None:
+                    if node.commit_seq is None:
                         uncommitted += 1
                     node = node.prev
                 stats.append(MvccChainStat(table, key, length, uncommitted))
         return tuple(stats)
 
     def chain_length(self, table: str, key: int) -> int:
-        head = self._chains.get(table, {}).get(key)
+        head = self._chains.get(table, _NO_CHAINS).get(key)
         return head.chain_length() if head is not None else 0
 
     @property

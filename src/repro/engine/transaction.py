@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple
 
 from ..errors import TransactionError
 
@@ -21,8 +21,7 @@ class TransactionState(enum.Enum):
     ROLLED_BACK = "rolled_back"
 
 
-@dataclass
-class _Change:
+class _Change(NamedTuple):
     """One applied row change, kept for rollback."""
 
     table: str
@@ -36,13 +35,11 @@ class _Change:
 class Transaction:
     """A unit of work over the storage engine.
 
-    ``snapshot_lsn`` is the engine LSN at :meth:`StorageEngine.begin` time;
-    under MVCC it fixes the snapshot this transaction reads (committed
-    versions with ``commit_lsn <= snapshot_lsn`` plus its own writes).
+    Under MVCC the engine's :class:`~repro.engine.mvcc.MVCCManager` fixes
+    the snapshot this transaction reads when it begins.
     """
 
     txn_id: int
-    snapshot_lsn: int = 0
     statements: List[str] = field(default_factory=list)
     state: TransactionState = TransactionState.ACTIVE
     #: LSNs of this transaction's first and last redo records (-1 while the

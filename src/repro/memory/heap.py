@@ -211,16 +211,41 @@ class BumpArena:
     def alloc_strs(self, texts: Sequence[str]) -> None:
         """Copy each string in order, as one :meth:`alloc_str` each would.
 
-        When they all fit the current chunk they go to the heap in one
-        write, which leaves the same bytes the one-by-one copies would.
+        Each string lands exactly where :meth:`alloc` would put it, but
+        the strings that share a chunk go to the heap in one write: one
+        write when they all fit the current chunk, otherwise one per chunk
+        run. An oversized string still gets its own dedicated chunk. The
+        heap bytes, its stats and the chunk list are the ones the
+        one-by-one copies leave.
         """
         data = "".join(texts).encode("utf-8")
-        if self._cursor + len(data) > self._chunk_size:
-            for text in texts:  # crosses a chunk boundary: one at a time
-                self.alloc(text.encode("utf-8"))
+        if self._cursor + len(data) <= self._chunk_size:
+            self._heap.write(self._chunks[-1], data, offset=self._cursor)
+            self._cursor += len(data)
             return
-        self._heap.write(self._chunks[-1], data, offset=self._cursor)
-        self._cursor += len(data)
+        heap, chunk_size = self._heap, self._chunk_size
+        run: List[bytes] = []
+        run_start = self._cursor
+        for text in texts:
+            piece = text.encode("utf-8")
+            size = len(piece)
+            if self._cursor + size <= chunk_size:
+                run.append(piece)
+                self._cursor += size
+                continue
+            if run:
+                heap.write(self._chunks[-1], b"".join(run), offset=run_start)
+            if size > chunk_size:
+                self.alloc(piece)
+                run = []
+                run_start = self._cursor
+                continue
+            self._chunks.append(heap.malloc(chunk_size, tag=f"{self._tag}/chunk"))
+            run = [piece]
+            run_start = 0
+            self._cursor = size
+        if run:
+            heap.write(self._chunks[-1], b"".join(run), offset=run_start)
 
     def reset(self) -> None:
         """End-of-statement cleanup: rewind, free overflow chunks.

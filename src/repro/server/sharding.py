@@ -75,9 +75,8 @@ class ShardStat:
 class ShardedTransaction:
     """A cross-shard transaction: one global id, lazy per-shard branches."""
 
-    def __init__(self, txn_id: int, snapshot_lsn: int = 0) -> None:
+    def __init__(self, txn_id: int) -> None:
         self.txn_id = txn_id
-        self.snapshot_lsn = snapshot_lsn
         self.state = TransactionState.ACTIVE
         self.statements: List[str] = []
         self._current_statement: Optional[str] = None
@@ -421,7 +420,7 @@ class ShardedEngine:
         if txn_id is None:
             txn_id = self._next_txn_id
         self._next_txn_id = max(self._next_txn_id, txn_id) + 1
-        txn = ShardedTransaction(txn_id, snapshot_lsn=self.lsn.current)
+        txn = ShardedTransaction(txn_id)
         self._active_txn_ids.add(txn.txn_id)
         return txn
 

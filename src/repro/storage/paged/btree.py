@@ -148,10 +148,18 @@ class PagedBTree:
         self, key: int, path: Optional[AccessPath]
     ) -> List[Frame]:
         """Pin the whole root-to-leaf path (split/unlink propagation)."""
-        stack = [self._fetch(self._root_id, path)]
+        fetch, file = self._pool.fetch, self._file
+        page_id = self._root_id
+        stack = [fetch(file, page_id)]
         try:
-            while isinstance(stack[-1].node, InternalNode):
-                stack.append(self._fetch(stack[-1].node.route(key), path))
+            while True:
+                if path is not None:
+                    path.touch(page_id)
+                node = stack[-1].node
+                if not isinstance(node, InternalNode):
+                    break
+                page_id = node.route(key)
+                stack.append(fetch(file, page_id))
         except BaseException:
             self._unpin_all(stack)
             raise

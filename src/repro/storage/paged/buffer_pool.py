@@ -84,6 +84,7 @@ class Frame:
         "slot",
         "file",
         "page_id",
+        "key",
         "node",
         "pin_count",
         "dirty",
@@ -97,6 +98,8 @@ class Frame:
         self.slot = slot
         self.file = file
         self.page_id = node.page_id
+        #: ``(space_id, page_id)``: the page-table and recency key.
+        self.key: Tuple[int, int] = (file.space_id, node.page_id)
         self.node = node
         self.pin_count = 0
         self.dirty = False
@@ -110,10 +113,6 @@ class Frame:
         self.page_lsn = 0
         self.access_count = 0
         self.ref_bit = True
-
-    @property
-    def key(self) -> Tuple[int, int]:
-        return (self.file.space_id, self.page_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -197,7 +196,9 @@ class BufferPoolManager:
             frame = self._frames[slot]
             self._hits += 1
             self._obs.count("buffer_pool.hits")
-            self._touch(frame)
+            frame.access_count += 1
+            frame.ref_bit = True
+            self._recency.move_to_end(key)
             frame.pin_count += 1
             return frame
         self._misses += 1
@@ -282,11 +283,6 @@ class BufferPoolManager:
         self._page_table[frame.key] = slot
         self._recency[frame.key] = None
         return frame
-
-    def _touch(self, frame: Frame) -> None:
-        frame.access_count += 1
-        frame.ref_bit = True
-        self._recency.move_to_end(frame.key)
 
     def _evict_slot(self) -> None:
         if self.policy is EvictionPolicy.LRU:

@@ -3,13 +3,14 @@
 :class:`LogManager` owns the monotone :class:`~repro.wal.lsn.LsnCounter`
 and every log append in the engine goes through it:
 
-* ``append_redo`` / ``append_undo`` — the byte-level row images of paper
-  §3. They advance the LSN by the record's serialized length and are also
-  retained in capacity-bounded :class:`LogStream` windows, the circular
-  redo and undo logs the engine exposes as ``redo_log`` / ``undo_log``
-  (the E2/E5/E13 snapshot artifacts). A window holds each record's LSN
-  and body bytes and nothing else; its structured views decode those
-  bytes on demand, so the artifact and the views come from one source.
+* ``append_row_change`` — the byte-level row images of paper §3: one row
+  change's undo body, then its redo body. Each advances the LSN by its
+  length and is also retained in a capacity-bounded :class:`LogStream`
+  window, the circular redo and undo logs the engine exposes as
+  ``redo_log`` / ``undo_log`` (the E2/E5/E13 snapshot artifacts). A
+  window holds each record's LSN and body bytes and nothing else; its
+  structured views decode those bytes on demand, so the artifact and the
+  views come from one source.
 * ``append_clr`` / txn lifecycle / checkpoints / table registration — new
   control records for ARIES recovery. They are stamped with the current
   LSN but advance it by **zero** bytes, keeping the logical redo stream
@@ -327,6 +328,47 @@ class LogManager:
     def _ensure_open(self) -> None:
         if self._closed:
             raise WalError("log manager is closed")
+
+    def check_row_change(self, undo: bytes, redo: bytes) -> None:
+        """Raise unless a row change with these bodies can be appended.
+
+        :class:`WalError` when the log is closed, :class:`LogError` when a
+        body is larger than its window could ever retain. Appends nothing,
+        so a writer calls it before it changes the tree.
+        """
+        self._ensure_open()
+        if self._replaying:
+            return
+        self.undo_stream.check_fits(undo)
+        self.redo_stream.check_fits(redo)
+
+    def append_row_change(self, table: str, undo: bytes, redo: bytes) -> int:
+        """Append one row change: its undo body, then its redo body.
+
+        Each body is stamped with the LSN, which then advances by the
+        body's length, admitted to its window and staged as a frame. Both
+        bodies are checked first, so a rejected change appends neither.
+        Returns the redo body's LSN.
+        """
+        self.check_row_change(undo, redo)
+        if self._replaying:
+            return self.lsn.current
+        obs = self._obs
+        with obs.span("log.append", table=table, detail="undo"):
+            lsn = self.lsn.advance(len(undo))
+            self.undo_stream.admit(lsn, undo)
+            self._stage(lsn, WalRecordType.UNDO, undo)
+        obs.count("undo.appended_bytes", n=len(undo))
+        with obs.span("log.append", table=table, detail="redo"):
+            lsn = self.lsn.advance(len(redo))
+            self.redo_stream.admit(lsn, redo)
+            self._stage(lsn, WalRecordType.REDO, redo)
+        obs.count("redo.appended_bytes", n=len(redo))
+        return lsn
+
+    # The repository benchmark's per-layer tracer (``perfbench/tracer.py``)
+    # still patches these two by name; nothing in the engine calls them.
+    # Delete them together with the tracer's two ``wal.append`` rows.
 
     def append_redo(self, record: RedoRecord) -> int:
         """Append a redo after-image; returns its LSN (advances by length)."""

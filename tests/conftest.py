@@ -9,6 +9,9 @@ from repro.wal import LogManager
 #: (tests/test_sqlite_oracle.py), whose test takes hypothesis's budget
 #: from the active profile.
 settings.register_profile("oracle-sweep", max_examples=2000)
+#: ``--hypothesis-profile=history-sweep``: the longer one-engine isolation
+#: sweep (tests/test_history_checker.py).
+settings.register_profile("history-sweep", max_examples=2000)
 
 
 @pytest.fixture

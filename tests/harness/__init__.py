@@ -5,7 +5,8 @@ session front end in :mod:`repro.server.frontend`, and sharding in
 :mod:`repro.server.sharding`): every interleaving is driven by a seeded
 scheduler over the simulated clock, so a failing interleaving replays
 exactly from its printed seed. See :mod:`.driver` for
-the drivers and :mod:`.workloads` for the E7/E13-shaped statement streams.
+the drivers, :mod:`.workloads` for the E7/E13-shaped statement streams and
+:mod:`.history` for the Adya-style isolation checker.
 """
 
 from .driver import (

@@ -418,6 +418,14 @@ class TestRealTree:
         assert ("key", "heap") in pairs
         assert ("key", "snapshot") in pairs
 
+    def test_one_append_feeds_both_row_logs(self, repo_report):
+        # LogManager.append_row_change is two sinks, one per body param.
+        append = "repro.wal.log_manager.LogManager.append_row_change"
+        sinks = {
+            f.sink for f in repo_report.flows if f.sink_callable == append
+        }
+        assert sinks == {"redo_log", "undo_log"}
+
     def test_key_never_reaches_persistence(self, repo_report):
         spec = repo_report.spec
         for flow in repo_report.flows:

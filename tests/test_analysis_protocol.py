@@ -207,6 +207,33 @@ class TestRealTree:
         assert gated == []
 
 
+class TestDurabilityRealEngine:
+    """The durability gate still sees the engine's one row-change append."""
+
+    def _copy_tree(self, tmp_path):
+        shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "repro")
+        shutil.copy(REPO_ROOT / "leakage_spec.json", tmp_path / "leakage_spec.json")
+        return tmp_path / "repro" / "engine" / "engine.py"
+
+    def _unlogged(self, tmp_path):
+        report = run_analysis(
+            tmp_path / "repro", "repro", tmp_path / "leakage_spec.json"
+        )
+        return sorted(
+            v.function
+            for v in report.violations
+            if v.rule == "durability-unlogged-mutation"
+        )
+
+    def test_removing_the_append_from_insert_fires(self, tmp_path):
+        engine_py = self._copy_tree(tmp_path)
+        source = engine_py.read_text()
+        logged = "txn.note_lsn(self.wal.append_row_change(table, undo, redo))"
+        assert source.count(logged) == 1
+        engine_py.write_text(source.replace(logged, "txn.note_lsn(self.lsn.current)"))
+        assert self._unlogged(tmp_path) == ["repro.engine.engine.StorageEngine.insert"]
+
+
 class TestExplainCli:
     def test_explain_known_rule(self, capsys):
         assert cli_main(["--explain", "protocol-dirty-unpin"]) == 0

@@ -19,6 +19,15 @@ def _redo(i, table="t", image=b"x" * 10):
     return RedoRecord(txn_id=i, table=table, op="insert", key=i, after_image=image)
 
 
+def _undo(i, table="t", image=b""):
+    return UndoRecord(txn_id=i, table=table, op="insert", key=i, before_image=image)
+
+
+def _append(wal, i):
+    """Log insert ``i``: an empty undo body, then ``_redo(i)``."""
+    return wal.append_row_change("t", _undo(i).to_bytes(), _redo(i).to_bytes())
+
+
 class TestCircularLog:
     """The engine's redo/undo windows: the LogManager's retention streams."""
 
@@ -32,7 +41,7 @@ class TestCircularLog:
     def test_oversized_record_rejected(self, make_wal):
         wal = make_wal(redo_capacity=8)
         with pytest.raises(LogError):
-            wal.append_redo(_redo(1))
+            _append(wal, 1)
         assert wal.lsn.current == 0  # rejected before any LSN is assigned
 
     def test_wraps_exactly_at_byte_capacity(self, make_wal):
@@ -41,29 +50,22 @@ class TestCircularLog:
         wal = make_wal(redo_capacity=size * 3)  # room for exactly 3 records
         log = wal.redo_stream
         for i in range(3):
-            wal.append_redo(_redo(i))
+            _append(wal, i)
         assert log.num_records == 3
         assert log.total_evicted == 0
         assert log.used_bytes == size * 3
 
-        wal.append_redo(_redo(3))  # one byte over -> oldest goes
+        _append(wal, 3)  # one byte over -> oldest goes
         assert log.num_records == 3
         assert log.total_evicted == 1
         assert log.used_bytes == size * 3
         assert [r.txn_id for r in log.records()] == [1, 2, 3]
 
     def test_lsn_strictly_increases_across_eviction(self, make_wal):
-        record = _redo(1)
-        size = len(record.to_bytes())
+        size = len(_undo(1).to_bytes())
         wal = make_wal(undo_capacity=size * 2)
-        lsns = [
-            wal.append_undo(
-                UndoRecord(
-                    txn_id=i, table="t", op="insert", key=i, before_image=b""
-                )
-            )
-            for i in range(6)
-        ]
+        # Each undo body is stamped right before its redo body.
+        lsns = [_append(wal, i) - size for i in range(6)]
         assert lsns == sorted(lsns)
         assert len(set(lsns)) == len(lsns)
         assert wal.undo_stream.oldest_lsn == lsns[-2]
@@ -74,7 +76,7 @@ class TestCircularLog:
         size = len(record.to_bytes())
         wal = make_wal(redo_capacity=size * 2)
         for i in range(5):
-            wal.append_redo(_redo(i))
+            _append(wal, i)
         log = wal.redo_stream
         raw = log.raw_bytes()
         # lsn(8) + len(4) framing per record

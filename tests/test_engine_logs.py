@@ -37,27 +37,39 @@ def make_redo(txn=1, table="t", op="insert", key=1, image=b"row"):
     return RedoRecord(txn_id=txn, table=table, op=op, key=key, after_image=image)
 
 
+def make_undo(txn=1, table="t", op="insert", key=1, image=b""):
+    return UndoRecord(txn_id=txn, table=table, op=op, key=key, before_image=image)
+
+
+def append(wal, redo):
+    """Log ``redo``'s row change with an insert's empty undo body."""
+    undo = make_undo(txn=redo.txn_id, table=redo.table, key=redo.key)
+    return wal.append_row_change(redo.table, undo.to_bytes(), redo.to_bytes())
+
+
 class TestRedoLog:
     def test_append_and_read(self, make_wal):
         wal = make_wal()
         record = make_redo()
-        lsn = wal.append_redo(record)
-        assert lsn == 0
+        lsn = append(wal, record)
+        assert lsn == len(make_undo().to_bytes())
         assert wal.redo_stream.records() == [record]
+        assert wal.undo_stream.records() == [make_undo()]
 
     def test_lsn_reflects_record_size(self, make_wal):
         wal = make_wal()
         first = make_redo()
-        wal.append_redo(first)
-        second_lsn = wal.append_redo(make_redo(key=2))
-        assert second_lsn == len(first.to_bytes())
+        append(wal, first)
+        second_lsn = append(wal, make_redo(key=2))
+        undo_size = len(make_undo().to_bytes())
+        assert second_lsn == undo_size + len(first.to_bytes()) + undo_size
 
     def test_circular_eviction(self, make_wal):
         record = make_redo()
         size = len(record.to_bytes())
         wal = make_wal(redo_capacity=size * 3)
         for key in range(10):
-            wal.append_redo(make_redo(key=key))
+            append(wal, make_redo(key=key))
         log = wal.redo_stream
         assert log.num_records == 3
         assert log.total_evicted == 7
@@ -67,7 +79,8 @@ class TestRedoLog:
     def test_oversized_record_rejected(self, make_wal):
         wal = make_wal(redo_capacity=8)
         with pytest.raises(LogError):
-            wal.append_redo(make_redo(image=b"x" * 100))
+            append(wal, make_redo(image=b"x" * 100))
+        assert wal.undo_stream.num_records == 0
 
     def test_bad_op_rejected(self):
         with pytest.raises(LogError):
@@ -81,8 +94,8 @@ class TestRedoLog:
 
     def test_raw_bytes_framing(self, make_wal):
         wal = make_wal()
-        wal.append_redo(make_redo())
-        wal.append_redo(make_redo(key=2))
+        append(wal, make_redo())
+        append(wal, make_redo(key=2))
         log = wal.redo_stream
         raw = log.raw_bytes()
         # 12 framing bytes (lsn 8 + len 4) per record.
@@ -95,7 +108,7 @@ class TestRedoLog:
         with tempfile.TemporaryDirectory() as wal_dir:
             wal = LogManager(wal_dir=wal_dir, redo_capacity=capacity)
             for key in range(n_records):
-                wal.append_redo(make_redo(key=key))
+                append(wal, make_redo(key=key))
             assert wal.redo_stream.used_bytes <= wal.redo_stream.capacity_bytes
             wal.close()
 
@@ -110,9 +123,9 @@ class TestUndoLog:
 
     def test_shares_lsn_with_redo(self, make_wal):
         wal = make_wal()
-        wal.append_undo(UndoRecord(1, "t", "insert", 1, b""))
-        second = wal.append_redo(make_redo())
-        assert second > 0  # the undo write consumed LSN space first
+        redo_lsn = append(wal, make_redo())
+        assert redo_lsn > 0  # the undo body consumed LSN space first
+        assert wal.undo_stream.oldest_lsn == 0
 
 
 class TestBinlog:

@@ -281,6 +281,42 @@ class TestArenaSpill:
             arena_batched.reset()
         assert batched.snapshot() == one.snapshot()
 
+    def test_hundred_row_insert_writes_once_per_chunk(self):
+        # A 100-row INSERT's spill (2.2 KB in 208 strings) overflows the
+        # default 4096-byte chunk that the statement text (2.9 KB) is in.
+        sql = "INSERT INTO users (id, v, name) VALUES " + ", ".join(
+            f"({2 * i}, {i * 7919 % 1000003}, 'user{i * 31 % 1000000:06d}')"
+            for i in range(100)
+        )
+        spill = scan(sql).spill
+        assert len(spill) == 208
+        one, batched = SimulatedHeap(), SimulatedHeap()
+        arena_one, arena_batched = BumpArena(one), BumpArena(batched)
+        writes = []
+        write = batched.write
+
+        def counting_write(addr, data, offset=0):
+            writes.append(addr)
+            write(addr, data, offset)
+
+        batched.write = counting_write
+        # (spill, heap writes): one per chunk run; the oversized string is
+        # its own chunk and write.
+        cases = [(spill, 2), (spill[:40], 1), (["w" * 5000] + spill, 2)]
+        for pieces, expected_writes in cases:
+            for arena in (arena_one, arena_batched):
+                arena.alloc_str(sql)  # the statement text, as the session does
+            writes.clear()
+            for piece in pieces:
+                arena_one.alloc_str(piece)
+            arena_batched.alloc_strs(pieces)
+            assert len(writes) == expected_writes
+            assert batched.snapshot() == one.snapshot()
+            assert batched.stats == one.stats
+            assert arena_batched.num_chunks == arena_one.num_chunks
+            arena_one.reset()
+            arena_batched.reset()
+
 
 # -- the server's artifacts ------------------------------------------------------------
 

@@ -25,6 +25,12 @@ def undo(txn=1, table="t", op="update", key=1, image=b"old"):
     return UndoRecord(txn, table, op, key, image)
 
 
+def append(mgr, key=1, before=b"old", after=b"row"):
+    """Append one update of ``key``; returns ``(redo LSN, undo, redo)``."""
+    u, r = undo(key=key, image=before), redo(op="update", key=key, image=after)
+    return mgr.append_row_change("t", u.to_bytes(), r.to_bytes()), u, r
+
+
 class TestFrameCodec:
     def test_roundtrip_all_types(self):
         body = redo().to_bytes()
@@ -119,17 +125,37 @@ class TestLogStream:
 class TestLogManagerAppend:
     def test_redo_undo_advance_by_length(self, make_wal):
         mgr = make_wal()
-        r, u = redo(), undo()
-        lsn_r = mgr.append_redo(r)
-        assert lsn_r == 0
-        assert mgr.lsn.current == len(r.to_bytes())
-        lsn_u = mgr.append_undo(u)
-        assert lsn_u == len(r.to_bytes())
-        assert mgr.lsn.current == len(r.to_bytes()) + len(u.to_bytes())
+        lsn_r, u, r = append(mgr)
+        assert mgr.undo_stream.records_with_lsn() == [(0, u)]
+        assert lsn_r == len(u.to_bytes())
+        assert mgr.redo_stream.records_with_lsn() == [(lsn_r, r)]
+        assert mgr.lsn.current == len(u.to_bytes()) + len(r.to_bytes())
+
+    def test_rejected_change_appends_neither_body(self, make_wal):
+        mgr = make_wal(undo_capacity=40)
+        u, r = undo(image=b"x" * 40), redo()
+        with pytest.raises(LogError, match="exceeds log capacity"):
+            mgr.append_row_change("t", u.to_bytes(), r.to_bytes())
+        with pytest.raises(LogError, match="exceeds log capacity"):
+            mgr.check_row_change(u.to_bytes(), r.to_bytes())
+        assert mgr.lsn.current == 0
+        assert mgr.redo_stream.num_records == mgr.undo_stream.num_records == 0
+        assert mgr.stats["appended_frames"] == 0
+
+    def test_retained_single_record_appends_match(self, make_wal):
+        # append_redo/append_undo stay only for the benchmark's tracer;
+        # one of each leaves what one append_row_change does.
+        one, two = make_wal(), make_wal()
+        _, u, r = append(one, key=3)
+        two.append_undo(u)
+        two.append_redo(r)
+        assert one.redo_stream.raw_bytes() == two.redo_stream.raw_bytes()
+        assert one.undo_stream.raw_bytes() == two.undo_stream.raw_bytes()
+        assert one._pending == two._pending
 
     def test_control_records_advance_zero(self, make_wal):
         mgr = make_wal()
-        mgr.append_redo(redo())
+        append(mgr)
         before = mgr.lsn.current
         assert mgr.append_begin(7) == before
         assert mgr.append_commit(7) == before
@@ -141,16 +167,16 @@ class TestLogManagerAppend:
 
     def test_control_records_not_in_retention_streams(self, make_wal):
         mgr = make_wal()
-        mgr.append_redo(redo())
+        append(mgr)
         mgr.append_clr(redo(op="delete", image=b""))
         mgr.append_commit(1)
         assert mgr.redo_stream.num_records == 1
-        assert mgr.undo_stream.num_records == 0
+        assert mgr.undo_stream.num_records == 1
 
     def test_replaying_suppresses_appends(self, make_wal):
         mgr = make_wal()
         with mgr.replaying():
-            mgr.append_redo(redo())
+            append(mgr)
             mgr.append_commit(1)
         assert mgr.lsn.current == 0
         mgr.flush()
@@ -160,7 +186,9 @@ class TestLogManagerAppend:
         mgr = make_wal()
         mgr.close()
         with pytest.raises(WalError, match="closed"):
-            mgr.append_redo(redo())
+            append(mgr)
+        with pytest.raises(WalError, match="closed"):
+            mgr.check_row_change(b"", b"")
 
     def test_bad_segment_bytes_rejected(self, make_wal):
         with pytest.raises(WalError, match="segment size"):
@@ -172,30 +200,31 @@ class TestLogManagerAppend:
         mgr = make_wal()
         assert isinstance(mgr.lsn, LsnCounter)
         mgr.lsn.advance(500)
-        assert mgr.append_redo(redo()) == 500
-        assert mgr.lsn.current == 500 + len(redo().to_bytes())
+        lsn, u, r = append(mgr)
+        assert lsn == 500 + len(u.to_bytes())
+        assert mgr.lsn.current == lsn + len(r.to_bytes())
 
 
 class TestGroupFlush:
     def test_segments_exclude_pending(self, make_wal):
         mgr = make_wal()
-        mgr.append_redo(redo())
+        append(mgr)
         assert mgr.segments() == {segment_name(1): b""}
-        assert mgr.flush() == 1
+        assert mgr.flush() == 2
         frames, error = parse_frames(mgr.segments()[segment_name(1)])
         assert error is None
-        assert len(frames) == 1
+        assert [f.rtype for f in frames] == [WalRecordType.UNDO, WalRecordType.REDO]
 
     def test_flushed_lsn_tracks_flush(self, make_wal):
         mgr = make_wal()
-        mgr.append_redo(redo())
+        append(mgr)
         assert mgr.flushed_lsn == 0
         mgr.flush()
         assert mgr.flushed_lsn == mgr.lsn.current
 
     def test_flush_to_is_noop_when_covered(self, make_wal):
         mgr = make_wal()
-        mgr.append_redo(redo())
+        append(mgr)
         mgr.flush()
         flushes_before = mgr.stats["flushes"]
         mgr.flush_to(mgr.flushed_lsn)  # already durable
@@ -203,7 +232,7 @@ class TestGroupFlush:
 
     def test_flush_to_forces_pending(self, make_wal):
         mgr = make_wal()
-        mgr.append_redo(redo())
+        append(mgr)
         mgr.flush_to(mgr.lsn.current)
         assert mgr.stats["pending_frames"] == 0
         assert mgr.flushed_lsn == mgr.lsn.current
@@ -214,36 +243,38 @@ class TestGroupFlush:
 
     def test_crash_discards_pending(self, make_wal):
         mgr = make_wal()
-        mgr.append_redo(redo())
+        append(mgr)
         mgr.flush()
-        mgr.append_redo(redo(key=2))
+        append(mgr, key=2)
         mgr.crash()
         assert mgr.closed
         frames, _ = parse_frames(mgr.segments()[segment_name(1)])
-        assert len(frames) == 1  # the unflushed second record is gone
+        assert len(frames) == 2  # the unflushed second change is gone
 
 
 class TestSegments:
     def test_rollover_at_segment_bytes(self, make_wal):
         mgr = make_wal(segment_bytes=128, sync=False)
         for i in range(10):
-            mgr.append_redo(redo(key=i))
+            append(mgr, key=i)
             mgr.flush()
         assert len(mgr.segment_names()) > 1
         assert mgr.segment_names() == sorted(mgr.segment_names())
         # Every segment except possibly the last stays under the roll size
         # plus one frame (a frame is never split across segments).
         all_frames = mgr.records()
-        assert len(all_frames) == 10
-        assert [f.decode().key for f in all_frames] == list(range(10))
+        assert len(all_frames) == 20
+        assert [f.decode().key for f in all_frames] == [
+            i for i in range(10) for _ in range(2)
+        ]
 
     def test_rolled_segments_fsynced_before_seal(self, tmp_path):
         # A flush that rolls segments must fsync each sealed segment, not
         # only the final active one — otherwise "committed == durable"
         # fails across a roll boundary on power loss.
         mgr = LogManager(wal_dir=str(tmp_path), segment_bytes=64, sync=True)
-        for i in range(8):
-            mgr.append_redo(redo(key=i))
+        for i in range(4):
+            append(mgr, key=i)
         mgr.flush()  # one batch spanning several segments
         n_segments = len(mgr.segment_names())
         assert n_segments > 1
@@ -253,8 +284,8 @@ class TestSegments:
 
     def test_disk_mode_retains_all_segments(self, tmp_path):
         mgr = LogManager(wal_dir=str(tmp_path), segment_bytes=64, sync=False)
-        for i in range(12):
-            mgr.append_redo(redo(key=i))
+        for i in range(6):
+            append(mgr, key=i)
             mgr.flush()
         segs = mgr.segments()
         assert len(segs) > 2
@@ -264,7 +295,7 @@ class TestSegments:
     def test_checksum_changes_with_content(self, make_wal):
         mgr = make_wal()
         empty = mgr.checksum()
-        mgr.append_redo(redo())
+        append(mgr)
         mgr.flush()
         assert mgr.checksum() != empty
 
@@ -273,8 +304,7 @@ class TestResume:
     def test_resume_restores_lsn_and_streams(self, tmp_path):
         mgr = LogManager(wal_dir=str(tmp_path), sync=False)
         for i in range(5):
-            mgr.append_redo(redo(key=i))
-            mgr.append_undo(undo(key=i))
+            append(mgr, key=i)
         mgr.append_commit(1)
         mgr.flush()
         end_lsn = mgr.lsn.current
@@ -287,7 +317,7 @@ class TestResume:
         assert resumed.undo_stream.num_records == 5
         assert resumed.truncated_tail is None
         # Appends continue the log rather than restarting it.
-        resumed.append_redo(redo(key=99))
+        append(resumed, key=99)
         resumed.flush()
         keys = [
             f.decode().key
@@ -299,7 +329,7 @@ class TestResume:
 
     def test_resume_truncates_torn_tail(self, tmp_path):
         mgr = LogManager(wal_dir=str(tmp_path), sync=False)
-        mgr.append_redo(redo(key=1))
+        append(mgr, key=1)
         mgr.flush()
         mgr.close()
         path = tmp_path / segment_name(1)
@@ -310,13 +340,13 @@ class TestResume:
         resumed = LogManager(wal_dir=str(tmp_path), sync=False)
         assert resumed.truncated_tail is not None
         assert path.stat().st_size == good_size
-        assert resumed.resumed_frames == 1
+        assert resumed.resumed_frames == 2
         resumed.close()
 
     def test_corrupt_interior_segment_rejected(self, tmp_path):
         mgr = LogManager(wal_dir=str(tmp_path), segment_bytes=64, sync=False)
-        for i in range(8):
-            mgr.append_redo(redo(key=i))
+        for i in range(4):
+            append(mgr, key=i)
             mgr.flush()
         assert len(mgr.segment_names()) >= 3
         first = tmp_path / mgr.segment_names()[0]
@@ -330,13 +360,13 @@ class TestResume:
     def test_resume_rolls_into_new_segment(self, tmp_path):
         mgr = LogManager(wal_dir=str(tmp_path), segment_bytes=64, sync=False)
         for i in range(4):
-            mgr.append_redo(redo(key=i))
+            append(mgr, key=i)
             mgr.flush()
         names_before = mgr.segment_names()
         mgr.close()
         resumed = LogManager(wal_dir=str(tmp_path), segment_bytes=64, sync=False)
         for i in range(4, 8):
-            resumed.append_redo(redo(key=i))
+            append(resumed, key=i)
             resumed.flush()
         assert len(resumed.segment_names()) > len(names_before)
         keys = [
@@ -353,17 +383,17 @@ class TestFacadeByteIdentity:
 
     def test_raw_bytes_framing_matches_forensic_parser(self, make_wal):
         mgr = make_wal()
-        records = [redo(key=i, image=bytes([i])) for i in range(3)]
-        lsns = [mgr.append_redo(r) for r in records]
+        appended = [append(mgr, key=i, after=bytes([i])) for i in range(3)]
         parsed = parse_redo_log(mgr.redo_stream.raw_bytes())
-        assert parsed == list(zip(lsns, records))
+        assert parsed == [(lsn, r) for lsn, _, r in appended]
 
     def test_undo_raw_bytes_parse(self, make_wal):
         mgr = make_wal()
-        records = [undo(key=i) for i in range(3)]
-        lsns = [mgr.append_undo(r) for r in records]
+        appended = [append(mgr, key=i) for i in range(3)]
         parsed = parse_undo_log(mgr.undo_stream.raw_bytes())
-        assert parsed == list(zip(lsns, records))
+        assert parsed == [
+            (lsn - len(u.to_bytes()), u) for lsn, u, _ in appended
+        ]
 
     def test_engine_facades_share_manager_lsn(self):
         from repro.engine import StorageEngine

@@ -1,21 +1,34 @@
 """The write path keeps bytes, not objects.
 
 The redo/undo windows hold only the record bytes, log records and rows
-encode in one pass, a WAL flush writes each segment once, and an INSERT
-resolves its columns once per statement. Each piece is a pure speed-up,
-so most tests here are equivalences: the new routine against the code it
-replaced, kept here as the slow reference. The rest pin the two INSERT
-column-list fixes and the engine's 64-bit key range.
+encode in one pass, a WAL flush writes each segment once, an INSERT
+resolves its columns once per statement, and a row change encodes its
+undo and redo bodies once and logs both in one append. Each piece is a
+pure speed-up, so most tests here are equivalences: the new routine
+against the code it replaced, kept here as the slow reference. The rest
+pin the two INSERT column-list fixes, the engine's 64-bit key range, and
+that a row change the log rejects leaves nothing behind.
 """
 
 import os
 import random
 import zlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import StorageEngine
-from repro.errors import CatalogError, RecordError, StorageError
+from repro.errors import (
+    CatalogError,
+    LogError,
+    RecordError,
+    ReproError,
+    StorageError,
+)
+from repro.obs import Instrumentation
+from repro.server.sharding import ShardedEngine
 from repro.server import MySQLServer, ServerConfig
 from repro.server.catalog import TableSchema
 from repro.sql.ast import ColumnDef
@@ -160,6 +173,22 @@ def random_record(rng, cls=None):
     return cls(txn_id, rng.choice(TABLE_NAMES), op, key, image)
 
 
+def random_change(rng):
+    """A row change's ``(undo, redo)`` pair over one random txn/table/op/key."""
+    redo = random_record(rng, RedoRecord)
+    size = rng.choice([0, rng.randrange(60)])
+    image = bytes(rng.randrange(256) for _ in range(size))
+    return UndoRecord(redo.txn_id, redo.table, redo.op, redo.key, image), redo
+
+
+def change_pair(op, key, before, after):
+    return UndoRecord(1, "t", op, key, before), RedoRecord(1, "t", op, key, after)
+
+
+def append_change(mgr, undo, redo):
+    return mgr.append_row_change(redo.table, undo.to_bytes(), redo.to_bytes())
+
+
 def random_value(rng):
     kind = rng.randrange(9)
     if kind == 0:
@@ -279,12 +308,9 @@ def replay_into_pair(tmp_path, segment_bytes, batches):
         wal_dir=str(tmp_path / "old"), segment_bytes=segment_bytes, sync=False
     )
     for batch in batches:
-        for record in batch:
+        for undo, redo in batch:
             for mgr in (new, old):
-                if isinstance(record, RedoRecord):
-                    mgr.append_redo(record)
-                else:
-                    mgr.append_undo(record)
+                append_change(mgr, undo, redo)
         segments_before = len(new.segment_names())
         writes_before = len(writes)
         assert new.flush() == flush_reference(old)
@@ -300,9 +326,9 @@ def replay_into_pair(tmp_path, segment_bytes, batches):
 
 class TestGroupFlush:
     def test_frames_ending_exactly_at_segment_bytes(self, tmp_path):
-        records = [RedoRecord(1, "t", "insert", k, b"v" * 10) for k in range(6)]
-        segment_bytes = 3 * frame_len(records[0])
-        new, old, writes = replay_into_pair(tmp_path, segment_bytes, [records])
+        changes = [change_pair("insert", k, b"u" * 10, b"v" * 10) for k in range(3)]
+        segment_bytes = 3 * frame_len(changes[0][1])
+        new, old, writes = replay_into_pair(tmp_path, segment_bytes, [changes])
         assert new.segment_names() == [segment_name(1), segment_name(2)]
         assert [len(v) for v in new.segments().values()] == [segment_bytes] * 2
         assert writes == [segment_bytes, segment_bytes]
@@ -310,13 +336,12 @@ class TestGroupFlush:
         old.close()
 
     def test_frame_larger_than_a_segment(self, tmp_path):
-        records = [
-            RedoRecord(1, "t", "insert", 1, b"a" * 10),
-            RedoRecord(1, "t", "insert", 2, b"b" * 400),
-            UndoRecord(1, "t", "insert", 3, b""),
-            RedoRecord(1, "t", "insert", 4, b"c" * 300),
+        changes = [
+            change_pair("insert", 1, b"", b"a" * 10),
+            change_pair("delete", 2, b"b" * 400, b""),
+            change_pair("insert", 3, b"", b"c" * 300),
         ]
-        new, old, writes = replay_into_pair(tmp_path, 128, [records])
+        new, old, writes = replay_into_pair(tmp_path, 128, [changes])
         assert len(new.segment_names()) == 4
         assert len(writes) == 4
         new.close()
@@ -327,7 +352,7 @@ class TestGroupFlush:
         for trial in range(12):
             segment_bytes = rng.choice([64, 100, 128, 257, 512, 4096])
             batches = [
-                [random_record(rng) for _ in range(rng.randrange(0, 30))]
+                [random_change(rng) for _ in range(rng.randrange(0, 15))]
                 for _ in range(rng.randrange(1, 6))
             ]
             new, old, _ = replay_into_pair(
@@ -337,9 +362,9 @@ class TestGroupFlush:
             old.close()
 
     def test_partly_filled_segment_rolls_before_the_first_frame(self, tmp_path):
-        big = RedoRecord(1, "t", "insert", 1, b"z" * 90)
-        small = RedoRecord(1, "t", "insert", 2, b"")
-        new, old, writes = replay_into_pair(tmp_path, 128, [[small], [big], [big]])
+        small = change_pair("insert", 1, b"", b"")
+        big = change_pair("update", 2, b"y" * 40, b"z" * 40)
+        new, old, writes = replay_into_pair(tmp_path, 128, [[small], [big]])
         assert len(new.segment_names()) == 3
         assert len(writes) == 3
         new.close()
@@ -353,11 +378,10 @@ class TestWindowsHoldBytes:
     def _append(self, mgr, rng, n):
         redo, undo = [], []
         for _ in range(n):
-            record = random_record(rng)
-            if isinstance(record, RedoRecord):
-                redo.append((mgr.append_redo(record), record))
-            else:
-                undo.append((mgr.append_undo(record), record))
+            u, r = random_change(rng)
+            lsn = append_change(mgr, u, r)
+            undo.append((lsn - len(u.to_bytes()), u))
+            redo.append((lsn, r))
         return redo, undo
 
     def test_records_equal_the_appended_records(self, make_wal):
@@ -390,7 +414,10 @@ class TestWindowsHoldBytes:
     def test_eviction_keeps_the_newest_records(self, make_wal):
         mgr = make_wal(sync=False, redo_capacity=400)
         records = [RedoRecord(1, "t", "insert", k, b"r" * 20) for k in range(40)]
-        lsns = [mgr.append_redo(r) for r in records]
+        lsns = [
+            append_change(mgr, UndoRecord(1, "t", "insert", r.key, b""), r)
+            for r in records
+        ]
         kept = mgr.redo_stream.records_with_lsn()
         assert kept == list(zip(lsns, records))[-len(kept):]
         assert mgr.redo_stream.used_bytes <= 400
@@ -592,3 +619,368 @@ class TestKeyRange:
         assert engine.redo_log.records()[-1].key == key
         assert engine.get("t", key)[0] == encode_row((key,))
         engine.close()
+
+
+# -- row changes: one encode, one append ---------------------------------------
+
+
+def _append_record_reference(mgr, record, stream, rtype, detail):
+    """The old ``LogManager.append_redo`` / ``append_undo``."""
+    mgr._ensure_open()
+    raw = record.to_bytes()
+    with mgr._obs.span("log.append", table=record.table, detail=detail):
+        stream.check_fits(raw)
+        lsn = mgr.lsn.advance(len(raw))
+        stream.admit(lsn, raw)
+        mgr._stage(lsn, rtype, raw)
+    mgr._obs.count(f"{detail}.appended_bytes", n=len(raw))
+    return lsn
+
+
+def _log_reference(engine, txn, table, op, key, before, after):
+    """The old engine tail: an undo record, then a redo record."""
+    wal = engine.wal
+    _append_record_reference(
+        wal,
+        UndoRecord(txn.txn_id, table, op, key, before),
+        wal.undo_stream,
+        WalRecordType.UNDO,
+        "undo",
+    )
+    txn.note_lsn(
+        _append_record_reference(
+            wal,
+            RedoRecord(txn.txn_id, table, op, key, after),
+            wal.redo_stream,
+            WalRecordType.REDO,
+            "redo",
+        )
+    )
+    if engine.mvcc is not None:
+        engine.mvcc.record_write(txn, table, key, op, before, engine.lsn.current)
+    txn.record_change(table, op, key, before, after)
+
+
+def insert_reference(self, txn, table, key, row):
+    """The old ``StorageEngine.insert``: tree first, then record objects."""
+    _, tree = self._lookup(table)
+    if self.mvcc is not None:
+        self.mvcc.check_write(txn, table, key)
+    with self.obs.span("storage.insert", table=table):
+        path = tree.insert(key, row)
+    self.obs.count("engine.rows_written", label=table)
+    _log_reference(self, txn, table, "insert", key, b"", row)
+    return path
+
+
+def update_reference(self, txn, table, key, row):
+    """The old ``StorageEngine.update``."""
+    _, tree = self._lookup(table)
+    if self.mvcc is not None:
+        self.mvcc.check_write(txn, table, key)
+    with self.obs.span("storage.update", table=table):
+        before, path = tree.update(key, row)
+    self.obs.count("engine.rows_written", label=table)
+    _log_reference(self, txn, table, "update", key, before, row)
+    return path
+
+
+def delete_reference(self, txn, table, key):
+    """The old ``StorageEngine.delete``."""
+    _, tree = self._lookup(table)
+    if self.mvcc is not None:
+        self.mvcc.check_write(txn, table, key)
+    with self.obs.span("storage.delete", table=table):
+        before, path = tree.delete(key)
+    self.obs.count("engine.rows_written", label=table)
+    _log_reference(self, txn, table, "delete", key, before, b"")
+    return path
+
+
+def reference_row_path():
+    """Patch the old row-change path into every ``StorageEngine``."""
+    return mock.patch.multiple(
+        StorageEngine,
+        insert=insert_reference,
+        update=update_reference,
+        delete=delete_reference,
+    )
+
+
+ENGINE_KINDS = {
+    "single": lambda obs: StorageEngine(wal_sync=False, instrumentation=obs),
+    "no_mvcc": lambda obs: StorageEngine(
+        wal_sync=False, mvcc=False, instrumentation=obs
+    ),
+    "sharded": lambda obs: ShardedEngine(
+        num_shards=4, wal_sync=False, buffer_pool_capacity=16, instrumentation=obs
+    ),
+}
+
+
+def shards_of(engine):
+    return engine.shards if isinstance(engine, ShardedEngine) else (engine,)
+
+
+def changes_of(txn):
+    if hasattr(txn, "branches"):
+        return {i: branch.changes for i, branch in sorted(txn.branches.items())}
+    return txn.changes
+
+
+def engine_state(engine):
+    """Everything a row change may touch, per shard."""
+    state = []
+    for shard in shards_of(engine):
+        stats = dict(shard.wal.stats)
+        del stats["wal_dir"]
+        state.append(
+            (
+                list(shard.wal._pending),
+                stats,
+                shard.redo_log.raw_bytes(),
+                shard.undo_log.raw_bytes(),
+                shard.mvcc_chain_stats(),
+                shard.buffer_pool.stats,
+                shard.scan("t"),
+            )
+        )
+    return state
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # session
+        st.sampled_from(["insert", "update", "delete", "commit", "rollback"]),
+        st.integers(-3, 12),  # key
+        st.integers(0, 300),  # row width
+    ),
+    max_size=40,
+)
+
+
+def run_steps(kind, steps, built):
+    """Run ``steps``; return every observable outcome and the final state.
+
+    ``built`` collects the redo/undo record objects constructed while a
+    forward row change (insert, update, delete) runs.
+    """
+    obs = Instrumentation(enabled=True)
+    engine = ENGINE_KINDS[kind](obs)
+    engine.register_table("t")
+    sessions = 1 if kind == "no_mvcc" else 2
+    txns = [None] * sessions
+    trail = []
+    for session, action, key, width in steps:
+        session %= sessions
+        txn = txns[session]
+        if action in ("commit", "rollback"):
+            if txn is not None:
+                getattr(engine, action)(txn)
+                txns[session] = None
+            continue
+        if txn is None:
+            txn = txns[session] = engine.begin()
+        row = encode_row((key, "v" * width))
+        args = (txn, "t", key) if action == "delete" else (txn, "t", key, row)
+        made = len(built)
+        try:
+            getattr(engine, action)(*args)
+            result = "ok"
+        except ReproError as exc:
+            result = type(exc).__name__
+        assert len(built) == made, "a forward row change built a record"
+        trail.append((result, changes_of(txn), engine_state(engine)))
+    for txn in txns:
+        if txn is not None:
+            engine.commit(txn)
+    engine.checkpoint()
+    final = (
+        engine_state(engine),
+        engine.tablespace_images(),
+        engine.wal_segments(),
+        obs.metrics_dump(),
+        obs.trace_raw(),
+    )
+    engine.close()
+    return trail, final
+
+
+class TestRowPathEquivalence:
+    @pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+    @settings(deadline=None)
+    @given(steps=_STEPS)
+    def test_one_append_leaves_what_two_records_did(self, kind, steps):
+        built = []
+
+        def counting(cls):
+            original = cls.__post_init__
+
+            def post_init(self):
+                built.append(type(self).__name__)
+                original(self)
+
+            return mock.patch.object(cls, "__post_init__", post_init)
+
+        with counting(RedoRecord), counting(UndoRecord):
+            new = run_steps(kind, steps, built)
+        with reference_row_path():
+            old = run_steps(kind, steps, [])
+        assert new == old
+
+
+# -- a row change the log rejects --------------------------------------------------
+
+
+def rejecting_engine(kind, **capacities):
+    if kind == "sharded":
+        engine = ShardedEngine(num_shards=4, wal_sync=False, **capacities)
+    else:
+        engine = StorageEngine(wal_sync=False, **capacities)
+    engine.register_table("t")
+    return engine
+
+
+def wide(key):
+    return encode_row((key, "x" * 300))
+
+
+def neighbour(engine, key):
+    """Another key on ``key``'s shard, so one transaction branch holds both."""
+    if not isinstance(engine, ShardedEngine):
+        return key + 1000
+    shard = engine.router.shard_of(key)
+    return next(k for k in range(1000, 2000) if engine.router.shard_of(k) == shard)
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+class TestRejectedRowChange:
+    """The log checks both bodies before the tree changes; UPDATE and
+    DELETE, whose before-image comes out of the tree, put it back."""
+
+    def _state(self, engine, txn):
+        # Pool stats left out: putting a before-image back is one more
+        # descent through the pool.
+        return [s[:5] + s[6:] for s in engine_state(engine)], changes_of(txn)
+
+    def _assert_rejected(self, engine, txn, call):
+        before = self._state(engine, txn)
+        with pytest.raises(LogError, match="exceeds log capacity"):
+            call()
+        assert self._state(engine, txn) == before
+
+    def test_insert_too_big_for_redo(self, kind):
+        engine = rejecting_engine(kind, redo_capacity=200)
+        txn = engine.begin()
+        engine.insert(txn, "t", neighbour(engine, 2), encode_row((1, "a")))
+        self._assert_rejected(
+            engine, txn, lambda: engine.insert(txn, "t", 2, wide(2))
+        )
+        engine.rollback(txn)
+        assert engine.get("t", 2)[0] is None
+        engine.close()
+
+    def test_update_too_big_for_redo(self, kind):
+        engine = rejecting_engine(kind, redo_capacity=200)
+        txn = engine.begin()
+        engine.insert(txn, "t", 1, encode_row((1, "a")))
+        self._assert_rejected(
+            engine, txn, lambda: engine.update(txn, "t", 1, wide(1))
+        )
+        engine.commit(txn)
+        assert engine.get("t", 1)[0] == encode_row((1, "a"))
+        engine.close()
+
+    @pytest.mark.parametrize("op", ["update", "delete"])
+    def test_before_image_too_big_for_undo(self, kind, op):
+        engine = rejecting_engine(kind, undo_capacity=200)
+        setup = engine.begin()
+        for key in range(1, 6):
+            engine.insert(setup, "t", key, wide(key))
+        engine.commit(setup)
+        txn = engine.begin()
+        engine.insert(txn, "t", neighbour(engine, 3), encode_row((9, "b")))
+        if op == "update":
+            call = lambda: engine.update(txn, "t", 3, encode_row((3, "c")))  # noqa: E731
+        else:
+            call = lambda: engine.delete(txn, "t", 3)  # noqa: E731
+        self._assert_rejected(engine, txn, call)
+        engine.commit(txn)
+        assert engine.get("t", 3)[0] == wide(3)
+        engine.close()
+
+
+def test_rejection_on_an_untouched_shard_leaves_only_the_branch_begin():
+    # A sharded transaction opens a shard's branch (its TXN_BEGIN frame)
+    # before that shard's engine sees the change, so a change rejected on
+    # a fresh shard leaves the branch open and nothing else.
+    engine = rejecting_engine("sharded", redo_capacity=200)
+    shard = engine.router.shard_of(2)
+    txn = engine.begin()
+    before = engine_state(engine)
+    with pytest.raises(LogError):
+        engine.insert(txn, "t", 2, wide(2))
+    after = engine_state(engine)
+    begin = after[shard][0][-1]
+    assert parse_frames(begin)[0][0].rtype is WalRecordType.TXN_BEGIN
+    after[shard][0].pop()
+    assert [s[2:] for s in after] == [s[2:] for s in before]
+    assert [s[0] for s in after] == [s[0] for s in before]
+    assert changes_of(txn) == {shard: []}
+    engine.rollback(txn)
+    engine.close()
+
+
+@pytest.mark.parametrize("num_shards", [1, 4])
+class TestRejectedStatement:
+    def _server(self, num_shards, **capacities):
+        server = MySQLServer(ServerConfig(num_shards=num_shards, **capacities))
+        writer, reader = server.connect("writer"), server.connect("reader")
+        server.execute(writer, "CREATE TABLE t (id INT PRIMARY KEY, s TEXT)")
+        return server, writer, reader
+
+    def _logged_keys(self, server):
+        keys = []
+        for shard in shards_of(server.engine):
+            shard.wal.flush()
+            keys += [
+                frame.decode().key
+                for frame in shard.wal.records()
+                if frame.rtype is WalRecordType.REDO
+            ]
+        return sorted(keys)
+
+    def test_rejected_insert_is_not_visible(self, num_shards):
+        server, writer, reader = self._server(num_shards, redo_capacity=200)
+        server.execute(writer, "BEGIN")
+        server.execute(writer, "INSERT INTO t (id, s) VALUES (1, 'a')")
+        with pytest.raises(LogError):
+            server.execute(
+                writer, "INSERT INTO t (id, s) VALUES (2, '" + "x" * 300 + "')"
+            )
+        assert writer.active_txn is None
+        assert server.execute(reader, "SELECT id FROM t").rows == ()
+        assert self._logged_keys(server) == [1]
+        assert [e for e in server.engine.binlog.events if "INSERT" in e.statement] == []
+        server.close()
+
+    def test_rejected_update_keeps_the_old_value(self, num_shards):
+        server, writer, reader = self._server(num_shards, redo_capacity=200)
+        server.execute(writer, "INSERT INTO t (id, s) VALUES (1, 'a')")
+        with pytest.raises(LogError):
+            server.execute(
+                writer, "UPDATE t SET s = '" + "x" * 300 + "' WHERE id = 1"
+            )
+        result = server.execute(reader, "SELECT s FROM t WHERE id = 1")
+        assert result.rows == (("a",),)
+        server.close()
+
+    def test_rejected_delete_keeps_the_row(self, num_shards):
+        server, writer, reader = self._server(num_shards, undo_capacity=200)
+        server.execute(
+            writer, "INSERT INTO t (id, s) VALUES (1, '" + "x" * 300 + "')"
+        )
+        with pytest.raises(LogError):
+            server.execute(writer, "DELETE FROM t WHERE id = 1")
+        assert server.execute(reader, "SELECT id FROM t").rows == ((1,),)
+        server.close()
