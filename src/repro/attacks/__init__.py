@@ -8,8 +8,10 @@
   tokens (the paper's Section 6 simulation).
 * :mod:`.binomial` — the binomial attack on order-revealing ciphertexts
   (Grubbs et al.): rank implies high-order plaintext bits.
-* :mod:`.matching` — bipartite matching with auxiliary frequency models
-  (Hungarian assignment).
+* :mod:`.matching` — bipartite matching with auxiliary frequency models,
+  solved exactly by an in-tree shortest-augmenting-path assignment
+  (Crouse 2016, the algorithm SciPy's ``linear_sum_assignment`` runs;
+  SciPy is its test oracle, not a runtime dependency).
 * :mod:`.arx_attack` — Arx transcript reconstruction from transaction logs
   plus frequency/matching recovery of index values.
 """

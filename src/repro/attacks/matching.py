@@ -7,19 +7,21 @@ ciphertext match the bits of the right-hand plaintext. Each edge in the
 graph is weighted using frequency information. Finally, the attack recovers
 the most likely plaintext for each ciphertext by finding a matching."
 
-Implemented with the Hungarian algorithm
-(:func:`scipy.optimize.linear_sum_assignment`) over a log-likelihood score
-matrix; incompatible pairs get a -inf-like penalty.
+The matching maximises a log-likelihood score over every ciphertext ->
+plaintext pair; incompatible pairs get a -inf-like penalty. It is solved
+exactly by :func:`min_cost_assignment`, a pure-Python port of the
+shortest-augmenting-path algorithm of Crouse (2016, "On implementing 2D
+rectangular assignment algorithms"), the one SciPy's
+``linear_sum_assignment`` runs. The port keeps SciPy's tie-breaking and the
+order of its floating-point operations, so it returns the same assignment;
+the tests use SciPy as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Mapping, Optional
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
 
 from ..errors import AttackError
 
@@ -74,22 +76,107 @@ def matching_attack(
     total_obs = sum(ciphertext_freqs.values()) or 1
     total_model = sum(plaintext_freqs.values()) or 1.0
 
-    score = np.full((len(labels), len(plains)), _FORBIDDEN)
-    for i, label in enumerate(labels):
+    score = []
+    for label in labels:
         obs = ciphertext_freqs[label] / total_obs
-        for j, plain in enumerate(plains):
+        row = []
+        for plain in plains:
             if compatible is not None and not compatible(label, plain):
+                row.append(_FORBIDDEN)
                 continue
             model = plaintext_freqs[plain] / total_model
             # Log-likelihood of observing `obs` under plaintext frequency
             # `model`: penalize squared frequency mismatch (a standard
             # surrogate that is maximized by rank-consistent assignments).
-            score[i, j] = -((obs - model) ** 2) + 1e-12 * math.log(model + 1e-12)
+            row.append(-((obs - model) ** 2) + 1e-12 * math.log(model + 1e-12))
+        score.append(row)
 
-    row_ind, col_ind = linear_sum_assignment(score, maximize=True)
+    # Maximise the score by minimising its negation, which is exact.
+    cols = min_cost_assignment([[-s for s in row] for row in score])
     assignment = {}
-    for i, j in zip(row_ind, col_ind):
-        if score[i, j] <= _FORBIDDEN / 2:
+    for i, j in enumerate(cols):
+        if score[i][j] <= _FORBIDDEN / 2:
             continue  # only forbidden edges were available for this label
         assignment[labels[i]] = plains[j]
     return MatchingAttackResult(assignment=assignment)
+
+
+def min_cost_assignment(cost: Sequence[Sequence[float]]) -> List[int]:
+    """Assign each row a distinct column so that the summed cost is minimal.
+
+    ``cost`` has at most as many rows as columns; the result lists the
+    chosen column of each row. Each row in turn is added to the matching
+    along a shortest augmenting path over reduced costs (Dijkstra-like),
+    after which the dual potentials ``u``/``v`` are updated (Crouse 2016).
+    Ties go as in SciPy's ``rectangular_lsap.cpp``: candidate columns are
+    scanned from the last one down, and a tied minimum prefers a column
+    that is still unassigned. ``+inf`` marks a forbidden pair; a NaN or
+    ``-inf`` entry, or a row with no finite path left, raises
+    ``ValueError``.
+    """
+    nr = len(cost)
+    nc = len(cost[0]) if nr else 0
+    for row in cost:
+        for c in row:
+            if c != c or c == -math.inf:
+                raise ValueError("matrix contains invalid numeric entries")
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur_row in range(nr):
+        # Shortest augmenting path from cur_row to an unassigned column.
+        shortest = [inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        visited_rows = []
+        visited_cols = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            visited_rows.append(i)
+            row = cost[i]
+            ui = u[i]
+            index = -1
+            lowest = inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (
+                    shortest[j] == lowest and row4col[j] == -1
+                ):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            last = remaining.pop()
+            if index < len(remaining):
+                remaining[index] = last
+
+        # Update the dual potentials.
+        u[cur_row] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+
+        # Augment the matching along the path.
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
