@@ -28,8 +28,8 @@ from __future__ import annotations
 import enum
 import random
 import threading
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import SchedulerError
@@ -69,20 +69,30 @@ class CompletedRequest(NamedTuple):
     error: Optional[str]
 
 
-@dataclass
 class QueueTelemetry:
     """What the scheduler remembers — the ``scheduler_queue`` artifact.
 
-    ``arrivals`` is ``(seq, session_id, arrival_ts)`` per admitted request;
-    ``depth_samples`` is the total queue depth after every admission and
-    every dispatch. Both survive until the front end is detached: they are
-    volatile DB state an escalated snapshot captures.
+    ``arrivals`` is ``(seq, session_id, arrival_ts)`` per admitted request,
+    kept as one flat ``array('q')`` of those triples and rebuilt as tuples
+    on read; ``depth_samples`` is the total queue depth after every
+    admission and every dispatch. Both survive until the front end is
+    detached: they are volatile DB state an escalated snapshot captures.
     """
 
-    arrivals: List[Tuple[int, int, int]] = field(default_factory=list)
-    depth_samples: List[int] = field(default_factory=list)
-    dispatched: int = 0
-    rejected: int = 0
+    def __init__(self) -> None:
+        self._arrivals = array("q")
+        self.depth_samples: List[int] = []
+        self.dispatched = 0
+        self.rejected = 0
+
+    def record_arrival(self, seq: int, session_id: int, arrival_ts: int) -> None:
+        # Packed first, so a value outside i64 raises with no partial triple.
+        self._arrivals.extend(array("q", (seq, session_id, arrival_ts)))
+
+    @property
+    def arrivals(self) -> List[Tuple[int, int, int]]:
+        flat = self._arrivals
+        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -144,6 +154,7 @@ class SessionScheduler:
                 sql=sql,
                 arrival_ts=arrival_ts,
             )
+            self.telemetry.record_arrival(request.seq, session_id, arrival_ts)
             self._next_seq += 1
             queue = self._queues.get(session_id)
             if queue is None:
@@ -155,9 +166,6 @@ class SessionScheduler:
             if self.policy is SchedulingPolicy.FIFO:
                 self._fifo.append(request)
             self._depth += 1
-            self.telemetry.arrivals.append(
-                (request.seq, session_id, arrival_ts)
-            )
             self.telemetry.depth_samples.append(self._depth)
             return request
 

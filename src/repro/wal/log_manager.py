@@ -8,9 +8,10 @@ and every log append in the engine goes through it:
   length and is also retained in a capacity-bounded :class:`LogStream`
   window, the circular redo and undo logs the engine exposes as
   ``redo_log`` / ``undo_log`` (the E2/E5/E13 snapshot artifacts). A
-  window holds each record's LSN and body bytes and nothing else; its
-  structured views decode those bytes on demand, so the artifact and the
-  views come from one source.
+  window is one ``bytearray`` in the artifact's own framing
+  (``lsn u64 | len u32 | body`` per record) and a few counters, not an
+  object per record; its structured views decode those bytes on demand,
+  so the artifact and the views come from one source.
 * ``append_clr`` / txn lifecycle / checkpoints / table registration — new
   control records for ARIES recovery. They are stamped with the current
   LSN but advance it by **zero** bytes, keeping the logical redo stream
@@ -32,13 +33,12 @@ disk — never the staged tail that would be lost in a crash.
 from __future__ import annotations
 
 import os
+import struct
 import zlib
-from collections import deque
 from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Deque,
     Dict,
     Generic,
     List,
@@ -75,6 +75,12 @@ DEFAULT_CAPACITY = 25 * 1000 * 1000
 #: segments (the forensic surface is per-file), large enough to stay cheap.
 DEFAULT_SEGMENT_BYTES = 1 << 20
 
+#: A window record's framing: ``lsn u64 | len u32``, then the body.
+_RECORD_HEADER = struct.Struct("<QI")
+_HEADER_SIZE = _RECORD_HEADER.size
+_pack_header = _RECORD_HEADER.pack
+_unpack_len = struct.Struct("<I").unpack_from
+
 _SEGMENT_PREFIX = "wal."
 _SEGMENT_SUFFIX = ".log"
 
@@ -91,13 +97,17 @@ class LogStream(Generic[RecordT]):
     write rate and record size — the quantity behind the paper's "16 days'
     worth of inserts" observation (Section 3, experiment E2). The stream
     does the byte accounting and evicts the oldest records once
-    ``capacity_bytes`` is exceeded; the :class:`LogManager` assigns each
-    LSN and hands ``(lsn, raw)`` pairs in via :meth:`admit`.
+    ``capacity_bytes`` of bodies are exceeded; the :class:`LogManager`
+    assigns each LSN and hands ``(lsn, raw)`` pairs in via :meth:`admit`.
 
-    The window holds only those bytes — exactly what :meth:`raw_bytes`
-    (the ``redo_log_raw`` / ``undo_log_raw`` artifact) frames. The
-    structured views decode them with ``decode`` on demand, as a reader of
-    the on-disk log would.
+    The window is one ``bytearray`` laid out exactly as :meth:`raw_bytes`
+    (the ``redo_log_raw`` / ``undo_log_raw`` artifact) frames it —
+    ``lsn(8) || len(4) || body`` per record, oldest first — from a start
+    offset on, plus counters: no object per record. Eviction moves the
+    start past each oldest record by its length field, and the dead prefix
+    is dropped once it is more than half the buffer. The structured views
+    walk that framing and decode each body with ``decode`` on demand, as a
+    reader of the on-disk log would.
     """
 
     def __init__(
@@ -109,7 +119,8 @@ class LogStream(Generic[RecordT]):
             raise LogError(f"log capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self._decode = decode
-        self._entries: Deque[Tuple[int, bytes]] = deque()
+        self._buf = bytearray()
+        self._start = 0
         self._used_bytes = 0
         self._total_appended = 0
         self._total_evicted = 0
@@ -124,24 +135,37 @@ class LogStream(Generic[RecordT]):
 
     def admit(self, lsn: int, raw: bytes) -> None:
         """Retain an already-LSN-stamped record body, evicting the oldest."""
-        self._entries.append((lsn, raw))
-        self._used_bytes += len(raw)
+        buf = self._buf
+        buf += _pack_header(lsn, len(raw))
+        buf += raw
+        used = self._used_bytes + len(raw)
         self._total_appended += 1
-        while self._used_bytes > self.capacity_bytes:
-            _, old_raw = self._entries.popleft()
-            self._used_bytes -= len(old_raw)
-            self._total_evicted += 1
+        if used > self.capacity_bytes:
+            start = self._start
+            evicted = 0
+            while used > self.capacity_bytes:
+                length = _unpack_len(buf, start + 8)[0]  # after the LSN
+                start += _HEADER_SIZE + length
+                used -= length
+                evicted += 1
+            if start > len(buf) >> 1:
+                del buf[:start]
+                start = 0
+            self._start = start
+            self._total_evicted += evicted
+        self._used_bytes = used
 
     # -- inspection (``engine.redo_log`` / ``engine.undo_log``) ------------
 
     @property
     def used_bytes(self) -> int:
+        """Body bytes currently retained (the framing is not counted)."""
         return self._used_bytes
 
     @property
     def num_records(self) -> int:
         """Records currently retained (not yet overwritten)."""
-        return len(self._entries)
+        return self._total_appended - self._total_evicted
 
     @property
     def total_appended(self) -> int:
@@ -151,25 +175,23 @@ class LogStream(Generic[RecordT]):
     def total_evicted(self) -> int:
         return self._total_evicted
 
-    @property
-    def oldest_lsn(self) -> int:
-        """LSN of the oldest retained record (-1 if empty)."""
-        return self._entries[0][0] if self._entries else -1
-
-    @property
-    def newest_lsn(self) -> int:
-        """LSN of the newest retained record (-1 if empty)."""
-        return self._entries[-1][0] if self._entries else -1
-
     def records(self) -> List[RecordT]:
         """Retained records, oldest first, decoded from their bytes."""
-        decode = self._decode
-        return [decode(raw)[0] for _, raw in self._entries]
+        return [record for _, record in self.records_with_lsn()]
 
     def records_with_lsn(self) -> List[Tuple[int, RecordT]]:
         """Retained ``(lsn, record)`` pairs, oldest first."""
+        data = self.raw_bytes()
         decode = self._decode
-        return [(lsn, decode(raw)[0]) for lsn, raw in self._entries]
+        unpack = _RECORD_HEADER.unpack_from
+        out = []
+        pos = 0
+        while pos < len(data):
+            lsn, length = unpack(data, pos)
+            pos += _HEADER_SIZE
+            out.append((lsn, decode(data[pos : pos + length])[0]))
+            pos += length
+        return out
 
     def raw_bytes(self) -> bytes:
         """The raw circular-log image a disk-theft attacker obtains.
@@ -177,14 +199,8 @@ class LogStream(Generic[RecordT]):
         Each record is framed as ``lsn(8) || len(4) || body`` so the
         forensic parser can walk it without structured access.
         """
-        from ..util.serialization import encode_uint
-
-        parts = []
-        for lsn, raw in self._entries:
-            parts.append(encode_uint(lsn, 8))
-            parts.append(encode_uint(len(raw)))
-            parts.append(raw)
-        return b"".join(parts)
+        with memoryview(self._buf) as view:
+            return view[self._start :].tobytes()
 
 
 class _Segment:

@@ -68,8 +68,8 @@ class TestCircularLog:
         lsns = [_append(wal, i) - size for i in range(6)]
         assert lsns == sorted(lsns)
         assert len(set(lsns)) == len(lsns)
-        assert wal.undo_stream.oldest_lsn == lsns[-2]
-        assert wal.undo_stream.newest_lsn == lsns[-1]
+        kept = [lsn for lsn, _ in wal.undo_stream.records_with_lsn()]
+        assert kept == lsns[-2:]
 
     def test_raw_bytes_covers_only_retained_records(self, make_wal):
         record = _redo(1)

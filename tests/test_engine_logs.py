@@ -125,7 +125,7 @@ class TestUndoLog:
         wal = make_wal()
         redo_lsn = append(wal, make_redo())
         assert redo_lsn > 0  # the undo body consumed LSN space first
-        assert wal.undo_stream.oldest_lsn == 0
+        assert wal.undo_stream.records_with_lsn()[0][0] == 0
 
 
 class TestBinlog:

@@ -5,14 +5,19 @@ s TEXT)`` runs on a ``MySQLServer`` session and on the standard library's
 ``sqlite3``. Both must return the same rows, the same ``rows_affected``
 for a write and the same class of error. The workloads cover multi-row
 INSERT (with and without a column list, with missing columns), UPDATE,
-DELETE, comparisons, BETWEEN, AND, every aggregate with and without
-GROUP BY, ORDER BY with LIMIT, and BEGIN/COMMIT/ROLLBACK.
+DELETE, comparisons, BETWEEN, ``MATCH(column, 'keyword')``, a registered
+UDF, AND, every aggregate with and without GROUP BY, ORDER BY with LIMIT,
+and BEGIN/COMMIT/ROLLBACK.
 
 Where this server deviates from MySQL on purpose or by a known bug, the
 SQLite side emulates the deviation. Each deviation is one named entry of
 :data:`DEVIATIONS`, which cites the DESIGN section that documents it. A
 difference is then either a bug or a listed deviation. Everything else in
-:func:`sqlite_select` is dialect syntax, not semantics.
+:func:`sqlite_select` and :func:`where_sql` is dialect syntax, not
+semantics: SQLite has no ``MATCH(column, 'keyword')`` predicate, so the
+SQLite side calls :func:`keyword_match`, and both sides call the same
+:func:`near` UDF, each through its own registration
+(``sqlite3.Connection.create_function`` and ``MySQLServer.register_udf``).
 
 Tier-1 runs hypothesis's default budget. A longer sweep:
 
@@ -82,8 +87,27 @@ DEVIATIONS: Dict[str, Deviation] = {
 
 class Cond(NamedTuple):
     column: str
-    op: str  # a comparison operator, or "between"
+    op: str  # a comparison operator, "between", "match" or "near"
     values: Tuple[object, ...]
+
+
+class Write(NamedTuple):
+    """An INSERT, UPDATE or DELETE: its text up to WHERE, and its WHERE."""
+
+    head: str
+    where: Tuple[Cond, ...] = ()
+
+
+def keyword_match(value, keyword) -> bool:
+    """``MATCH(column, 'keyword')``: the keyword is one of the value's
+    whitespace-separated words, ignoring case (the search onion's
+    semantics). Only text matches."""
+    return isinstance(value, str) and keyword.lower() in value.lower().split()
+
+
+def near(value, target, width) -> bool:
+    """The registered UDF: an integer within ``width`` of ``target``."""
+    return isinstance(value, int) and abs(value - target) <= width
 
 
 class Query(NamedTuple):
@@ -106,16 +130,26 @@ def literal(value) -> str:
     return str(value)
 
 
-def where_sql(conds) -> str:
+def where_sql(conds, sqlite: bool = False) -> str:
     if not conds:
         return ""
     parts = []
     for c in conds:
         if c.op == "between":
             parts.append(f"{c.column} BETWEEN {literal(c.values[0])} AND {literal(c.values[1])}")
+        elif c.op == "match":
+            func = "keyword_match" if sqlite else "MATCH"  # dialect
+            parts.append(f"{func}({c.column}, {literal(c.values[0])})")
+        elif c.op == "near":
+            target, width = c.values
+            parts.append(f"near({c.column}, {literal(target)}, {literal(width)})")
         else:
             parts.append(f"{c.column} {c.op} {literal(c.values[0])}")
     return " WHERE " + " AND ".join(parts)
+
+
+def write_sql(write: Write, sqlite: bool = False) -> str:
+    return write.head + where_sql(write.where, sqlite)
 
 
 def aggregate_sql(aggregate) -> str:
@@ -157,13 +191,14 @@ def sqlite_order(column) -> str:
 def sqlite_select(q: Query) -> str:
     """The same query for SQLite, with the deviations emulated."""
     if q.aggregate is None:
-        sql = "SELECT " + (", ".join(q.columns) or "*") + " FROM t" + where_sql(q.where)
+        sql = "SELECT " + (", ".join(q.columns) or "*") + " FROM t"
+        sql += where_sql(q.where, sqlite=True)
         if q.order_by:
             sql += sqlite_order(q.order_by)
         if q.limit is not None:
             sql += f" LIMIT {q.limit}"
         return sql
-    source = "t" + where_sql(q.where)
+    source = "t" + where_sql(q.where, sqlite=True)
     if q.limit is not None:  # limit_before_aggregate
         order = sqlite_order(q.order_by) if q.order_by else ""
         source = f"(SELECT * FROM {source}{order} LIMIT {q.limit})"
@@ -179,10 +214,13 @@ def sqlite_select(q: Query) -> str:
 
 IDS = st.integers(0, 11)
 INTS = st.one_of(st.none(), st.integers(-20, 20))
-TEXTS = st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "ba", "c"]))
+TEXT_VALUES = ["", "a", "ab", "b", "ba", "c", "a b", "B a", "ab  C"]
+TEXTS = st.one_of(st.none(), st.sampled_from(TEXT_VALUES))
 VALUES = {"id": IDS, "a": INTS, "s": TEXTS}
 NON_NULL = {"id": IDS, "a": st.integers(-20, 20), "s": st.sampled_from(["", "a", "ab", "b", "c"])}
 OPS = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+KEYWORD_VALUES = ["", "a", "A", "b", "ab", "c", "x"]
+KEYWORDS = st.sampled_from(KEYWORD_VALUES)
 
 
 @st.composite
@@ -190,9 +228,17 @@ def conds(draw):
     out = []
     for _ in range(draw(st.integers(0, 2))):
         column = draw(st.sampled_from(COLUMNS))
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["compare", "compare", "between", "match", "near"]))
+        if kind == "between":
             low, high = draw(NON_NULL[column]), draw(NON_NULL[column])
             out.append(Cond(column, "between", (low, high)))
+        elif kind == "match":
+            # Mostly on the text column, where a keyword can match.
+            column = draw(st.sampled_from(["s", "s", "s", column]))
+            out.append(Cond(column, "match", (draw(KEYWORDS),)))
+        elif kind == "near":
+            values = (draw(st.integers(-20, 20)), draw(st.integers(0, 5)))
+            out.append(Cond(column, "near", values))
         else:
             out.append(Cond(column, draw(OPS), (draw(NON_NULL[column]),)))
     return tuple(out)
@@ -209,19 +255,19 @@ def inserts(draw):
     rows = draw(st.lists(st.tuples(*(VALUES[c] for c in names)), min_size=1, max_size=4))
     values = ", ".join("(" + ", ".join(literal(v) for v in row) + ")" for row in rows)
     head = "" if columns is None else " (" + ", ".join(columns) + ")"
-    return ("write", f"INSERT INTO t{head} VALUES {values}")
+    return ("write", Write(f"INSERT INTO t{head} VALUES {values}"))
 
 
 @st.composite
 def updates(draw):
     targets = draw(st.lists(st.sampled_from(["a", "s"]), min_size=1, unique=True))
     sets = ", ".join(f"{c} = {literal(draw(VALUES[c]))}" for c in targets)
-    return ("write", f"UPDATE t SET {sets}" + where_sql(draw(conds())))
+    return ("write", Write(f"UPDATE t SET {sets}", draw(conds())))
 
 
 @st.composite
 def deletes(draw):
-    return ("write", "DELETE FROM t" + where_sql(draw(conds())))
+    return ("write", Write("DELETE FROM t", draw(conds())))
 
 
 AGGREGATES = st.sampled_from(
@@ -260,7 +306,7 @@ def workloads(draw):
     rows = draw(st.lists(st.tuples(IDS, INTS, TEXTS), min_size=3, max_size=8,
                          unique_by=lambda row: row[0]))
     values = ", ".join("(" + ", ".join(literal(v) for v in row) + ")" for row in rows)
-    load = ("write", f"INSERT INTO t VALUES {values}")
+    load = ("write", Write(f"INSERT INTO t VALUES {values}"))
     return [load] + draw(st.lists(STATEMENTS, min_size=5, max_size=60))
 
 
@@ -297,8 +343,14 @@ class Outcome(NamedTuple):
     error: Optional[str]
 
 
+def server_sql(kind, stmt) -> str:
+    if kind == "select":
+        return repro_select(stmt)
+    return write_sql(stmt) if kind == "write" else stmt
+
+
 def run_server(server, session, kind, stmt) -> Outcome:
-    sql = repro_select(stmt) if kind == "select" else stmt
+    sql = server_sql(kind, stmt)
     try:
         result = server.execute(session, sql)
     except Exception as exc:
@@ -307,8 +359,14 @@ def run_server(server, session, kind, stmt) -> Outcome:
     return Outcome(rows, result.rows_affected if kind == "write" else None, None)
 
 
+def sqlite_sql(kind, stmt) -> str:
+    if kind == "select":
+        return sqlite_select(stmt)
+    return write_sql(stmt, sqlite=True) if kind == "write" else stmt
+
+
 def run_sqlite(conn, kind, stmt) -> Outcome:
-    sql = sqlite_select(stmt) if kind == "select" else stmt
+    sql = sqlite_sql(kind, stmt)
     try:
         cursor = conn.execute(sql)
         rows = cursor.fetchall()
@@ -321,17 +379,30 @@ def run_sqlite(conn, kind, stmt) -> Outcome:
     )
 
 
-def check_workload(workload) -> None:
+def connect_sqlite():
     conn = sqlite3.connect(":memory:", isolation_level=None)
+    conn.create_function("keyword_match", 2, keyword_match, deterministic=True)
+    conn.create_function("near", 3, near, deterministic=True)
     conn.execute(SCHEMA)
+    return conn
+
+
+def start_server(data_dir):
+    server = MySQLServer(ServerConfig(data_dir=data_dir))
+    server.register_udf("near", near)
+    session = server.connect("oracle")
+    server.execute(session, SCHEMA)
+    return server, session
+
+
+def check_workload(workload) -> None:
+    conn = connect_sqlite()
     with tempfile.TemporaryDirectory() as tmp:
-        server = MySQLServer(ServerConfig(data_dir=tmp))
+        server, session = start_server(tmp)
         try:
-            session = server.connect("oracle")
-            server.execute(session, SCHEMA)
             history = []
             for kind, stmt in workload:
-                history.append(repro_select(stmt) if kind == "select" else stmt)
+                history.append(server_sql(kind, stmt))
                 got = run_server(server, session, kind, stmt)
                 want = run_sqlite(conn, kind, stmt)
                 assert got == want, "\n".join(history)
@@ -346,6 +417,22 @@ def check_workload(workload) -> None:
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(workloads())
 def test_server_agrees_with_sqlite(workload):
+    check_workload(workload)
+
+
+def test_match_and_udf_agree_on_every_keyword():
+    """Every keyword and UDF argument the strategies draw, on every column,
+    against one row per text value."""
+    values = [None] + TEXT_VALUES
+    rows = ", ".join(f"({i}, {i * 3 - 12}, {literal(v)})" for i, v in enumerate(values))
+    conds = []
+    for column in COLUMNS:
+        conds += [Cond(column, "match", (keyword,)) for keyword in KEYWORD_VALUES]
+        for target, width in [(-12, 0), (0, 3), (6, 5), (-20, 1)]:
+            conds.append(Cond(column, "near", (target, width)))
+    workload = [("write", Write(f"INSERT INTO t VALUES {rows}"))]
+    for cond in conds:
+        workload.append(("select", Query(("id",), None, (cond,), None, None, None)))
     check_workload(workload)
 
 

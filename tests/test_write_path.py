@@ -393,11 +393,14 @@ class TestWindowsHoldBytes:
         assert mgr.undo_stream.records() == [r for _, r in undo]
 
     def test_windows_hold_only_bytes(self, make_wal):
+        """A window is one bytearray in the artifact's framing, plus ints."""
         mgr = make_wal(sync=False)
         self._append(mgr, random.Random(6), 50)
         for stream in (mgr.redo_stream, mgr.undo_stream):
-            for entry in stream._entries:
-                assert [type(part) for part in entry] == [int, bytes]
+            state = [v for k, v in vars(stream).items() if k != "_decode"]
+            assert {type(v) for v in state} == {bytearray, int}
+            assert [v for v in state if type(v) is bytearray] == [stream._buf]
+            assert bytes(stream._buf[stream._start :]) == stream.raw_bytes()
 
     def test_restart_refills_the_same_records(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
