@@ -84,11 +84,14 @@ class StorageEngine:
     buffer_pool_policy:
         Frame eviction policy, ``"lru"`` or ``"clock"``.
     wal_segment_bytes:
-        Roll threshold for the WAL segments under ``<data_dir>/wal/``.
+        Size of each WAL segment file under ``<data_dir>/wal/``: files
+        are preallocated to it, and the log rolls to a new one at it.
     wal_sync:
-        When ``True`` (default) every group flush ``fsync``\\ s the active
-        WAL segment. Crash tests that drive thousands of transactions turn
-        this off for speed; the flush boundary semantics are identical.
+        When ``True`` (default) every group flush ``fdatasync``\\ s the
+        active WAL segment (``fsync`` where the platform has no
+        ``fdatasync``). Crash tests that drive thousands of
+        transactions turn this off for speed; the flush boundary semantics
+        are identical.
     """
 
     def __init__(

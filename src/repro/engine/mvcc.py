@@ -170,11 +170,12 @@ class MVCCManager:
                 if node.txn_id == txn.txn_id:
                     node.commit_seq = self._commits
                 node = node.prev
-        if not self._active:
+        horizon = self.oldest_active_snapshot()
+        if horizon is None:
             self._clear_committed()
         else:
             for table, key in touched:
-                self._truncate(table, key)
+                self._truncate(table, key, horizon)
 
     def rollback(self, txn: Transaction) -> None:
         """Drop the transaction's (contiguous, newest) versions."""
@@ -220,25 +221,17 @@ class MVCCManager:
             for key in dead:
                 del chain[key]
 
-    def _truncate(self, table: str, key: int) -> None:
+    def _truncate(self, table: str, key: int, horizon: int) -> None:
         """Drop chain history no active snapshot can ever need.
 
-        With no active transactions a fully-committed chain disappears
-        entirely; otherwise the chain is cut right after the newest version
-        visible to the oldest active snapshot.
+        ``horizon`` is the oldest active snapshot, computed once per
+        commit: the chain is cut right after the newest version visible
+        to it.
         """
         chain = self._chains.get(table)
         if chain is None:
             return
-        head = chain.get(key)
-        if head is None:
-            return
-        horizon = self.oldest_active_snapshot()
-        if horizon is None:
-            if head.commit_seq is not None:
-                del chain[key]
-            return
-        node = head
+        node = chain.get(key)
         while node is not None:
             visible_to_oldest = (
                 node.commit_seq is not None and node.commit_seq <= horizon

@@ -99,7 +99,7 @@ class ServerConfig:
     disk" (Section 3); flip it off to model a fresh install.
 
     ``wal_sync`` is the one default that does not mirror production: a
-    group flush writes the WAL segment but does not ``fsync`` it. Flushed
+    group flush writes the WAL segment but does not ``fdatasync`` it. Flushed
     frames still survive :meth:`~repro.engine.StorageEngine.simulate_crash`
     and :func:`~repro.wal.recovery.recover_engine`, and every artifact is
     byte-identical either way; only the disk barrier, the largest cost of
@@ -134,10 +134,10 @@ class ServerConfig:
     data_dir: Optional[str] = None
     #: Frame eviction policy, "lru" or "clock".
     buffer_pool_policy: str = "lru"
-    #: WAL segment roll threshold (None = engine default, 1 MiB).
+    #: WAL segment file size and roll threshold (None = engine default, 1 MiB).
     wal_segment_bytes: Optional[int] = None
-    #: fsync the active WAL segment on every group flush (see above: off by
-    #: default, unlike production).
+    #: fdatasync the active WAL segment on every group flush (see above: off
+    #: by default, unlike production).
     wal_sync: bool = False
 
 

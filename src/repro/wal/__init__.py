@@ -4,8 +4,9 @@ Paper §3's forensic attacks work because the redo/undo/binlog streams are
 byte-level, LSN-ordered records of every mutation. Historically this repo
 kept those streams as three disjoint in-memory paths; this package unifies
 them behind a single :class:`~repro.wal.log_manager.LogManager` that owns
-the monotone LSN, appends checksummed length-prefixed records to segmented
-on-disk log files, and exposes group-flush with an explicit fsync boundary.
+the monotone LSN, appends checksummed length-prefixed records to fixed-size,
+zero-filled on-disk segment files, and exposes group-flush with an explicit
+sync boundary.
 
 The WAL is deliberately a *new snapshot-leakage surface* (registered in
 ``leakage_spec.json`` and the artifact registry): unlike the circular

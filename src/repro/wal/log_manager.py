@@ -18,16 +18,28 @@ and every log append in the engine goes through it:
   unchanged.
 
 Appends are *staged*: nothing reaches the operating system until
-:meth:`LogManager.flush` (group flush), which writes the pending frames to
-the active segment file under ``wal_dir`` (one write per segment it
-touches), rolls segments at ``segment_bytes``, and — when ``sync`` is on —
-``fsync``\\ s before returning. :meth:`LogManager.flush_to` is the buffer
-pool's WAL-rule hook: force the log up to a dirty page's page-LSN before
-that page may hit disk.
+:meth:`LogManager.flush` (group flush), which writes the pending frames
+into the active segment file under ``wal_dir`` (one ``pwrite`` per segment
+it touches), rolls segments at ``segment_bytes``, and — when ``sync`` is
+on — ``fdatasync``\\ s before returning. :meth:`LogManager.flush_to` is the
+buffer pool's WAL-rule hook: force the log up to a dirty page's page-LSN
+before that page may hit disk.
+
+Every segment is a fixed-size file, as InnoDB's redo log files are: it is
+created as ``segment_bytes`` of explicit zeros (with ``sync`` on, the file
+and the directory entry naming it are synced before any frame lands in
+it), and the log fills it from the front. A commit's sync then carries its
+own bytes and no new file size. The log in a file ends where only zeros
+remain (:func:`~repro.wal.records.parse_frames`); on resume a torn last
+segment is cut to its good end and zeroed back to full size, so no byte
+of an unacknowledged write survives past the end of the log. Only
+a single frame larger than ``segment_bytes`` grows a file, and it does so
+in a segment of its own.
 
 Durability is also the leakage boundary: :meth:`LogManager.segments`
-exposes exactly the flushed bytes — what a snapshot attacker gets from the
-disk — never the staged tail that would be lost in a crash.
+exposes exactly the flushed bytes — each file's live region, what a
+snapshot attacker reads as the log from the disk — never the staged tail
+that would be lost in a crash.
 """
 
 from __future__ import annotations
@@ -75,6 +87,13 @@ DEFAULT_CAPACITY = 25 * 1000 * 1000
 #: segments (the forensic surface is per-file), large enough to stay cheap.
 DEFAULT_SEGMENT_BYTES = 1 << 20
 
+#: The zero-fill source: one reused buffer, not a segment-sized ``bytes``.
+_ZEROS = memoryview(bytes(64 << 10))
+
+#: Data-only sync where the platform has it (not macOS): a flush into a
+#: preallocated segment changes no file size, so no metadata need follow.
+_datasync = getattr(os, "fdatasync", os.fsync)
+
 #: A window record's framing: ``lsn u64 | len u32``, then the body.
 _RECORD_HEADER = struct.Struct("<QI")
 _HEADER_SIZE = _RECORD_HEADER.size
@@ -87,6 +106,30 @@ _SEGMENT_SUFFIX = ".log"
 
 def segment_name(index: int) -> str:
     return f"{_SEGMENT_PREFIX}{index:08d}{_SEGMENT_SUFFIX}"
+
+
+def _write_at(fd: int, data, offset: int) -> None:
+    """``pwrite`` all of ``data`` at ``offset``, resuming a short write."""
+    written = os.pwrite(fd, data, offset)
+    while written < len(data):
+        written += os.pwrite(fd, memoryview(data)[written:], offset + written)
+
+
+def _zero_fill(fd: int, start: int, end: int) -> None:
+    """Write explicit zeros over ``[start, end)`` of the file."""
+    while start < end:
+        chunk = _ZEROS[: end - start]
+        _write_at(fd, chunk, start)
+        start += len(chunk)
+
+
+def _sync_dir(path: str) -> None:
+    """fsync a directory, making the entries created in it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class LogStream(Generic[RecordT]):
@@ -204,7 +247,11 @@ class LogStream(Generic[RecordT]):
 
 
 class _Segment:
-    """One WAL segment file: its name, path, flushed size and open handle."""
+    """One WAL segment file: its name, path, log size and open handle.
+
+    ``size`` is the length of the log in the file — the flushed frames —
+    not of the file, which is preallocated to ``segment_bytes``.
+    """
 
     __slots__ = ("name", "size", "path", "handle")
 
@@ -267,8 +314,13 @@ class LogManager:
     def _resume_from_disk(self) -> None:
         """Rebuild LSN position and retention windows from existing segments.
 
-        Tolerates a torn tail in the *last* segment (a crash mid-append):
-        the bad bytes are truncated away so new appends extend a valid log.
+        Tolerates a torn tail in the *last* segment (a crash mid-append).
+        A torn segment, or one shorter than ``segment_bytes``, is cut to
+        the end of its valid log and zeroed back to full size, so new
+        appends extend a valid log and no byte past its end — a torn
+        frame, or a whole one an unacknowledged write left behind zeros —
+        can be read as log after a later crash. A segment that already
+        ends in zeros is left as it is.
         """
         names = sorted(
             f
@@ -276,6 +328,7 @@ class LogManager:
             if f.startswith(_SEGMENT_PREFIX) and f.endswith(_SEGMENT_SUFFIX)
         )
         end_lsn = self.lsn.current
+        rezero = False
         for i, name in enumerate(names):
             path = os.path.join(self.wal_dir, name)
             with open(path, "rb") as fh:
@@ -290,8 +343,7 @@ class LogManager:
                 if i != len(names) - 1:
                     raise WalError(f"corrupt interior WAL segment {name}: {error}")
                 self.truncated_tail = f"{name}: {error}"
-                with open(path, "r+b") as fh:
-                    fh.truncate(good_end)
+            rezero = error is not None or len(data) < self.segment_bytes
             for frame in frames:
                 # Decoding validates the body (a corrupt one fails the open);
                 # the window keeps only the bytes.
@@ -309,23 +361,40 @@ class LogManager:
         self._flushed_lsn = self.lsn.current
         if self._segments:
             last = self._segments[-1]
-            last.handle = open(last.path, "ab")
+            last.handle = open(last.path, "r+b", buffering=0)
+            if rezero:
+                fd = last.handle.fileno()
+                os.ftruncate(fd, last.size)
+                _zero_fill(fd, last.size, self.segment_bytes)
+                if self.sync:
+                    os.fsync(fd)
 
     # -- segment plumbing --------------------------------------------------
 
     def _open_segment(self, name: str) -> None:
+        """Create the next segment as ``segment_bytes`` of explicit zeros.
+
+        Zeros, not a sparse file or ``posix_fallocate``: no filesystem then
+        changes metadata on the first write into a block, so a commit's
+        sync carries only its own bytes. With ``sync`` on, the file and
+        the WAL directory's entry for it are durable before any frame is
+        written into it.
+        """
         seg = _Segment(name, os.path.join(self.wal_dir, name))
-        seg.handle = open(seg.path, "ab")
+        seg.handle = open(seg.path, "xb", buffering=0)
         self._segments.append(seg)
+        _zero_fill(seg.handle.fileno(), 0, self.segment_bytes)
+        if self.sync:
+            os.fsync(seg.handle.fileno())
+            _sync_dir(self.wal_dir)
 
     def _seal_active(self) -> None:
         # A segment sealed mid-flush must be as durable as the final one:
         # with ``sync`` on, its frames would otherwise sit in the OS cache
         # while flush() reports them durable.
         active = self._segments[-1]
-        active.handle.flush()
         if self.sync:
-            os.fsync(active.handle.fileno())
+            _datasync(active.handle.fileno())
             self._syncs += 1
         active.handle.close()
         active.handle = None
@@ -467,8 +536,8 @@ class LogManager:
         return self._flushed_lsn
 
     def flush(self) -> int:
-        """Write all staged frames out; fsync when ``sync``. Returns the
-        number of frames written (0 if nothing was pending)."""
+        """Write all staged frames out; fdatasync when ``sync``. Returns
+        the number of frames written (0 if nothing was pending)."""
         self._ensure_open()
         if not self._pending:
             self._flushed_lsn = self.lsn.current
@@ -490,9 +559,8 @@ class LogManager:
             active.size += len(frame)
         self._write_run(active, run)
         written = len(self._pending)
-        active.handle.flush()
         if self.sync:
-            os.fsync(active.handle.fileno())
+            _datasync(active.handle.fileno())
             self._syncs += 1
         self._pending.clear()
         self._pending_frames = 0
@@ -506,7 +574,7 @@ class LogManager:
         """Write one segment's run of frames (its size is already counted)."""
         if run:
             data = b"".join(run)
-            segment.handle.write(data)
+            _write_at(segment.handle.fileno(), data, segment.size - len(data))
             self._bytes_written += len(data)
 
     def flush_to(self, lsn: int) -> None:
@@ -530,16 +598,16 @@ class LogManager:
     def segments(self) -> Dict[str, bytes]:
         """Flushed segment bytes by name — the snapshot-leakage surface.
 
-        Staged (pre-flush) frames are deliberately absent: a crash would
-        lose them, so a disk snapshot cannot contain them either.
+        Each value is the file's live region, its first ``size`` bytes:
+        the log itself, without the zero padding after it. Staged
+        (pre-flush) frames are deliberately absent: a crash would lose
+        them, so a disk snapshot cannot contain them either.
         """
         out: Dict[str, bytes] = {}
         for seg in self._segments:
-            if seg.handle is not None:
-                seg.handle.flush()
             try:
                 with open(seg.path, "rb") as fh:
-                    out[seg.name] = fh.read()
+                    out[seg.name] = fh.read(seg.size)
             except OSError:
                 out[seg.name] = b""
         return out

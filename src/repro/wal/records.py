@@ -9,6 +9,13 @@ makes torn tails self-describing: a crash mid-append leaves a frame whose
 CRC does not verify, and :func:`parse_frames` (tolerant mode) stops there —
 exactly how recovery finds the end of the usable log.
 
+Segment files are preallocated with zeros, so the log in a file ends where
+the zeros begin: a frame position from which every remaining byte is zero
+is a clean end of log. A real header is never all zeros — type 0 is no
+record type — so an all-zero header with non-zero bytes after it is a bad
+frame like any other: a torn tail at the end of the last segment, and
+corruption anywhere else.
+
 Redo and undo bodies are the byte-level row images of paper §3
 (:meth:`RedoRecord.to_bytes`); the same bytes make up the circular
 redo/undo retention windows, so the §3 forensics read either surface.
@@ -279,21 +286,31 @@ def parse_frames(
 ) -> Tuple[List[WalFrame], Optional[str]]:
     """Walk one segment's bytes into frames.
 
-    Returns ``(frames, error)``. In strict mode any truncation, CRC
-    mismatch, or unknown type raises :class:`WalError`; in tolerant mode
-    parsing stops at the first bad frame (a torn tail after a crash) and
-    ``error`` describes it.
+    Returns ``(frames, error)``. Zero padding to the end of ``data`` (see
+    the module docstring) ends the walk cleanly. In strict mode any truncation, CRC mismatch, or
+    unknown type raises :class:`WalError`; in tolerant mode parsing stops
+    at the first bad frame (a torn tail after a crash) and ``error``
+    describes it.
     """
     frames: List[WalFrame] = []
     offset = 0
     header_size = FRAME_HEADER.size
     while offset < len(data):
         if offset + header_size > len(data):
+            if data.count(0, offset) == len(data) - offset:
+                break
             error = f"truncated frame header at offset {offset}"
             if strict:
                 raise WalError(error)
             return frames, error
         lsn, body_len, crc, type_byte = FRAME_HEADER.unpack_from(data, offset)
+        if not (type_byte or lsn or body_len or crc):
+            if data.count(0, offset) == len(data) - offset:
+                break
+            error = f"zeroed frame header before log bytes at offset {offset}"
+            if strict:
+                raise WalError(error)
+            return frames, error
         body_start = offset + header_size
         if body_start + body_len > len(data):
             error = f"truncated frame body at offset {offset}"

@@ -5,6 +5,7 @@ artifacts give a result or a ``ReproError``, never an ``IndexError``,
 The mutations are seeded, so a failure names the seed that replays it.
 """
 
+import os
 import random
 import struct
 
@@ -60,13 +61,17 @@ def artifacts():
     server.engine.checkpoint()
     snap = capture(server, AttackScenario.FULL_COMPROMISE, escalated=True)
     dump_text = server.dump_buffer_pool().to_text()
-    server.close()
     (segment, wal), = snap.require("wal_segments").items()
+    # The segment file itself: the log, then the zeros it was preallocated with.
+    with open(os.path.join(server.engine.wal.wal_dir, segment), "rb") as fh:
+        wal_file = fh.read()
+    server.close()
     return {
         "tablespace": snap.require("tablespace_images")["t"],
         "redo": snap.require_redo_log(),
         "undo": snap.require_undo_log(),
         "wal": wal,
+        "wal_file": wal_file,
         "wal_name": segment,
         "dump": dump_text.encode(),
         "binlog": snap.require("binlog_text").encode(),
@@ -152,6 +157,7 @@ READERS = {
     "redo": carve_logs,
     "undo": carve_logs,
     "wal": carve_wal,
+    "wal_file": carve_wal,
     "dump": carve_dump,
     "binlog": carve_binlog,
     "obs_trace": carve_trace,

@@ -329,15 +329,19 @@ class TestResume:
         mgr = LogManager(wal_dir=str(tmp_path), sync=False)
         append(mgr, key=1)
         mgr.flush()
+        good_size = len(mgr.segments()[segment_name(1)])
         mgr.close()
         path = tmp_path / segment_name(1)
-        good_size = path.stat().st_size
-        with open(path, "ab") as fh:
-            fh.write(b"\xde\xad\xbe\xef")  # torn partial frame
+        with open(path, "r+b") as fh:
+            fh.seek(good_size)
+            fh.write(b"\xde\xad\xbe\xef")  # torn partial frame at the log's end
 
         resumed = LogManager(wal_dir=str(tmp_path), sync=False)
         assert resumed.truncated_tail is not None
-        assert path.stat().st_size == good_size
+        assert len(resumed.segments()[segment_name(1)]) == good_size
+        # The torn bytes are zeroed again; the file keeps its full size.
+        tail = path.read_bytes()[good_size:]
+        assert tail == bytes(resumed.segment_bytes - good_size)
         assert resumed.resumed_frames == 2
         resumed.close()
 

@@ -19,6 +19,7 @@ from repro.errors import EngineError, RecoveryError
 from repro.server import MySQLServer, ServerConfig
 from repro.server.sharding import ShardedEngine
 from repro.storage import decode_row
+from repro.wal.records import FRAME_HEADER, parse_frames
 from repro.wal.recovery import recover_engine, recover_sharded_engine
 
 TABLES = ("a", "b")
@@ -339,9 +340,13 @@ class TestTornPages:
     def test_wal_torn_tail_tolerated(self, tmp_path):
         data_dir = self._crashed_engine(tmp_path, "tail")
         wal_dir = os.path.join(data_dir, "wal")
-        last = sorted(os.listdir(wal_dir))[-1]
-        with open(os.path.join(wal_dir, last), "ab") as fh:
-            fh.write(b"\xfe\xed\xfa\xce")  # partial frame from the crash
+        path = os.path.join(wal_dir, sorted(os.listdir(wal_dir))[-1])
+        with open(path, "rb") as fh:
+            frames, _ = parse_frames(fh.read())
+        end = frames[-1].offset + FRAME_HEADER.size + len(frames[-1].body)
+        with open(path, "r+b") as fh:  # a partial frame at the log's end
+            fh.seek(end)
+            fh.write(b"\xfe\xed\xfa\xce")
 
         recovered = recover_engine(data_dir, **ENGINE_KWARGS)
         assert recovered.last_recovery_report.truncated_tail is not None
