@@ -16,7 +16,9 @@ def test_replication_attack_surface(benchmark, report):
         leaky = 0
         for machine in dep.all_machines:
             snap = capture(machine, AttackScenario.DISK_THEFT)
-            events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+            events = reconstruct_modifications(
+                snap.get("redo_log_raw"), snap.get("undo_log_raw")
+            )
             if any(e.op == "update" and e.key == 7 for e in events):
                 leaky += 1
         return dep, leaky

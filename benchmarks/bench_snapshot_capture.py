@@ -83,12 +83,11 @@ def _direct_full_capture(server: MySQLServer) -> Snapshot:
         "checkpoint_lsn": server.engine.checkpoint_lsns(),
         "wal_segments": server.engine.wal_segments(),
         "dirty_page_table": server.engine.dirty_page_table(),
+        "mvcc_version_chains": server.engine.mvcc_chain_stats(),
     }
     if server.obs.enabled:
         artifacts["obs_metrics"] = server.obs.metrics_dump()
         artifacts["obs_trace_raw"] = server.obs.trace_raw()
-    if server.engine.mvcc is not None:
-        artifacts["mvcc_version_chains"] = tuple(server.engine.mvcc_chain_stats())
     return Snapshot(
         scenario=AttackScenario.FULL_COMPROMISE,
         captured_at=now,

@@ -34,7 +34,7 @@ MIN_SPEEDUP = 10.0
 
 
 def _build_paged() -> StorageEngine:
-    engine = StorageEngine(mvcc=False)
+    engine = StorageEngine()
     engine.register_table("t")
     return engine
 

@@ -55,9 +55,7 @@ def test_wal_append_throughput(bench_json, report, tmp_path):
 
 
 def test_wal_group_flush_throughput(bench_json, report, tmp_path):
-    engine = StorageEngine(
-        data_dir=str(tmp_path / "db"), wal_sync=False, mvcc=False
-    )
+    engine = StorageEngine(data_dir=str(tmp_path / "db"), wal_sync=False)
     engine.register_table("t")
     latencies: List[float] = []
     for i in range(N_COMMITS):

@@ -40,7 +40,7 @@ def main() -> None:
     print("\n== the attacker steals the disk ==")
     snapshot = capture(server, AttackScenario.DISK_THEFT)
     events = reconstruct_modifications(
-        snapshot.redo_log_raw, snapshot.undo_log_raw
+        snapshot.get("redo_log_raw"), snapshot.get("undo_log_raw")
     )
     queries, root = reconstruct_transcript(events, table=edb.table)
     print(f"range queries reconstructed from repair writes: {len(queries)}")

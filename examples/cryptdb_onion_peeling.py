@@ -61,7 +61,7 @@ def main() -> None:
     print("\n== and the query token itself is in the snapshot ==")
     snap = capture(server, AttackScenario.VM_SNAPSHOT)
     det_hex = proxy._det["dept"].encrypt(b"surgery").hex()
-    hits = snap.require_memory_dump().count_locations(det_hex)
+    hits = snap.require("memory_dump").count_locations(det_hex)
     print(f"the 'surgery' equality token appears at {hits} memory locations;")
     attacker = server.connect("attacker")
     replay = server.execute(

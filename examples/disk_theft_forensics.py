@@ -49,10 +49,10 @@ def main() -> None:
 
     print("\n== the attacker steals the disk ==")
     snapshot = capture(server, AttackScenario.DISK_THEFT)
-    assert snapshot.memory_dump is None  # no volatile state in this scenario
+    assert snapshot.get("memory_dump") is None  # no volatile state in this scenario
 
     events = reconstruct_modifications(
-        snapshot.redo_log_raw, snapshot.undo_log_raw
+        snapshot.get("redo_log_raw"), snapshot.get("undo_log_raw")
     )
     print(f"modifications reconstructed from redo/undo: {len(events)}")
 
@@ -62,13 +62,14 @@ def main() -> None:
     print(f"deleted employee recovered: {delete.before}")
 
     print("\n== dating entries older than the binlog window ==")
-    model = fit_lsn_timestamp_model(snapshot.binlog_events)
+    binlog = snapshot.require("binlog_events")
+    model = fit_lsn_timestamp_model(binlog)
     dated = date_modifications(model, events)
     oldest = dated[0]
     print(
         f"oldest log entry (key={oldest.key}) estimated at "
         f"t={oldest.estimated_timestamp:,.0f} "
-        f"(binlog window starts at t={snapshot.binlog_events[0].timestamp:,})"
+        f"(binlog window starts at t={binlog[0].timestamp:,})"
     )
 
     print("\n== pseudo-SQL of the stolen history (first 5) ==")

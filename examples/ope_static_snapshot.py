@@ -43,7 +43,7 @@ def main() -> None:
     server.engine.checkpoint()
     snap = capture(server, AttackScenario.DISK_THEFT)
     ciphertexts = []
-    for _, payload in read_leaf_entries(snap.tablespace_images["staff"]):
+    for _, payload in read_leaf_entries(snap.require("tablespace_images")["staff"]):
         row, _ = decode_row(payload)
         ciphertexts.append(row[1])
     print(f"carved {len(ciphertexts)} ciphertexts from the tablespace image")

@@ -41,22 +41,22 @@ def main() -> None:
 
     print("\n== 3. what the 'snapshot attacker' actually sees ==")
     # (a) Past queries, verbatim, from the statement history.
-    texts = [event.sql_text for event in snapshot.statements_history]
+    texts = [event.sql_text for event in snapshot.get("statements_history")]
     print(f"statement history holds {len(texts)} past statements, e.g.:")
     print(f"  {texts[2]!r}")
 
     # (b) The deleted row, reconstructed from the transaction logs.
     events = reconstruct_modifications(
-        snapshot.redo_log_raw, snapshot.undo_log_raw
+        snapshot.get("redo_log_raw"), snapshot.get("undo_log_raw")
     )
     deleted = [e for e in events if e.op == "delete"][0]
     print(f"deleted row recovered from the undo log: {deleted.before}")
 
     # (c) Every write statement, with timestamps, from the binlog.
-    print(f"binlog retains {len(snapshot.binlog_events)} timestamped writes")
+    print(f"binlog retains {len(snapshot.get('binlog_events'))} timestamped writes")
 
     # (d) Query text in the process heap.
-    dump = snapshot.require_memory_dump()
+    dump = snapshot.require("memory_dump")
     hits = dump.count_locations("SELECT name FROM patients WHERE diagnosis = 'flu'")
     print(f"the SELECT's full text appears at {hits} heap locations")
 

@@ -46,7 +46,7 @@ def main() -> None:
     snapshot = capture(server, AttackScenario.SQL_INJECTION)  # injection suffices!
     pattern = re.compile(r"ASHE_SUM ?\( ?(c\d+) ?\)")
     observed = {}
-    for summary in snapshot.require_digest_summaries():
+    for summary in snapshot.require("digest_summaries"):
         match = pattern.search(summary.digest_text)
         if match:
             observed[match.group(1)] = summary.count_star

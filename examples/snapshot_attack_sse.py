@@ -38,7 +38,7 @@ def main() -> None:
 
     print("\n== one VM snapshot later... ==")
     snapshot = capture(server, AttackScenario.VM_SNAPSHOT)
-    dump = snapshot.require_memory_dump()
+    dump = snapshot.require("memory_dump")
     carved = set()
     for _, hexstr in scan_for_tokens(dump, min_hex_length=64):
         for offset in range(0, len(hexstr) - 63):

@@ -22,7 +22,7 @@ Quickstart::
     server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
     server.execute(session, "INSERT INTO t (id, v) VALUES (1, 'secret')")
     snap = capture(server, AttackScenario.VM_SNAPSHOT)
-    snap.require_memory_dump().count_locations("secret")   # > 0
+    snap.require("memory_dump").count_locations("secret")   # > 0
 """
 
 from .clock import SimClock

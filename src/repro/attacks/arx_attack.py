@@ -52,13 +52,6 @@ class ArxAttackResult:
         return correct / len(ground_truth)
 
 
-def repair_updates(
-    events: Sequence[ModificationEvent], table: str = "arx_index"
-) -> List[ModificationEvent]:
-    """Filter the modification history down to index repair writes."""
-    return [e for e in events if e.table == table and e.op == "update"]
-
-
 def reconstruct_transcript(
     events: Sequence[ModificationEvent], table: str = "arx_index"
 ) -> Tuple[List[ReconstructedQuery], Optional[int]]:

@@ -15,7 +15,6 @@ The table layout mirrors Seabed's (paper §6 / OSDI 2016):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..crypto.ashe import AsheCipher
@@ -28,16 +27,6 @@ from ..server import MySQLServer, Session
 #: ASHE modulus chosen to keep ciphertext values inside a signed 64-bit INT
 #: column (the engine's integer storage format).
 ASHE_MODULUS = 1 << 62
-
-
-@dataclass(frozen=True)
-class SeabedRow:
-    """One logical row of the Seabed-protected table."""
-
-    row_id: int
-    join_key: int      # stored DET
-    metric: int        # stored ASHE
-    category: int      # stored SPLASHE
 
 
 class SeabedEdb:

@@ -10,24 +10,49 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..server import MySQLServer
+from ..server.sharding import (
+    binlog_sections,
+    merge_binlog_events,
+    merge_chain_stats,
+)
 from ..snapshot.registry import ArtifactProvider
 from ..snapshot.scenario import StateQuadrant
 
 
+# A single engine's artifact is read as it is, with no merge step; several
+# shards' artifacts are merged by repro.server.sharding. Each provider keeps
+# its own one-shard branch for speed: benchmarks/bench_snapshot_capture.py
+# bounds the registry walk at 10% over hand-inlined reads, and sending one
+# engine's values through the merge helpers puts the walk over that bound
+# in most runs.
+
+
 def _capture_redo_log(server: MySQLServer) -> bytes:
-    return server.engine.redo_log.raw_bytes()
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return shards[0].redo_log.raw_bytes()
+    return b"".join([shard.redo_log.raw_bytes() for shard in shards])
 
 
 def _capture_undo_log(server: MySQLServer) -> bytes:
-    return server.engine.undo_log.raw_bytes()
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return shards[0].undo_log.raw_bytes()
+    return b"".join([shard.undo_log.raw_bytes() for shard in shards])
 
 
 def _capture_binlog_events(server: MySQLServer) -> tuple:
-    return tuple(server.engine.binlog.events)
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return tuple(shards[0].binlog.events)
+    return merge_binlog_events([shard.binlog.events for shard in shards])
 
 
 def _capture_binlog_text(server: MySQLServer) -> str:
-    return server.engine.binlog.to_text()
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return shards[0].binlog.to_text()
+    return binlog_sections([shard.binlog.to_text() for shard in shards])
 
 
 def _capture_general_log(server: MySQLServer) -> tuple:
@@ -43,15 +68,14 @@ def _capture_shard_log_sizes(server: MySQLServer) -> tuple:
 
 
 def _is_sharded(server: MySQLServer) -> bool:
-    return hasattr(server.engine, "shard_stats")
+    return len(server.engine.shards) > 1
 
 
 def _capture_mvcc_chains(server: MySQLServer) -> tuple:
-    return tuple(server.engine.mvcc_chain_stats())
-
-
-def _has_mvcc(server: MySQLServer) -> bool:
-    return getattr(server.engine, "mvcc", None) is not None
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return shards[0].mvcc_chain_stats()
+    return merge_chain_stats([shard.mvcc_chain_stats() for shard in shards])
 
 
 def providers() -> Tuple[ArtifactProvider, ...]:
@@ -134,7 +158,6 @@ def providers() -> Tuple[ArtifactProvider, ...]:
             artifact_class="data_structures",
             capture=_capture_mvcc_chains,
             requires_escalation=True,
-            enabled=_has_mvcc,
             spec_sinks=("mvcc_chains",),
             forensic_reader="repro.forensics.diagnostics",
         ),

@@ -16,12 +16,7 @@ import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..clock import SimClock
-from ..errors import (
-    ConcurrentTransactionError,
-    EngineError,
-    LogError,
-    TransactionError,
-)
+from ..errors import EngineError, LogError, TransactionError
 from ..obs.instrumentation import NO_OP_INSTRUMENTATION, Instrumentation
 from ..storage.paged import AccessPath, BufferPoolManager, PagedTable, PageFile
 from ..wal.log_manager import DEFAULT_CAPACITY, DEFAULT_SEGMENT_BYTES, LogManager
@@ -48,6 +43,11 @@ _DELETE = ChangeOp.DELETE.value
 class StorageEngine:
     """An InnoDB-like engine instance.
 
+    Concurrent transactions interleave under MVCC (snapshot isolation,
+    first-writer-wins conflicts). An engine is its own single shard
+    (:attr:`shards`), so code that reads every shard's artifacts serves
+    :class:`~repro.server.sharding.ShardedEngine` and this class alike.
+
     Parameters
     ----------
     clock:
@@ -63,14 +63,6 @@ class StorageEngine:
         Observability handle (:mod:`repro.obs`); storage operations and log
         appends emit spans/counters through it. Defaults to the shared
         no-op handle, which keeps the hot paths allocation-free.
-    mvcc:
-        When ``True`` (the default) the engine runs MVCC: concurrent
-        transactions interleave under snapshot isolation with
-        first-writer-wins conflicts. When ``False`` the engine keeps the
-        seed's single-client semantics but *fails loudly*
-        (:class:`~repro.errors.ConcurrentTransactionError`) if a second
-        transaction begins before the first finishes — the old silent
-        corruption is no longer reachable.
     space_id_base:
         Offset added to tablespace ids; sharded deployments give each
         shard a disjoint space-id range so combined buffer-pool dumps stay
@@ -102,7 +94,6 @@ class StorageEngine:
         undo_capacity: int = DEFAULT_CAPACITY,
         binlog_enabled: bool = False,
         instrumentation: Optional[Instrumentation] = None,
-        mvcc: bool = True,
         space_id_base: int = 0,
         data_dir: Optional[str] = None,
         buffer_pool_policy: str = "lru",
@@ -148,9 +139,7 @@ class StorageEngine:
         self._tables: Dict[str, Tuple] = {}
         self._next_space_id = space_id_base + 1
         self._next_txn_id = 1
-        self.mvcc: Optional[MVCCManager] = MVCCManager() if mvcc else None
-        #: txn ids begun but not yet committed/rolled back.
-        self._active_txn_ids: set = set()
+        self.mvcc = MVCCManager()
 
     # -- table management ----------------------------------------------------
 
@@ -203,32 +192,20 @@ class StorageEngine:
         """Start a transaction.
 
         ``txn_id`` lets a sharded coordinator impose a globally-unique id;
-        plain callers leave it ``None``. Without MVCC a second concurrent
-        transaction fails loudly instead of silently corrupting rollback
-        state (the seed's unchecked single-client assumption).
+        plain callers leave it ``None``.
         """
-        if self.mvcc is None and self._active_txn_ids:
-            raise ConcurrentTransactionError(
-                f"engine is running without MVCC and transaction(s) "
-                f"{sorted(self._active_txn_ids)} are still active; "
-                "interleaved transactions would corrupt rollback state"
-            )
         if txn_id is None:
             txn_id = self._next_txn_id
         self._next_txn_id = max(self._next_txn_id, txn_id) + 1
         txn = Transaction(txn_id=txn_id)
         self.wal.append_begin(txn_id)
-        self._active_txn_ids.add(txn.txn_id)
-        if self.mvcc is not None:
-            self.mvcc.begin(txn)
+        self.mvcc.begin(txn)
         return txn
 
     def commit(self, txn: Transaction) -> None:
         """Commit: binlog every statement of a write transaction."""
         txn.mark_committed()
-        self._active_txn_ids.discard(txn.txn_id)
-        if self.mvcc is not None:
-            self.mvcc.commit(txn)
+        self.mvcc.commit(txn)
         if txn.is_write and self.binlog.enabled:
             timestamp = self.clock.timestamp()
             for statement in txn.statements or ["<unlogged statement>"]:
@@ -277,17 +254,13 @@ class StorageEngine:
                 raise TransactionError(f"unknown change op {change.op!r}")
         self.wal.append_abort(txn.txn_id)
         txn.mark_rolled_back()
-        self._active_txn_ids.discard(txn.txn_id)
-        if self.mvcc is not None:
-            self.mvcc.rollback(txn)
+        self.mvcc.rollback(txn)
 
     def log_ddl(self, timestamp: int, statement: str) -> None:
         """Binlog a DDL statement (no row changes, no open transaction).
 
-        DDL replicates like any statement but must not register an active
-        transaction — a CREATE TABLE issued while another session's
-        transaction is open would otherwise trip the non-MVCC loud-failure
-        path.
+        DDL replicates like any statement but registers no active
+        transaction: it takes an id for its binlog event and nothing else.
         """
         if not self.binlog.enabled:
             return
@@ -300,8 +273,7 @@ class StorageEngine:
     def insert(self, txn: Transaction, table: str, key: int, row: bytes) -> AccessPath:
         """Insert a row, logging undo (empty before-image) and redo (after)."""
         _, tree = self._lookup(table)
-        if self.mvcc is not None:
-            self.mvcc.check_write(txn, table, key)
+        self.mvcc.check_write(txn, table, key)
         undo = _encode_body(txn.txn_id, table, _INSERT, key, b"")
         redo = _encode_body(txn.txn_id, table, _INSERT, key, row)
         self.wal.check_row_change(undo, redo)
@@ -309,18 +281,14 @@ class StorageEngine:
             path = tree.insert(key, row)
         txn.note_lsn(self.wal.append_row_change(table, undo, redo))
         self.obs.count("engine.rows_written", label=table)
-        if self.mvcc is not None:
-            self.mvcc.record_write(
-                txn, table, key, _INSERT, b"", self.lsn.current
-            )
+        self.mvcc.record_write(txn, table, key, _INSERT, b"", self.lsn.current)
         txn.record_change(table, _INSERT, key, b"", row)
         return path
 
     def update(self, txn: Transaction, table: str, key: int, row: bytes) -> AccessPath:
         """Update a row, logging before- and after-images."""
         _, tree = self._lookup(table)
-        if self.mvcc is not None:
-            self.mvcc.check_write(txn, table, key)
+        self.mvcc.check_write(txn, table, key)
         redo = _encode_body(txn.txn_id, table, _UPDATE, key, row)
         # The before-image, and so the undo body, comes out of the tree.
         self.wal.check_row_change(b"", redo)
@@ -334,18 +302,14 @@ class StorageEngine:
             raise
         txn.note_lsn(lsn)
         self.obs.count("engine.rows_written", label=table)
-        if self.mvcc is not None:
-            self.mvcc.record_write(
-                txn, table, key, _UPDATE, before, self.lsn.current
-            )
+        self.mvcc.record_write(txn, table, key, _UPDATE, before, self.lsn.current)
         txn.record_change(table, _UPDATE, key, before, row)
         return path
 
     def delete(self, txn: Transaction, table: str, key: int) -> AccessPath:
         """Delete a row, logging its before-image."""
         _, tree = self._lookup(table)
-        if self.mvcc is not None:
-            self.mvcc.check_write(txn, table, key)
+        self.mvcc.check_write(txn, table, key)
         redo = _encode_body(txn.txn_id, table, _DELETE, key, b"")
         # The before-image, and so the undo body, comes out of the tree.
         self.wal.check_row_change(b"", redo)
@@ -359,10 +323,7 @@ class StorageEngine:
             raise
         txn.note_lsn(lsn)
         self.obs.count("engine.rows_written", label=table)
-        if self.mvcc is not None:
-            self.mvcc.record_write(
-                txn, table, key, _DELETE, before, self.lsn.current
-            )
+        self.mvcc.record_write(txn, table, key, _DELETE, before, self.lsn.current)
         txn.record_change(table, _DELETE, key, before, b"")
         return path
 
@@ -373,16 +334,14 @@ class StorageEngine:
     ) -> Tuple[Optional[bytes], AccessPath]:
         """Point lookup through the clustered index (touches the pool).
 
-        Under MVCC the tree's current value is rolled back to ``txn``'s
-        snapshot (``txn=None`` reads latest committed).
+        The tree's current value is rolled back to ``txn``'s snapshot
+        (``txn=None`` reads latest committed).
         """
         _, tree = self._lookup(table)
         with self.obs.span("storage.get", table=table):
             value, path = tree.get(key)
         self.obs.count("engine.rows_read", label=table)
-        if self.mvcc is not None:
-            value = self.mvcc.read_row(table, key, value, txn)
-        return value, path
+        return self.mvcc.read_row(table, key, value, txn), path
 
     def range(
         self,
@@ -396,9 +355,7 @@ class StorageEngine:
         with self.obs.span("storage.range", table=table):
             entries, path = tree.range(low, high)
         self.obs.count("engine.rows_read", n=len(entries), label=table)
-        if self.mvcc is not None:
-            entries = self.mvcc.visible_entries(table, low, high, entries, txn)
-        return entries, path
+        return self.mvcc.visible_entries(table, low, high, entries, txn), path
 
     def scan(self, table: str) -> List[Tuple[int, bytes]]:
         """Full scan via the maintenance path (no buffer-pool touches).
@@ -417,17 +374,16 @@ class StorageEngine:
         with self.obs.span("storage.scan", table=table):
             entries, path = tree.range(None, None)
         self.obs.count("engine.rows_read", n=len(entries), label=table)
-        if self.mvcc is not None:
-            entries = self.mvcc.visible_entries(table, None, None, entries, txn)
-        return entries, path
+        return self.mvcc.visible_entries(table, None, None, entries, txn), path
 
     # -- maintenance ------------------------------------------------------------
 
     def checkpoint(self) -> int:
         """Fuzzy checkpoint: log the dirty-page table + active txns, force
         the WAL, then flush frames and stamp file headers."""
-        active = tuple(sorted(self._active_txn_ids))
-        self.wal.append_checkpoint(self.buffer_pool.dirty_page_table(), active)
+        self.wal.append_checkpoint(
+            self.buffer_pool.dirty_page_table(), self.mvcc.active_txn_ids
+        )
         self.wal.flush()
         return self.buffer_pool.checkpoint()
 
@@ -512,19 +468,17 @@ class StorageEngine:
 
     # -- introspection / artifacts --------------------------------------------
 
-    def tablespace_images(self) -> Dict[str, bytes]:
-        """Serialized bytes of every tablespace, keyed by table name.
+    @property
+    def shards(self) -> Tuple[StorageEngine]:
+        """The engine's shards: itself alone."""
+        return (self,)
 
-        Polymorphic with :class:`~repro.server.sharding.ShardedEngine`, which
-        returns per-shard-qualified names; snapshot capture calls this
-        instead of walking ``table_names`` so both engine shapes work.
-        """
+    def tablespace_images(self) -> Dict[str, bytes]:
+        """Serialized bytes of every tablespace, keyed by table name."""
         return {
             name: self.tablespace(name).to_bytes() for name in self.table_names
         }
 
     def mvcc_chain_stats(self):
-        """Version-chain summaries (empty tuple when MVCC is off)."""
-        if self.mvcc is None:
-            return ()
+        """Version-chain summaries, sorted by (table, key)."""
         return self.mvcc.chain_stats()

@@ -60,15 +60,6 @@ class TransactionError(EngineError):
     """Raised on invalid transaction state transitions."""
 
 
-class ConcurrentTransactionError(TransactionError):
-    """Raised when a second transaction begins on a non-MVCC engine.
-
-    The pre-concurrency engine silently assumed one client: interleaved
-    transactions corrupted rollback state. Engines running without MVCC now
-    fail loudly instead.
-    """
-
-
 class WriteConflictError(TransactionError):
     """Raised on a write-write conflict under MVCC (first-writer-wins).
 

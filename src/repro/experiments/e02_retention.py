@@ -102,7 +102,9 @@ def run_log_retention(
     ) + (engine.undo_log.used_bytes / max(engine.undo_log.num_records, 1))
 
     snap = capture(server, AttackScenario.DISK_THEFT)
-    events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+    events = reconstruct_modifications(
+        snap.get("redo_log_raw"), snap.get("undo_log_raw")
+    )
     updates = [e for e in events if e.op == "update"]
     # Retention window: oldest retained update's issue time to now.
     retained = len({e.lsn for e in updates})

@@ -68,12 +68,12 @@ def run_binlog_timing(
     server.engine.binlog.purge_before(cutoff_time)
 
     snap = capture(server, AttackScenario.DISK_THEFT)
-    model = fit_lsn_timestamp_model(snap.binlog_events)
-    mods = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+    model = fit_lsn_timestamp_model(snap.get("binlog_events"))
+    mods = reconstruct_modifications(snap.get("redo_log_raw"), snap.get("undo_log_raw"))
 
     # Score only entries older than the surviving binlog window.
     errors: List[float] = []
-    surviving_min_lsn = min(e.lsn for e in snap.binlog_events)
+    surviving_min_lsn = min(e.lsn for e in snap.get("binlog_events"))
     commit_lsns = sorted(truth)
     for event in mods:
         if event.op != "insert" or event.table != "log":

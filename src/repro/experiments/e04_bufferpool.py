@@ -29,10 +29,6 @@ class BufferPoolResult:
     recent_recovered: int
     last_select_recovered: bool
 
-    @property
-    def recent_recovery_rate(self) -> float:
-        return self.recent_recovered / self.recent_window
-
 
 def run_buffer_pool_paths(
     table_rows: int = 2_000,
@@ -68,7 +64,7 @@ def run_buffer_pool_paths(
 
     server.dump_buffer_pool()
     snap = capture(server, AttackScenario.DISK_THEFT)
-    inferred = {p.page_ids for p in infer_access_paths(snap.buffer_pool_dump)}
+    inferred = {p.page_ids for p in infer_access_paths(snap.get("buffer_pool_dump"))}
 
     recent = true_paths[-recent_window:]
     recovered = sum(1 for path in recent if path in inferred)

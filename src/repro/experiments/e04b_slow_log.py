@@ -76,7 +76,7 @@ def run_slow_log_inference(
             analytic_texts.append(statement)
 
     snap = capture(server, AttackScenario.DISK_THEFT)
-    entries = snap.slow_log_entries or ()
+    entries = snap.get("slow_log_entries") or ()
     on_disk = {e.statement for e in entries}
     analytic_recovered = sum(1 for text in analytic_texts if text in on_disk)
     oltp_leaked = sum(

@@ -72,7 +72,7 @@ def run_adaptive_hash_leak(
 
     # --- attacker: memory snapshot exposes the AHI ---------------------------
     snap = capture(server, AttackScenario.VM_SNAPSHOT)
-    hot = snap.adaptive_hash_hot_keys or ()
+    hot = snap.get("adaptive_hash_hot_keys") or ()
     observed = {h.key: h.access_count for h in hot}
 
     model = zipf_frequencies(identities, s=zipf_s)

@@ -158,7 +158,7 @@ def run_memory_residue(
 
     # Dump the process memory and scan (the paper's measurement).
     snap = capture(server, AttackScenario.VM_SNAPSHOT)
-    dump = snap.require_memory_dump()
+    dump = snap.require("memory_dump")
     return ResidueResult(
         column_variant=scan_for_query(dump, query_a, marker_a),
         where_variant=scan_for_query(dump, query_b, marker_b),

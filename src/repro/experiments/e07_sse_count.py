@@ -81,7 +81,7 @@ def run_sse_count_attack(
 
     # --- the attacker's side -------------------------------------------------
     snap = capture(server, AttackScenario.VM_SNAPSHOT)
-    dump = snap.require_memory_dump()
+    dump = snap.require("memory_dump")
     carved_hexes = {hexstr for _, hexstr in scan_for_tokens(dump, min_hex_length=64)}
     # Tags are 64 hex chars; longer carved runs may embed them.
     carved_tags = set()

@@ -118,7 +118,7 @@ def run_end_to_end_token_recovery(
 
     # Attacker: carve token hexes out of the memory snapshot's query texts.
     snap = capture(server, AttackScenario.VM_SNAPSHOT)
-    dump = snap.require_memory_dump()
+    dump = snap.require("memory_dump")
     token_pattern = re.compile(rb"ore_range\(val_ore, '([0-9a-f]+)', '([0-9a-f]+)'\)")
     carved: List[LewiWuLeftCiphertext] = []
     seen = set()

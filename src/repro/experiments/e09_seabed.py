@@ -78,7 +78,7 @@ def run_seabed_splashe(
     digest_histogram: Dict[str, int] = {}
     column_of_digest: Dict[str, str] = {}
     pattern = re.compile(r"ASHE_SUM ?\( ?(c\d+) ?\)")
-    for summary in snap.require_digest_summaries():
+    for summary in snap.require("digest_summaries"):
         match = pattern.search(summary.digest_text)
         if match:
             digest_histogram[summary.digest_text] = summary.count_star

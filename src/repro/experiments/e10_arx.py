@@ -90,7 +90,9 @@ def run_arx_transcript(
 
     # --- attacker: persistent state only -------------------------------------
     snap = capture(server, AttackScenario.DISK_THEFT)
-    events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+    events = reconstruct_modifications(
+        snap.get("redo_log_raw"), snap.get("undo_log_raw")
+    )
     reconstructed, root = reconstruct_transcript(events, table=edb.table)
 
     # Score transcript reconstruction against the client's ground truth.

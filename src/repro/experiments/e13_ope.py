@@ -70,7 +70,7 @@ def run_ope_sorting(
     server.engine.checkpoint()
     snap = capture(server, AttackScenario.DISK_THEFT)
     ciphertexts: List[int] = []
-    for _, payload in read_leaf_entries(snap.tablespace_images["staff"]):
+    for _, payload in read_leaf_entries(snap.require("tablespace_images")["staff"]):
         row, _ = decode_row(payload)  # (id, age_ope)
         ciphertexts.append(row[1])
     assert len(ciphertexts) == num_rows

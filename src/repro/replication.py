@@ -79,6 +79,14 @@ class ReplicatedDeployment:
         base = config or ServerConfig()
         if not base.binlog_enabled:
             raise ReproError("replication requires binlog_enabled=True")
+        # The paper's deployment is not sharded (§2), and replay reads one
+        # engine's binlog: each shard logs every DDL, so a merged binlog
+        # would replay each DDL (and each cross-shard write) once per shard.
+        if base.num_shards > 1:
+            raise ReproError(
+                f"replication needs an unsharded primary, got "
+                f"num_shards={base.num_shards}"
+            )
         self.primary = MySQLServer(base, clock=self.clock)
         self.replicas: List[MySQLServer] = [
             MySQLServer(base, clock=self.clock) for _ in range(num_replicas)

@@ -54,9 +54,6 @@ class TableSchema:
                 return idx
         raise CatalogError(f"table {self.name!r} has no column {name!r}")
 
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
-
     def validate_value(self, column: ColumnDef, value: Literal) -> None:
         """Type-check one value against its column definition."""
         if value is None:

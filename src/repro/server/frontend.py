@@ -135,10 +135,6 @@ class SessionScheduler:
     def queue_depth(self) -> int:
         return self._depth
 
-    def session_depth(self, session_id: int) -> int:
-        queue = self._queues.get(session_id)
-        return len(queue) if queue else 0
-
     def submit(self, session_id: int, sql: str, arrival_ts: int) -> ClientRequest:
         """Admit one statement; rejects (loudly) when the bound is hit."""
         with self._lock:

@@ -36,6 +36,7 @@ from .information_schema import InformationSchema
 from .performance_schema import DEFAULT_HISTORY_SIZE, PerformanceSchema
 from .query_cache import QueryCache
 from .session import Session
+from .sharding import merge_pool_dumps
 
 Row = Tuple[Literal, ...]
 
@@ -127,9 +128,6 @@ class ServerConfig:
     obs_trace_capacity: int = 512
     #: Number of hash shards; 1 = the classic single engine.
     num_shards: int = 1
-    #: MVCC on the engine(s); off restores the single-client engine, which
-    #: now fails loudly (ConcurrentTransactionError) on interleaving.
-    mvcc_enabled: bool = True
     #: Directory for the .ibd files and WAL segments (None = private tempdir).
     data_dir: Optional[str] = None
     #: Frame eviction policy, "lru" or "clock".
@@ -189,7 +187,6 @@ class MySQLServer:
                 undo_capacity=self.config.undo_capacity,
                 binlog_enabled=self.config.binlog_enabled,
                 instrumentation=self.obs,
-                mvcc=self.config.mvcc_enabled,
                 data_dir=self.config.data_dir,
                 buffer_pool_policy=self.config.buffer_pool_policy,
                 **engine_wal_kwargs,
@@ -202,7 +199,6 @@ class MySQLServer:
                 undo_capacity=self.config.undo_capacity,
                 binlog_enabled=self.config.binlog_enabled,
                 instrumentation=self.obs,
-                mvcc=self.config.mvcc_enabled,
                 data_dir=self.config.data_dir,
                 buffer_pool_policy=self.config.buffer_pool_policy,
                 **engine_wal_kwargs,
@@ -469,13 +465,18 @@ class MySQLServer:
                 for s in self.perf_schema.events_statements_summary_by_digest()
             ]
         if name == "performance_schema.global_status":
-            pool = self.engine.buffer_pool.stats
+            pools = [shard.buffer_pool.stats for shard in self.engine.shards]
+            hits = sum(pool["hits"] for pool in pools)
+            misses = sum(pool["misses"] for pool in pools)
             return [
                 ("Queries", self.perf_schema.statements_total),
                 ("Threads_connected", self.info_schema.active_connections),
-                ("Innodb_buffer_pool_read_requests", pool["hits"] + pool["misses"]),
-                ("Innodb_buffer_pool_reads", pool["misses"]),
-                ("Innodb_buffer_pool_pages_data", pool["resident"]),
+                ("Innodb_buffer_pool_read_requests", hits + misses),
+                ("Innodb_buffer_pool_reads", misses),
+                (
+                    "Innodb_buffer_pool_pages_data",
+                    sum(pool["resident"] for pool in pools),
+                ),
                 ("Qcache_hits", self.query_cache.stats["hits"]),
             ]
         raise CatalogError(f"unknown diagnostic table {name!r}")
@@ -536,8 +537,16 @@ class MySQLServer:
 
     def dump_buffer_pool(self) -> BufferPoolDump:
         """Write the ``ib_buffer_pool`` dump file (shutdown / periodic)."""
-        self._buffer_pool_dump = self.engine.buffer_pool.dump()
+        self._buffer_pool_dump = self.live_buffer_pool()
         return self._buffer_pool_dump
+
+    def live_buffer_pool(self) -> BufferPoolDump:
+        """The resident pages now: each shard's pool in shard order."""
+        shards = self.engine.shards
+        if len(shards) == 1:
+            return shards[0].buffer_pool.dump()
+        dumps = [shard.buffer_pool.dump() for shard in shards]
+        return merge_pool_dumps(dumps)
 
     @property
     def last_buffer_pool_dump(self) -> Optional[BufferPoolDump]:
@@ -547,7 +556,8 @@ class MySQLServer:
     def restart(self) -> None:
         """Bounce the server: volatile state resets, disk artifacts stay."""
         self.dump_buffer_pool()
-        self.engine.buffer_pool.clear()
+        for shard in self.engine.shards:
+            shard.buffer_pool.clear()
         self.perf_schema.restart()
         self.adaptive_hash.clear()
         for session in list(self._sessions.values()):

@@ -1,4 +1,4 @@
-"""Hash-sharded execution: N per-shard storage engines behind one facade.
+"""Hash-sharded execution: N per-shard storage engines behind one router.
 
 A :class:`ShardedEngine` routes each row (by clustering key) to one of N
 :class:`~repro.engine.engine.StorageEngine` instances. Every shard keeps its
@@ -8,17 +8,20 @@ rows and statements across shard logs reveals the shard key's hash
 histogram (registered as the ``shard_log_sizes`` snapshot artifact, and
 noted in EXPERIMENTS.md as shard-key-distribution leakage).
 
-Transactions span shards: the facade allocates a globally-unique id and
-lazily opens a per-shard transaction the first time a statement touches a
-shard, tagging the statement text onto that shard's transaction so commit
-writes it to *that shard's* binlog — exactly the per-shard statement
-placement a forensic reader can diff across shards.
+Transactions span shards: the sharded engine allocates a globally-unique
+id and lazily opens a per-shard transaction the first time a statement
+touches a shard, tagging the statement text onto that shard's transaction
+so commit writes it to *that shard's* binlog — exactly the per-shard
+statement placement a forensic reader can diff across shards.
 
-The combined log/pool facades (:class:`_CombinedLog`, ``_CombinedBinlog``,
-``_CombinedBufferPool``) make the sharded engine a drop-in for every
-existing snapshot :class:`~repro.snapshot.registry.ArtifactProvider`:
-``engine.redo_log.raw_bytes()`` etc. keep working and now concatenate the
-per-shard surfaces in shard order.
+Every engine exposes ``shards``: a :class:`StorageEngine` is its own single
+shard, a :class:`ShardedEngine` has N. Artifact providers and the server
+read a single engine's value as it is and, when there are several shards,
+merge every shard's value in shard order. How a merged surface names and
+orders things is decided here: :func:`qualify` names tables ``t@shard3``
+and WAL segments ``shard3/wal.00000001.log``,
+:func:`merge_binlog_events` orders events by (timestamp, txn, shard), and
+:func:`binlog_sections` heads each shard's binlog text ``# shard N``.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..clock import SimClock
 from ..engine import StorageEngine
+from ..engine.binlog import BinlogEvent
 from ..engine.mvcc import MvccChainStat
 from ..engine.transaction import Transaction, TransactionState
-from ..errors import ConcurrentTransactionError, EngineError, TransactionError
+from ..errors import EngineError, TransactionError
 from ..obs.instrumentation import Instrumentation
 from ..storage.paged import AccessPath, BufferPoolDump, BufferPoolManager
 
@@ -40,6 +44,72 @@ from ..storage.paged import AccessPath, BufferPoolDump, BufferPoolManager
 #: ``[i * stride + 1, (i + 1) * stride]``, so combined buffer-pool dumps
 #: identify the serving shard unambiguously (a leak in its own right).
 SPACE_ID_STRIDE = 1 << 10
+
+#: How a merged surface names a shard's table (``t@shard3``) and WAL
+#: segment (``shard3/wal.00000001.log``): a snapshot of it reveals which
+#: shard wrote each byte, the same shard-distribution leak as
+#: ``shard_log_sizes``, now durable.
+TABLE_NAME = "{name}@shard{shard}"
+WAL_SEGMENT_NAME = "shard{shard}/{name}"
+
+V = TypeVar("V")
+
+
+def qualify(maps: List[Dict[str, V]], template: str = TABLE_NAME) -> Dict[str, V]:
+    """Per-shard name-keyed maps as one, each name qualified by its shard."""
+    return {
+        template.format(name=name, shard=index): value
+        for index, named in enumerate(maps)
+        for name, value in named.items()
+    }
+
+
+def qualify_dirty_pages(
+    tables: List[Tuple[Tuple[str, int, int], ...]],
+) -> Tuple[Tuple[str, int, int], ...]:
+    """Per-shard ``(table, page, rec-LSN)`` tables as one sorted table,
+    each table name qualified as :func:`qualify` qualifies it."""
+    return tuple(
+        sorted(
+            (TABLE_NAME.format(name=name, shard=index), page, lsn)
+            for index, table in enumerate(tables)
+            for name, page, lsn in table
+        )
+    )
+
+
+def merge_binlog_events(
+    logs: List[Tuple[BinlogEvent, ...]],
+) -> Tuple[BinlogEvent, ...]:
+    """Per-shard binlog events as one log, ordered by (timestamp, txn,
+    shard). A single engine's log is not passed through here: commits that
+    share a timestamp keep their append order there."""
+    merged = [
+        (event.timestamp, event.txn_id, index, event)
+        for index, events in enumerate(logs)
+        for event in events
+    ]
+    merged.sort(key=lambda entry: entry[:3])
+    return tuple(entry[3] for entry in merged)
+
+
+def binlog_sections(texts: List[str]) -> str:
+    """Per-shard binlog texts as one, under a ``# shard N`` header each."""
+    return "\n".join(f"# shard {index}\n{text}" for index, text in enumerate(texts))
+
+
+def merge_chain_stats(
+    stats: List[Tuple[MvccChainStat, ...]],
+) -> Tuple[MvccChainStat, ...]:
+    """Per-shard MVCC chain summaries as one, sorted by (table, key) as
+    each shard sorts its own (shards hold disjoint keys)."""
+    merged = [stat for shard_stats in stats for stat in shard_stats]
+    return tuple(sorted(merged, key=lambda stat: (stat.table, stat.key)))
+
+
+def merge_pool_dumps(dumps: List[BufferPoolDump]) -> BufferPoolDump:
+    """Per-shard buffer-pool dumps as one, in shard order."""
+    return BufferPoolDump(entries=tuple(ref for dump in dumps for ref in dump.entries))
 
 
 class ShardRouter:
@@ -106,10 +176,6 @@ class ShardedTransaction:
             txn.record_statement(self._current_statement)
         return txn
 
-    def peek_branch(self, shard: int) -> Optional[Transaction]:
-        """The shard's transaction if already open (reads don't force one)."""
-        return self._branches.get(shard)
-
     @property
     def branches(self) -> Dict[int, Transaction]:
         return dict(self._branches)
@@ -144,155 +210,8 @@ class ShardedTransaction:
             )
 
 
-class _CombinedLsn:
-    """Read-only view of shard LSNs: ``current`` is the max over shards."""
-
-    def __init__(self, shards: List[StorageEngine]) -> None:
-        self._shards = shards
-
-    @property
-    def current(self) -> int:
-        return max(s.lsn.current for s in self._shards)
-
-
-class _CombinedLog:
-    """Concatenated view of per-shard circular logs (redo or undo)."""
-
-    def __init__(self, shards: List[StorageEngine], attr: str) -> None:
-        self._shards = shards
-        self._attr = attr
-
-    def _logs(self):
-        return [getattr(s, self._attr) for s in self._shards]
-
-    def raw_bytes(self) -> bytes:
-        return b"".join(log.raw_bytes() for log in self._logs())
-
-    def records(self):
-        out = []
-        for log in self._logs():
-            out.extend(log.records())
-        return out
-
-    def records_with_lsn(self):
-        out = []
-        for log in self._logs():
-            out.extend(log.records_with_lsn())
-        return out
-
-    @property
-    def num_records(self) -> int:
-        return sum(log.num_records for log in self._logs())
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(log.used_bytes for log in self._logs())
-
-    @property
-    def total_appended(self) -> int:
-        return sum(log.total_appended for log in self._logs())
-
-    @property
-    def total_evicted(self) -> int:
-        return sum(log.total_evicted for log in self._logs())
-
-
-class _CombinedBinlog:
-    """Merged view of per-shard binlogs (event order: timestamp, txn, shard)."""
-
-    def __init__(self, shards: List[StorageEngine]) -> None:
-        self._shards = shards
-
-    @property
-    def enabled(self) -> bool:
-        return any(s.binlog.enabled for s in self._shards)
-
-    @property
-    def events(self):
-        merged = []
-        for idx, shard in enumerate(self._shards):
-            for event in shard.binlog.events:
-                merged.append((event.timestamp, event.txn_id, idx, event))
-        merged.sort(key=lambda t: t[:3])
-        return tuple(entry[3] for entry in merged)
-
-    @property
-    def num_events(self) -> int:
-        return sum(s.binlog.num_events for s in self._shards)
-
-    def to_text(self) -> str:
-        sections = []
-        for idx, shard in enumerate(self._shards):
-            sections.append(f"# shard {idx}\n{shard.binlog.to_text()}")
-        return "\n".join(sections)
-
-    def purge_before(self, timestamp: int) -> int:
-        return sum(s.binlog.purge_before(timestamp) for s in self._shards)
-
-
-class _CombinedWal:
-    """Merged view of per-shard WAL managers.
-
-    Segment names are shard-qualified (``shard0/wal.00000001.log``) so a
-    snapshot of the combined surface reveals which shard wrote each byte —
-    the same shard-distribution leak as ``shard_log_sizes``, now durable.
-    """
-
-    def __init__(self, shards: List[StorageEngine]) -> None:
-        self._shards = shards
-
-    def segments(self) -> Dict[str, bytes]:
-        out: Dict[str, bytes] = {}
-        for idx, shard in enumerate(self._shards):
-            for name, data in shard.wal.segments().items():
-                out[f"shard{idx}/{name}"] = data
-        return out
-
-    def flush(self) -> int:
-        return sum(shard.wal.flush() for shard in self._shards)
-
-    @property
-    def stats(self) -> Dict[str, object]:
-        totals: Dict[str, object] = {}
-        for shard in self._shards:
-            for key, value in shard.wal.stats.items():
-                if isinstance(value, int) and not isinstance(value, bool):
-                    totals[key] = totals.get(key, 0) + value
-        totals["shards"] = len(self._shards)
-        return totals
-
-
-class _CombinedBufferPool:
-    """Merged view of per-shard buffer pools."""
-
-    def __init__(self, shards: List[StorageEngine]) -> None:
-        self._shards = shards
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for shard in self._shards:
-            for key, value in shard.buffer_pool.stats.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    @property
-    def resident_pages(self) -> int:
-        return sum(s.buffer_pool.resident_pages for s in self._shards)
-
-    def dump(self) -> BufferPoolDump:
-        entries = []
-        for shard in self._shards:
-            entries.extend(shard.buffer_pool.dump().entries)
-        return BufferPoolDump(entries=tuple(entries))
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.buffer_pool.clear()
-
-
 class ShardedEngine:
-    """N hash-sharded :class:`StorageEngine` instances behind one facade."""
+    """N hash-sharded :class:`StorageEngine` instances behind one router."""
 
     def __init__(
         self,
@@ -303,7 +222,6 @@ class ShardedEngine:
         undo_capacity: Optional[int] = None,
         binlog_enabled: bool = False,
         instrumentation: Optional[Instrumentation] = None,
-        mvcc: bool = True,
         data_dir: Optional[str] = None,
         buffer_pool_policy: str = "lru",
         wal_segment_bytes: Optional[int] = None,
@@ -321,7 +239,6 @@ class ShardedEngine:
             buffer_pool_capacity=buffer_pool_capacity,
             binlog_enabled=binlog_enabled,
             instrumentation=instrumentation,
-            mvcc=mvcc,
             buffer_pool_policy=buffer_pool_policy,
             wal_sync=wal_sync,
         )
@@ -346,15 +263,7 @@ class ShardedEngine:
             )
             for i in range(num_shards)
         ]
-        self._mvcc_enabled = mvcc
         self._next_txn_id = 1
-        self._active_txn_ids: set = set()
-        self.lsn = _CombinedLsn(self._shards)
-        self.redo_log = _CombinedLog(self._shards, "redo_log")
-        self.undo_log = _CombinedLog(self._shards, "undo_log")
-        self.binlog = _CombinedBinlog(self._shards)
-        self.buffer_pool = _CombinedBufferPool(self._shards)
-        self.wal = _CombinedWal(self._shards)
         #: Set by :func:`repro.wal.recovery.recover_sharded_engine`.
         self.last_recovery_report = None
 
@@ -366,6 +275,7 @@ class ShardedEngine:
 
     @property
     def shards(self) -> Tuple[StorageEngine, ...]:
+        """The engines, in shard order."""
         return tuple(self._shards)
 
     def shard(self, index: int) -> StorageEngine:
@@ -373,11 +283,6 @@ class ShardedEngine:
 
     def shard_of(self, key: int) -> int:
         return self.router.shard_of(key)
-
-    @property
-    def mvcc(self):
-        """Non-``None`` when MVCC is on (same check as StorageEngine.mvcc)."""
-        return self._shards[0].mvcc
 
     # -- table management -----------------------------------------------------
 
@@ -396,7 +301,7 @@ class ShardedEngine:
         if shard is None:
             raise EngineError(
                 f"table {name!r} is sharded over {self.num_shards} engines; "
-                "pass shard=<index> (or use tablespace_images())"
+                "pass shard=<index>"
             )
         return self._shards[shard].tablespace(name)
 
@@ -412,29 +317,20 @@ class ShardedEngine:
 
     def begin(self, txn_id: Optional[int] = None) -> ShardedTransaction:
         """Open a cross-shard transaction (branches begin lazily)."""
-        if not self._mvcc_enabled and self._active_txn_ids:
-            raise ConcurrentTransactionError(
-                f"sharded engine is running without MVCC and transaction(s) "
-                f"{sorted(self._active_txn_ids)} are still active"
-            )
         if txn_id is None:
             txn_id = self._next_txn_id
         self._next_txn_id = max(self._next_txn_id, txn_id) + 1
-        txn = ShardedTransaction(txn_id)
-        self._active_txn_ids.add(txn.txn_id)
-        return txn
+        return ShardedTransaction(txn_id)
 
     def commit(self, txn: ShardedTransaction) -> None:
         for shard_idx in sorted(txn.branches):
             self._shards[shard_idx].commit(txn.branches[shard_idx])
         txn.mark_committed()
-        self._active_txn_ids.discard(txn.txn_id)
 
     def rollback(self, txn: ShardedTransaction) -> None:
         for shard_idx in sorted(txn.branches):
             self._shards[shard_idx].rollback(txn.branches[shard_idx])
         txn.mark_rolled_back()
-        self._active_txn_ids.discard(txn.txn_id)
 
     def log_ddl(self, timestamp: int, statement: str) -> None:
         """DDL goes to every shard's binlog (each shard replays all DDL)."""
@@ -528,18 +424,6 @@ class ShardedEngine:
         for shard in self._shards:
             shard.simulate_crash()
 
-    def wal_segments(self) -> Dict[str, bytes]:
-        """Shard-qualified flushed WAL segments: ``shardN/wal.*.log``."""
-        return self.wal.segments()
-
-    def dirty_page_table(self) -> Tuple[Tuple[str, int, int], ...]:
-        """Shard-qualified dirty-page table: ``(table@shardN, page, lsn)``."""
-        entries = []
-        for idx, shard in enumerate(self._shards):
-            for name, page_id, rec_lsn in shard.dirty_page_table():
-                entries.append((f"{name}@shard{idx}", page_id, rec_lsn))
-        return tuple(sorted(entries))
-
     def register_secondary_index(
         self,
         table: str,
@@ -565,40 +449,6 @@ class ShardedEngine:
         pks.sort()
         return pks, path
 
-    def free_list_info(self) -> Dict[str, List[int]]:
-        """Shard-qualified freed-page chains: ``table@shardN``."""
-        info: Dict[str, List[int]] = {}
-        for idx, shard in enumerate(self._shards):
-            for name, chain in shard.free_list_info().items():
-                info[f"{name}@shard{idx}"] = chain
-        return info
-
-    def checkpoint_lsns(self) -> Dict[str, int]:
-        """Shard-qualified header checkpoint LSNs: ``table@shardN``."""
-        lsns: Dict[str, int] = {}
-        for idx, shard in enumerate(self._shards):
-            for name, lsn in shard.checkpoint_lsns().items():
-                lsns[f"{name}@shard{idx}"] = lsn
-        return lsns
-
-    # -- introspection / artifacts --------------------------------------------
-
-    def tablespace_images(self) -> Dict[str, bytes]:
-        """Per-shard-qualified tablespace bytes: ``table@shardN``."""
-        images: Dict[str, bytes] = {}
-        for idx, shard in enumerate(self._shards):
-            for name, data in shard.tablespace_images().items():
-                images[f"{name}@shard{idx}"] = data
-        return images
-
-    def mvcc_chain_stats(self) -> Tuple[MvccChainStat, ...]:
-        """Version-chain summaries across all shards (keys are disjoint)."""
-        stats: List[MvccChainStat] = []
-        for shard in self._shards:
-            stats.extend(shard.mvcc_chain_stats())
-        stats.sort(key=lambda s: (s.table, s.key))
-        return tuple(stats)
-
     def shard_stats(self) -> Tuple[ShardStat, ...]:
         """Per-shard log sizes — the shard-key-distribution leakage artifact."""
         stats = []
@@ -619,8 +469,14 @@ class ShardedEngine:
 
 __all__ = [
     "SPACE_ID_STRIDE",
+    "TABLE_NAME",
+    "WAL_SEGMENT_NAME",
     "ShardRouter",
     "ShardStat",
     "ShardedEngine",
     "ShardedTransaction",
+    "binlog_sections",
+    "merge_binlog_events",
+    "qualify",
+    "qualify_dirty_pages",
 ]

@@ -2,10 +2,10 @@
 
 A :class:`Snapshot` is a frozen bag of artifacts keyed by registry name;
 artifacts the scenario cannot see are simply absent. Downstream forensics
-must work only from what is present — accessing an absent artifact raises
-:class:`repro.errors.SnapshotError` through :meth:`Snapshot.require` and
-the checked accessors, which keeps experiments honest about their threat
-model.
+must work only from what is present: :meth:`Snapshot.get` returns ``None``
+for an absent artifact, and :meth:`Snapshot.require` raises
+:class:`repro.errors.SnapshotError`, which keeps experiments honest about
+their threat model.
 
 :func:`capture` is a generic walk over the artifact registry
 (:mod:`repro.snapshot.registry`): it filters the registered providers by
@@ -19,14 +19,11 @@ Mongo document stores, Spark clusters — distinguished only by the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..errors import SnapshotError
-from ..memory import MemoryDump
-from ..server.performance_schema import DigestSummary
-from ..engine.binlog import BinlogEvent
 from .registry import ArtifactRegistry, default_registry
-from .scenario import AttackScenario, StateQuadrant, quadrants_for
+from .scenario import AttackScenario
 
 
 @dataclass(frozen=True)
@@ -37,8 +34,6 @@ class Snapshot:
     captured_at: int
     #: Captured artifact values, keyed by registered provider name.
     artifacts: Mapping[str, object] = field(default_factory=dict)
-
-    # -- generic accessors -------------------------------------------------
 
     def get(self, name: str):
         """The artifact value, or ``None`` when the scenario lacks it."""
@@ -52,50 +47,6 @@ class Snapshot:
                 f"{self.scenario.value} snapshot does not include {name}"
             )
         return value
-
-    def __getattr__(self, name: str):
-        # Registry-known artifact names read like the former dataclass
-        # fields: ``snap.redo_log_raw`` is ``snap.get("redo_log_raw")``.
-        if not name.startswith("_") and name in default_registry():
-            return self.artifacts.get(name)
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
-
-    # -- checked accessors (thin shims over the generic store) -------------
-
-    def _require(self, value, name: str):
-        if value is None:
-            raise SnapshotError(
-                f"{self.scenario.value} snapshot does not include {name}"
-            )
-        return value
-
-    def require_memory_dump(self) -> MemoryDump:
-        return self._require(self.get("memory_dump"), "a process memory dump")
-
-    def require_redo_log(self) -> bytes:
-        return self._require(self.get("redo_log_raw"), "the redo log")
-
-    def require_undo_log(self) -> bytes:
-        return self._require(self.get("undo_log_raw"), "the undo log")
-
-    def require_binlog_events(self) -> Tuple[BinlogEvent, ...]:
-        return self._require(self.get("binlog_events"), "the binlog")
-
-    def require_digest_summaries(self) -> Tuple[DigestSummary, ...]:
-        return self._require(self.get("digest_summaries"), "digest summaries")
-
-    def require_obs_metrics(self) -> Dict[str, float]:
-        return self._require(self.get("obs_metrics"), "observability metrics")
-
-    def require_obs_trace(self) -> bytes:
-        return self._require(
-            self.get("obs_trace_raw"), "the observability trace store"
-        )
-
-    def has_quadrant(self, quadrant: StateQuadrant) -> bool:
-        return quadrant in quadrants_for(self.scenario)
 
 
 def capture(

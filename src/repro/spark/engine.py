@@ -94,9 +94,6 @@ class MiniSparkCluster:
             partitions[index % len(self.executors)].append(dict(row))
         self._tables[name] = partitions
 
-    def table_size(self, name: str) -> int:
-        return sum(len(p) for p in self._partitions(name))
-
     def _partitions(self, name: str) -> List[List[Row]]:
         try:
             return self._tables[name]

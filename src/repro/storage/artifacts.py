@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..server import MySQLServer
+from ..server.sharding import qualify
 from ..snapshot.registry import ArtifactProvider
 from ..snapshot.scenario import StateQuadrant
 from .paged import BufferPoolDump
@@ -22,22 +23,29 @@ def _capture_buffer_pool_dump(server: MySQLServer) -> BufferPoolDump:
 
 def _capture_tablespace_images(server: MySQLServer) -> Dict[str, bytes]:
     # The literal .ibd file bytes — header page, index pages, and
-    # freed-page residue included. Polymorphic over StorageEngine /
-    # ShardedEngine (the sharded engine returns per-shard-qualified names,
-    # e.g. ``t@shard3``).
-    return server.engine.tablespace_images()
+    # freed-page residue included.
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return shards[0].tablespace_images()
+    return qualify([shard.tablespace_images() for shard in shards])
 
 
 def _capture_live_buffer_pool(server: MySQLServer) -> BufferPoolDump:
-    return server.engine.buffer_pool.dump()
+    return server.live_buffer_pool()
 
 
 def _capture_page_free_list(server: MySQLServer) -> Dict[str, list]:
-    return server.engine.free_list_info()
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return shards[0].free_list_info()
+    return qualify([shard.free_list_info() for shard in shards])
 
 
 def _capture_checkpoint_lsn(server: MySQLServer) -> Dict[str, int]:
-    return server.engine.checkpoint_lsns()
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return shards[0].checkpoint_lsns()
+    return qualify([shard.checkpoint_lsns() for shard in shards])
 
 
 def providers() -> Tuple[ArtifactProvider, ...]:

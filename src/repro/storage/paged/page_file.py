@@ -191,10 +191,6 @@ class PageFile:
     def mark_header_dirty(self) -> None:
         self._header_dirty = True
 
-    @property
-    def header_dirty(self) -> bool:
-        return self._header_dirty
-
     # -- raw page I/O ------------------------------------------------------
 
     def _check_open(self) -> None:

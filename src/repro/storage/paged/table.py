@@ -99,9 +99,6 @@ class PagedTable:
     def row_count(self) -> int:
         return self.clustered.size
 
-    def secondary_indexes(self) -> List[str]:
-        return list(self._secondary)
-
     # -- row operations ----------------------------------------------------
 
     def insert(self, pk: int, row: bytes) -> AccessPath:

@@ -62,15 +62,17 @@ def write_artifacts(server: MySQLServer, out_dir: Path, with_memory: bool) -> li
             path.write_text(data)
         written.append(path)
 
-    emit("redo.log", snap.redo_log_raw or b"")
-    emit("undo.log", snap.undo_log_raw or b"")
-    emit("binlog.txt", snap.binlog_text or "")
-    if snap.buffer_pool_dump is not None:
-        emit("ib_buffer_pool", snap.buffer_pool_dump.to_text())
-    for table, image in (snap.tablespace_images or {}).items():
+    emit("redo.log", snap.get("redo_log_raw") or b"")
+    emit("undo.log", snap.get("undo_log_raw") or b"")
+    emit("binlog.txt", snap.get("binlog_text") or "")
+    pool_dump = snap.get("buffer_pool_dump")
+    if pool_dump is not None:
+        emit("ib_buffer_pool", pool_dump.to_text())
+    for table, image in (snap.get("tablespace_images") or {}).items():
         emit(f"{table}.ibd", image)
-    if with_memory and snap.memory_dump is not None:
-        emit("memory.dump", snap.memory_dump.data)
+    memory_dump = snap.get("memory_dump")
+    if with_memory and memory_dump is not None:
+        emit("memory.dump", memory_dump.data)
     return written
 
 

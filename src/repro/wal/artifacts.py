@@ -14,18 +14,23 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..server import MySQLServer
+from ..server.sharding import WAL_SEGMENT_NAME, qualify, qualify_dirty_pages
 from ..snapshot.registry import ArtifactProvider
 from ..snapshot.scenario import StateQuadrant
 
 
 def _capture_wal_segments(server: MySQLServer) -> Dict[str, bytes]:
-    # Polymorphic over StorageEngine / ShardedEngine (shard-qualified
-    # segment names, e.g. ``shard3/wal.00000001.log``).
-    return server.engine.wal_segments()
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return shards[0].wal_segments()
+    return qualify([shard.wal_segments() for shard in shards], WAL_SEGMENT_NAME)
 
 
 def _capture_dirty_page_table(server: MySQLServer) -> Tuple:
-    return server.engine.dirty_page_table()
+    shards = server.engine.shards
+    if len(shards) == 1:
+        return shards[0].dirty_page_table()
+    return qualify_dirty_pages([shard.dirty_page_table() for shard in shards])
 
 
 def _capture_recovery_report(server: MySQLServer) -> Optional[Dict[str, object]]:

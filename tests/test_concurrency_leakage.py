@@ -110,10 +110,13 @@ class TestLeakageSpecCrossCheck:
 
 class TestCaptureGating:
     def test_plain_server_omits_concurrency_artifacts(self):
-        server = MySQLServer(ServerConfig(mvcc_enabled=False))
+        # No front end and one shard: no queue telemetry, no shard sizes.
+        # Every engine runs MVCC, so its version chains are always there.
+        server = MySQLServer()
         snap = capture(server, AttackScenario.FULL_COMPROMISE, escalated=True)
-        for name in CONCURRENCY_ARTIFACTS:
+        for name in ("scheduler_queue", "shard_log_sizes"):
             assert name not in snap.artifacts, name
+        assert snap.artifacts["mvcc_version_chains"] == ()
 
     def test_frontend_enables_scheduler_queue(self):
         server = MySQLServer()

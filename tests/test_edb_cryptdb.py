@@ -124,7 +124,7 @@ class TestSnapshotLeakage:
     def test_eq_token_lands_in_history(self, proxy):
         proxy.select_where_eq("dept", "radiology")
         snap = capture(proxy._server, AttackScenario.VM_SNAPSHOT)
-        texts = [e.sql_text for e in snap.statements_history]
+        texts = [e.sql_text for e in snap.get("statements_history")]
         # The DET ciphertext of 'radiology' is embedded in a WHERE clause.
         det_hex = proxy._det["dept"].encrypt(b"radiology").hex()
         assert any(det_hex in t for t in texts)
@@ -143,7 +143,7 @@ class TestSnapshotLeakage:
     def test_search_tag_lands_in_heap(self, proxy):
         proxy.search("notes", "chemo")
         snap = capture(proxy._server, AttackScenario.VM_SNAPSHOT)
-        dump = snap.require_memory_dump()
+        dump = snap.require("memory_dump")
         tag = proxy._tag("notes", "chemo")
         assert dump.count_locations(tag) >= 1
 

@@ -57,7 +57,7 @@ class TestAtRest:
         store = AtRestEncryptedStore(server, KEY)
         view = store.disk_view()
         snap = capture(server, AttackScenario.VM_SNAPSHOT)
-        key = store.key_from_memory(snap.require_memory_dump().data)
+        key = store.key_from_memory(snap.require("memory_dump").data)
         assert key == KEY
         plain = store.decrypt_tablespace(key, view.encrypted_tablespaces["t"])
         assert b"topsecret" in plain
@@ -146,9 +146,9 @@ class TestSearchableEdb:
         edb.insert_document(1, ["kw"], "body")
         result = edb.search("kw")
         snap = capture(server, AttackScenario.VM_SNAPSHOT)
-        dump = snap.require_memory_dump()
+        dump = snap.require("memory_dump")
         assert dump.count_locations(result.tag_hex) >= 1
-        history_texts = [e.sql_text for e in snap.statements_history]
+        history_texts = [e.sql_text for e in snap.get("statements_history")]
         assert any(result.tag_hex in t for t in history_texts)
 
     def test_empty_keyword_rejected(self, server, session):

@@ -68,15 +68,16 @@ def artifacts():
     server.close()
     return {
         "tablespace": snap.require("tablespace_images")["t"],
-        "redo": snap.require_redo_log(),
-        "undo": snap.require_undo_log(),
+        "redo": snap.require("redo_log_raw"),
+        "undo": snap.require("undo_log_raw"),
         "wal": wal,
         "wal_file": wal_file,
+        "wal_file_live": wal_file,
         "wal_name": segment,
         "dump": dump_text.encode(),
         "binlog": snap.require("binlog_text").encode(),
-        "obs_trace": snap.require_obs_trace(),
-        "memory": snap.require_memory_dump().data,
+        "obs_trace": snap.require("obs_trace_raw"),
+        "memory": snap.require("memory_dump").data,
     }
 
 
@@ -109,6 +110,17 @@ def resealed(mutate):
             page = bytes(out[start:start + PAGED_PAGE_SIZE])
             struct.pack_into("<I", out, start, checksum_of(page))
         return bytes(out)
+
+    return run
+
+
+def live_prefix(mutate, length):
+    """``mutate`` on the file's first ``length`` bytes (the live log), with
+    the file's zero tail put back after it: a corrupt or torn frame is then
+    followed by zeros, where the reader must end the log."""
+
+    def run(rng, data):
+        return mutate(rng, data[:length]) + data[length:]
 
     return run
 
@@ -158,6 +170,7 @@ READERS = {
     "undo": carve_logs,
     "wal": carve_wal,
     "wal_file": carve_wal,
+    "wal_file_live": carve_wal,
     "dump": carve_dump,
     "binlog": carve_binlog,
     "obs_trace": carve_trace,
@@ -171,17 +184,25 @@ KINDS = {"truncate": truncate, "bit_flip": bit_flip, "splice": splice}
 @pytest.mark.parametrize("artifact", sorted(READERS))
 def test_mutations_never_crash_a_reader(artifacts, artifact, kind):
     reader, original = READERS[artifact], artifacts[artifact]
+    intact = None
     if artifact != "memory":  # a heap dump is not one parseable trace store
-        reader(dict(artifacts, mutated=artifact), original)  # intact input parses
+        intact = reader(dict(artifacts, mutated=artifact), original)  # it parses
     mutate = KINDS[kind]
     if artifact == "tablespace" and kind != "truncate":
         mutate = resealed(mutate)  # past the checksum, into the page decoders
+    if artifact == "wal_file_live":
+        mutate = live_prefix(mutate, len(artifacts["wal"]))
     count = SCAN_MUTATIONS if artifact in ("obs_trace", "memory") else MUTATIONS
+    reached = 0  # mutations that changed what the reader returns
     for seed in range(count):
         data = mutate(random.Random(seed), original)
         try:
-            reader(dict(artifacts, mutated=artifact), data)
+            reached += reader(dict(artifacts, mutated=artifact), data) != intact
         except ReproError:
-            pass
+            reached += 1
         except Exception as exc:
             raise AssertionError(f"{artifact}/{kind} seed {seed} crashed") from exc
+    if artifact == "wal_file_live":
+        # Unlike ``wal_file``, whose mutations mostly land in the zero
+        # padding, these reach the log.
+        assert reached > count // 2, reached

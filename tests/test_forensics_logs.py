@@ -31,14 +31,14 @@ def server_with_writes():
 class TestLogParsing:
     def test_parse_redo(self, server_with_writes):
         snap = capture(server_with_writes, AttackScenario.DISK_THEFT)
-        records = parse_redo_log(snap.redo_log_raw)
+        records = parse_redo_log(snap.get("redo_log_raw"))
         assert len(records) == 4  # 2 inserts, 1 update, 1 delete
         ops = [r.op for _, r in records]
         assert ops == ["insert", "insert", "update", "delete"]
 
     def test_parse_undo(self, server_with_writes):
         snap = capture(server_with_writes, AttackScenario.DISK_THEFT)
-        records = parse_undo_log(snap.undo_log_raw)
+        records = parse_undo_log(snap.get("undo_log_raw"))
         assert len(records) == 4
         # Delete's before-image holds the deleted row bytes.
         delete = [r for _, r in records if r.op == "delete"][0]
@@ -51,7 +51,7 @@ class TestLogParsing:
     def test_truncated_record_rejected(self, server_with_writes):
         snap = capture(server_with_writes, AttackScenario.DISK_THEFT)
         with pytest.raises(ForensicsError):
-            parse_redo_log(snap.redo_log_raw[:-3])
+            parse_redo_log(snap.require("redo_log_raw")[:-3])
 
     def test_empty_log(self):
         assert parse_redo_log(b"") == []
@@ -60,38 +60,46 @@ class TestLogParsing:
 class TestReconstruction:
     def test_merges_before_and_after_images(self, server_with_writes):
         snap = capture(server_with_writes, AttackScenario.DISK_THEFT)
-        events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+        events = reconstruct_modifications(
+            snap.get("redo_log_raw"), snap.get("undo_log_raw")
+        )
         update = [e for e in events if e.op == "update"][0]
         assert update.before == (1, "alpha")
         assert update.after == (1, "gamma")
 
     def test_delete_recovers_dead_row(self, server_with_writes):
         snap = capture(server_with_writes, AttackScenario.DISK_THEFT)
-        events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+        events = reconstruct_modifications(
+            snap.get("redo_log_raw"), snap.get("undo_log_raw")
+        )
         delete = [e for e in events if e.op == "delete"][0]
         assert delete.before == (2, "beta")  # data no longer in the table!
 
     def test_events_sorted_by_lsn(self, server_with_writes):
         snap = capture(server_with_writes, AttackScenario.DISK_THEFT)
-        events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+        events = reconstruct_modifications(
+            snap.get("redo_log_raw"), snap.get("undo_log_raw")
+        )
         lsns = [e.lsn for e in events]
         assert lsns == sorted(lsns)
 
     def test_redo_only_still_works(self, server_with_writes):
         snap = capture(server_with_writes, AttackScenario.DISK_THEFT)
-        events = reconstruct_modifications(snap.redo_log_raw, None)
+        events = reconstruct_modifications(snap.get("redo_log_raw"), None)
         assert len(events) == 4
         assert all(e.before is None for e in events)
 
     def test_undo_only_still_works(self, server_with_writes):
         snap = capture(server_with_writes, AttackScenario.DISK_THEFT)
-        events = reconstruct_modifications(None, snap.undo_log_raw)
+        events = reconstruct_modifications(None, snap.get("undo_log_raw"))
         assert len(events) == 4
         assert all(e.after is None for e in events)
 
     def test_pseudo_sql_rendering(self, server_with_writes):
         snap = capture(server_with_writes, AttackScenario.DISK_THEFT)
-        events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+        events = reconstruct_modifications(
+            snap.get("redo_log_raw"), snap.get("undo_log_raw")
+        )
         statements = reconstruct_statements(events)
         assert any(
             s.startswith("INSERT INTO t VALUES (1, 'alpha')") for s in statements
@@ -156,8 +164,10 @@ class TestBinlogCorrelation:
             server.execute(session, f"INSERT INTO t (id, v) VALUES ({i}, {i})")
             clock.advance(10)
         snap = capture(server, AttackScenario.DISK_THEFT)
-        events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
-        model = fit_lsn_timestamp_model(snap.binlog_events)
+        events = reconstruct_modifications(
+            snap.get("redo_log_raw"), snap.get("undo_log_raw")
+        )
+        model = fit_lsn_timestamp_model(snap.get("binlog_events"))
         dated = date_modifications(model, events)
         assert all(e.estimated_timestamp is not None for e in dated)
         # Estimated times increase with LSN.

@@ -54,7 +54,7 @@ class TestMemoryScan:
         query = f"SELECT v FROM t WHERE v = '{marker}'"
         server.execute(session, query)
         snap = capture(server, AttackScenario.VM_SNAPSHOT)
-        report = scan_for_query(snap.require_memory_dump(), query, marker)
+        report = scan_for_query(snap.require("memory_dump"), query, marker)
         assert report.full_query_locations >= 2   # net buffer + arena + history
         assert report.marker_only_locations >= 2  # token/parser/executor copies
 

@@ -20,7 +20,7 @@ def stolen_image(rows=40, checkpoint=True):
         server.execute(session, f"INSERT INTO t (id, v) VALUES ({i}, '{'s' * 100}{i}')")
     if checkpoint:
         server.engine.checkpoint()
-    image = capture(server, AttackScenario.DISK_THEFT).tablespace_images["t"]
+    image = capture(server, AttackScenario.DISK_THEFT).require("tablespace_images")["t"]
     server.close()
     return image
 

@@ -9,7 +9,13 @@ from repro.server.frontend import (
     ServerFrontend,
     SessionScheduler,
 )
-from repro.server.sharding import SPACE_ID_STRIDE, ShardRouter, ShardedEngine
+from repro.server.sharding import (
+    SPACE_ID_STRIDE,
+    ShardRouter,
+    ShardedEngine,
+    qualify,
+)
+from repro.snapshot import AttackScenario, capture
 
 
 class TestSessionScheduler:
@@ -275,8 +281,10 @@ class TestShardedEngine:
         txn = engine.begin()
         engine.insert(txn, "t", 1, b"v")
         engine.commit(txn)
-        images = engine.tablespace_images()
+        images = qualify([shard.tablespace_images() for shard in engine.shards])
         assert set(images) == {f"t@shard{i}" for i in range(4)}
+        for i, shard in enumerate(engine.shards):
+            assert images[f"t@shard{i}"] == shard.tablespace("t").to_bytes()
 
     def test_tablespace_lookup_requires_shard_index(self):
         engine = self.make()
@@ -284,20 +292,64 @@ class TestShardedEngine:
             engine.tablespace("t")
         assert engine.tablespace("t", shard=0) is not None
 
-    def test_combined_lsn_and_logs_aggregate(self):
-        engine = self.make()
-        txn = engine.begin()
-        for key in range(8):
-            engine.insert(txn, "t", key, b"v")
-        engine.commit(txn)
-        assert engine.lsn.current == max(s.lsn.current for s in engine.shards)
-        assert engine.redo_log.num_records == sum(
-            s.redo_log.num_records for s in engine.shards
+
+class TestMergedSurfaces:
+    def test_one_engine_keeps_binlog_append_order(self):
+        # Two commits at one timestamp, the later-begun transaction first:
+        # a (timestamp, txn) sort would swap them.
+        server = MySQLServer()
+        engine = server.engine
+        engine.register_table("t")
+        first, second = engine.begin(), engine.begin()
+        engine.insert(first, "t", 1, b"a")
+        engine.insert(second, "t", 2, b"b")
+        engine.commit(second)
+        engine.commit(first)
+        snap = capture(server, AttackScenario.DISK_THEFT)
+        events = snap.require("binlog_events")
+        assert [e.txn_id for e in events] == [second.txn_id, first.txn_id]
+        assert snap.require("binlog_text") == engine.binlog.to_text()
+
+    def test_sharded_binlog_merges_by_timestamp_txn_shard(self):
+        server = MySQLServer(ServerConfig(num_shards=4))
+        session = server.connect("app")
+        server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY)")
+        for key in range(16):
+            server.execute(session, f"INSERT INTO t (id) VALUES ({key})")
+        snap = capture(server, AttackScenario.DISK_THEFT)
+        shards = server.engine.shards
+        events = snap.require("binlog_events")
+        assert len(events) == sum(shard.binlog.num_events for shard in shards)
+        order = [(e.timestamp, e.txn_id) for e in events]
+        assert order == sorted(order)
+        text = snap.require("binlog_text")
+        for i, shard in enumerate(shards):
+            assert f"# shard {i}\n{shard.binlog.to_text()}" in text
+
+    def test_sharded_pool_and_chains_join_every_shard(self):
+        server = MySQLServer(ServerConfig(num_shards=4))
+        session = server.connect("app")
+        server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        for key in range(16):
+            server.execute(session, f"INSERT INTO t (id, v) VALUES ({key}, 0)")
+        server.execute(session, "BEGIN")
+        for key in (9, 2, 14, 5):
+            server.execute(session, f"UPDATE t SET v = 1 WHERE id = {key}")
+        snap = capture(server, AttackScenario.VM_SNAPSHOT, escalated=True)
+        shards = server.engine.shards
+        chains = snap.require("mvcc_version_chains")
+        assert [(stat.table, stat.key) for stat in chains] == [
+            ("t", 2), ("t", 5), ("t", 9), ("t", 14)
+        ]
+        assert sorted(chains, key=lambda stat: stat.key) == sorted(
+            (stat for shard in shards for stat in shard.mvcc_chain_stats()),
+            key=lambda stat: stat.key,
         )
-        assert engine.binlog.num_events == sum(
-            s.binlog.num_events for s in engine.shards
+        pool = snap.require("live_buffer_pool")
+        assert pool.entries == tuple(
+            ref for shard in shards for ref in shard.buffer_pool.dump().entries
         )
-        assert b"".join, engine.redo_log.raw_bytes
+        server.execute(session, "COMMIT")
 
 
 class TestShardedServerIntegration:

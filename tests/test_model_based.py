@@ -130,14 +130,16 @@ def test_server_agrees_with_reference_model(ops):
 
     # Forensic invariant: the logs replay the model's exact write history.
     snap = capture(server, AttackScenario.DISK_THEFT)
-    events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+    events = reconstruct_modifications(
+        snap.get("redo_log_raw"), snap.get("undo_log_raw")
+    )
     log = [(e.op, e.key) for e in events if e.table == "m"]
     assert log == model.write_log
 
     # Binlog invariant: every INSERT statement that changed the table is
     # present with its full text (UPDATE/DELETE appear when they matched).
     binlog_inserts = sum(
-        1 for e in snap.binlog_events if e.statement.startswith("INSERT INTO m")
+        1 for e in snap.get("binlog_events") if e.statement.startswith("INSERT INTO m")
     )
     model_inserts = sum(1 for op, _ in model.write_log if op == "insert")
     assert binlog_inserts == model_inserts

@@ -1,14 +1,9 @@
-"""MVCC engine semantics: snapshots, conflicts, chains, loud failure."""
+"""MVCC engine semantics: snapshots, conflicts, chains, sharded edges."""
 
 import pytest
 
-from repro.engine import StorageEngine, Transaction
-from repro.errors import (
-    ConcurrentTransactionError,
-    EngineError,
-    TransactionError,
-    WriteConflictError,
-)
+from repro.engine import StorageEngine
+from repro.errors import EngineError, TransactionError, WriteConflictError
 from repro.server.sharding import ShardedEngine
 
 
@@ -94,6 +89,12 @@ class TestSnapshotReads:
         writer = engine.begin()
         engine.insert(writer, "t", 1, b"dirty")
         assert engine.scan("t") == [(1, b"dirty")]
+
+    def test_mvcc_engine_allows_many(self):
+        engine = make_engine()
+        txns = [engine.begin() for _ in range(10)]
+        for txn in txns:
+            engine.commit(txn)
 
 
 class TestFirstWriterWins:
@@ -228,38 +229,6 @@ class TestChainTruncation:
         assert stat.length >= 1
         engine.commit(writer)
         engine.commit(reader)
-
-
-class TestNonMvccLoudFailure:
-    def test_second_transaction_raises(self):
-        engine = StorageEngine(mvcc=False)
-        engine.register_table("t")
-        first = engine.begin()
-        with pytest.raises(ConcurrentTransactionError):
-            engine.begin()
-        engine.commit(first)
-        engine.begin()  # fine again after the first finishes
-
-    def test_rollback_also_releases_the_slot(self):
-        engine = StorageEngine(mvcc=False)
-        engine.register_table("t")
-        first = engine.begin()
-        engine.rollback(first)
-        engine.begin()
-
-    def test_ddl_does_not_occupy_the_slot(self):
-        engine = StorageEngine(mvcc=False, binlog_enabled=True)
-        engine.register_table("t")
-        txn = engine.begin()
-        engine.log_ddl(0, "CREATE TABLE other (id INT PRIMARY KEY)")
-        engine.commit(txn)
-        assert engine.begin() is not None
-
-    def test_mvcc_engine_allows_many(self):
-        engine = make_engine()
-        txns = [engine.begin() for _ in range(10)]
-        for txn in txns:
-            engine.commit(txn)
 
 
 class TestShardedMvccEdges:

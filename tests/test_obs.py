@@ -260,7 +260,7 @@ class TestTraceLeakage:
         server = _run_workload(ServerConfig(obs_enabled=True))
         snap = capture(server, AttackScenario.VM_SNAPSHOT)
 
-        report = extract_trace_report(snap.require_obs_trace())
+        report = extract_trace_report(snap.require("obs_trace_raw"))
         # The SELECTs share one digest (same statement shape, different
         # literals); the INSERTs into each table share another.
         select_digest = digest("SELECT diag FROM patients WHERE id = 2")
@@ -277,7 +277,7 @@ class TestTraceLeakage:
     def test_metrics_artifact_reports_per_table_totals(self):
         server = _run_workload(ServerConfig(obs_enabled=True))
         snap = capture(server, AttackScenario.VM_SNAPSHOT)
-        metrics = snap.require_obs_metrics()
+        metrics = snap.require("obs_metrics")
         assert metrics["engine.rows_written{patients}"] == 6
         assert metrics["engine.rows_written{visits}"] == 3
         assert metrics["engine.rows_read{patients}"] == 2
@@ -288,20 +288,20 @@ class TestTraceLeakage:
         """The trace ring is an internal structure: escalation-gated (§5)."""
         server = _run_workload(ServerConfig(obs_enabled=True))
         snap = capture(server, AttackScenario.SQL_INJECTION)
-        assert snap.obs_metrics is not None
-        assert snap.obs_trace_raw is None
+        assert snap.get("obs_metrics") is not None
+        assert snap.get("obs_trace_raw") is None
         with pytest.raises(SnapshotError):
-            snap.require_obs_trace()
+            snap.require("obs_trace_raw")
         escalated = capture(server, AttackScenario.SQL_INJECTION, escalated=True)
-        assert escalated.obs_trace_raw is not None
+        assert escalated.get("obs_trace_raw") is not None
 
     def test_disabled_server_has_no_obs_artifacts(self):
         server = _run_workload(None)
         snap = capture(server, AttackScenario.VM_SNAPSHOT)
-        assert snap.obs_metrics is None
-        assert snap.obs_trace_raw is None
+        assert snap.get("obs_metrics") is None
+        assert snap.get("obs_trace_raw") is None
         with pytest.raises(SnapshotError):
-            snap.require_obs_metrics()
+            snap.require("obs_metrics")
 
 
 class TestTraceResidue:
@@ -314,8 +314,8 @@ class TestTraceResidue:
         assert store.num_records == 4
 
         snap = capture(server, AttackScenario.VM_SNAPSHOT)
-        carved = carve_spans(snap.require_memory_dump())
-        retained = parse_trace_store(snap.require_obs_trace())
+        carved = carve_spans(snap.require("memory_dump"))
+        retained = parse_trace_store(snap.require("obs_trace_raw"))
         assert len(carved) > len(retained)
 
         # Evicted traces still yield digests the bounded view lost.
@@ -336,9 +336,9 @@ class TestTraceResidue:
         server = _run_workload(config)
         assert server.obs.trace_store.total_evicted > 0
         snap = capture(server, AttackScenario.VM_SNAPSHOT)
-        carved = recover_query_digests(carve_spans(snap.require_memory_dump()))
+        carved = recover_query_digests(carve_spans(snap.require("memory_dump")))
         retained = recover_query_digests(
-            parse_trace_store(snap.require_obs_trace())
+            parse_trace_store(snap.require("obs_trace_raw"))
         )
         assert sum(carved.values()) == sum(retained.values())
 
@@ -359,10 +359,10 @@ class TestTraceResidue:
         server = _run_workload(config)
         snap = capture(server, AttackScenario.VM_SNAPSHOT)
         carved = recover_table_access_counts(
-            carve_spans(snap.require_memory_dump())
+            carve_spans(snap.require("memory_dump"))
         )
         retained = recover_table_access_counts(
-            parse_trace_store(snap.require_obs_trace())
+            parse_trace_store(snap.require("obs_trace_raw"))
         )
         # The ring retains only the last 2 traces (the SELECTs); residue
         # still names tables from long-evicted INSERT traces.

@@ -8,6 +8,8 @@ scheduler front end leaves byte-identical artifacts to a serial run, paged
 artifacts included.
 """
 
+from collections import Counter
+
 from repro.server import ServerConfig
 
 from tests.harness import (
@@ -44,8 +46,11 @@ def write_heavy_statements(n=240):
 
 
 def pool_stats(server):
-    """Frame-pool stats; the sharded engine merges per-shard pools."""
-    return server.engine.buffer_pool.stats
+    """Frame-pool stats summed over the engine's shards."""
+    totals = Counter()
+    for shard in server.engine.shards:
+        totals.update(shard.buffer_pool.stats)
+    return totals
 
 
 class TestEvictionUnderConcurrency:
@@ -62,7 +67,8 @@ class TestEvictionUnderConcurrency:
         engine = server.engine
         engine.checkpoint()
         survivors = dict(engine.scan("t"))
-        engine.buffer_pool.clear()
+        for shard in engine.shards:
+            shard.buffer_pool.clear()
         assert dict(engine.scan("t")) == survivors
 
     def test_deep_eviction_via_frontend(self):

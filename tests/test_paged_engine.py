@@ -7,7 +7,7 @@ from repro.storage.paged import PAGED_PAGE_SIZE
 
 
 def paged_engine(**kwargs):
-    return StorageEngine(mvcc=kwargs.pop("mvcc", True), **kwargs)
+    return StorageEngine(**kwargs)
 
 
 class TestEngineModes:
@@ -116,7 +116,7 @@ class TestPagedMaintenance:
         engine.close()
 
     def test_bulk_load_and_secondary(self):
-        engine = paged_engine(mvcc=False)
+        engine = paged_engine()
         engine.register_table("t")
         n = 2000
         assert engine.bulk_load(

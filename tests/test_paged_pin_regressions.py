@@ -158,11 +158,11 @@ class TestDisconnectRollsBackOpenTxn:
         server.execute(session, "BEGIN")
         server.execute(session, "INSERT INTO t (id, name) VALUES (2, 'doomed')")
         txn_id = session.active_txn.txn_id
-        assert txn_id in server.engine._active_txn_ids
+        assert txn_id in server.engine.mvcc.active_txn_ids
 
         server.disconnect(session)
         assert session.active_txn is None
-        assert txn_id not in server.engine._active_txn_ids
+        assert txn_id not in server.engine.mvcc.active_txn_ids
 
         other = server.connect("app")
         rows = server.execute(other, "SELECT id, name FROM t").rows

@@ -43,6 +43,12 @@ class TestReplication:
         with pytest.raises(ReproError):
             ReplicatedDeployment(config=ServerConfig(binlog_enabled=False))
 
+    def test_requires_an_unsharded_primary(self):
+        # Every shard logs every DDL, so replaying the shards' binlogs
+        # would create each table once per shard.
+        with pytest.raises(ReproError, match="unsharded"):
+            ReplicatedDeployment(config=ServerConfig(num_shards=4))
+
     def test_zero_replicas_fine(self):
         dep = ReplicatedDeployment(num_replicas=0)
         session = dep.connect()
@@ -71,7 +77,7 @@ class TestReplicaAttackSurface:
         for machine in dep.all_machines:
             snap = capture(machine, AttackScenario.DISK_THEFT)
             events = reconstruct_modifications(
-                snap.redo_log_raw, snap.undo_log_raw
+                snap.get("redo_log_raw"), snap.get("undo_log_raw")
             )
             table_events = [e for e in events if e.table == "t"]
             assert [e.op for e in table_events] == ["insert", "insert", "update"]
@@ -88,7 +94,7 @@ class TestReplicaAttackSurface:
     def test_replica_heap_holds_replayed_statements(self, deployment):
         dep, _ = deployment
         snap = capture(dep.replicas[1], AttackScenario.VM_SNAPSHOT)
-        dump = snap.require_memory_dump()
+        dump = snap.require("memory_dump")
         assert dump.count_locations("UPDATE t SET v = 'gamma' WHERE id = 1") >= 1
 
     def test_attack_surface_scales_with_replicas(self):
@@ -99,7 +105,9 @@ class TestReplicaAttackSurface:
         leaky_machines = 0
         for machine in dep.all_machines:
             snap = capture(machine, AttackScenario.DISK_THEFT)
-            events = reconstruct_modifications(snap.redo_log_raw, snap.undo_log_raw)
+            events = reconstruct_modifications(
+                snap.get("redo_log_raw"), snap.get("undo_log_raw")
+            )
             if any(e.key == 7 for e in events):
                 leaky_machines += 1
         assert leaky_machines == 4  # primary + 3 replicas

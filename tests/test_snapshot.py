@@ -147,31 +147,31 @@ class TestCaptureProperty:
 class TestCaptureBehavior:
     def test_disk_theft_artifacts_have_content(self, loaded_server):
         snap = capture(loaded_server, AttackScenario.DISK_THEFT)
-        assert snap.redo_log_raw
-        assert snap.binlog_events
-        assert snap.tablespace_images and "t" in snap.tablespace_images
+        assert snap.get("redo_log_raw")
+        assert snap.get("binlog_events")
+        assert snap.get("tablespace_images") and "t" in snap.get("tablespace_images")
         with pytest.raises(SnapshotError):
-            snap.require_memory_dump()
+            snap.require("memory_dump")
 
     def test_sql_injection_escalated_adds_memory(self, loaded_server):
         snap = capture(loaded_server, AttackScenario.SQL_INJECTION, escalated=True)
-        assert snap.memory_dump is not None
-        assert snap.query_cache_statements is not None
+        assert snap.get("memory_dump") is not None
+        assert snap.get("query_cache_statements") is not None
         # Code execution in the DB process also reads the DB's files: the
         # paper says injection yields "the persistent and volatile DB state".
-        assert snap.redo_log_raw is not None
+        assert snap.get("redo_log_raw") is not None
 
     def test_memory_dump_contains_query_text(self, loaded_server):
         snap = capture(loaded_server, AttackScenario.FULL_COMPROMISE)
-        dump = snap.require_memory_dump()
+        dump = snap.require("memory_dump")
         assert dump.count_locations("SELECT v FROM t WHERE id = 1") >= 1
 
     def test_snapshot_is_static(self, loaded_server):
         snap = capture(loaded_server, AttackScenario.VM_SNAPSHOT)
-        before = snap.require_memory_dump().size
+        before = snap.require("memory_dump").size
         session = loaded_server.connect("later")
         loaded_server.execute(session, "SELECT * FROM t")
-        assert snap.require_memory_dump().size == before
+        assert snap.require("memory_dump").size == before
 
     def test_captured_at_uses_sim_clock(self, loaded_server):
         now = loaded_server.clock.timestamp()
@@ -188,7 +188,7 @@ class TestCaptureBehavior:
     def test_registry_names_read_as_attributes(self, loaded_server):
         snap = capture(loaded_server, AttackScenario.DISK_THEFT)
         # A registry-known artifact absent from this scenario reads None...
-        assert snap.digest_summaries is None
+        assert snap.get("digest_summaries") is None
         # ...but a name the registry has never heard of is an error.
         with pytest.raises(AttributeError):
             snap.no_such_artifact

@@ -419,16 +419,19 @@ class TestFacadeByteIdentity:
 
 class TestCombinedShardedWal:
     def test_shard_qualified_segments(self):
-        from repro.server.sharding import ShardedEngine
+        from repro.server.sharding import WAL_SEGMENT_NAME, ShardedEngine, qualify
 
         engine = ShardedEngine(num_shards=2)
         engine.register_table("t")
         txn = engine.begin()
         engine.insert(txn, "t", 1, b"v")
         engine.commit(txn)
-        segs = engine.wal_segments()
+        segs = qualify(
+            [shard.wal_segments() for shard in engine.shards], WAL_SEGMENT_NAME
+        )
         assert all("/" in name for name in segs)
         prefixes = {name.split("/", 1)[0] for name in segs}
         assert prefixes == {"shard0", "shard1"}
-        stats = engine.wal.stats
-        assert stats["shards"] == 2
+        for i, shard in enumerate(engine.shards):
+            for name, data in shard.wal_segments().items():
+                assert segs[f"shard{i}/{name}"] == data

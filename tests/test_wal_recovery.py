@@ -370,7 +370,8 @@ class TestShardedRecovery:
         loser = engine.begin()
         for key in range(20, 26):
             engine.insert(loser, "a", key, b"ghost")
-        engine.wal.flush()
+        for shard in engine.shards:
+            shard.wal.flush()
         engine.simulate_crash()
 
         recovered = recover_sharded_engine(data_dir, 3, **ENGINE_KWARGS)

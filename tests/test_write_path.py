@@ -650,16 +650,14 @@ def _log_reference(engine, txn, table, op, key, before, after):
             "redo",
         )
     )
-    if engine.mvcc is not None:
-        engine.mvcc.record_write(txn, table, key, op, before, engine.lsn.current)
+    engine.mvcc.record_write(txn, table, key, op, before, engine.lsn.current)
     txn.record_change(table, op, key, before, after)
 
 
 def insert_reference(self, txn, table, key, row):
     """The old ``StorageEngine.insert``: tree first, then record objects."""
     _, tree = self._lookup(table)
-    if self.mvcc is not None:
-        self.mvcc.check_write(txn, table, key)
+    self.mvcc.check_write(txn, table, key)
     with self.obs.span("storage.insert", table=table):
         path = tree.insert(key, row)
     self.obs.count("engine.rows_written", label=table)
@@ -670,8 +668,7 @@ def insert_reference(self, txn, table, key, row):
 def update_reference(self, txn, table, key, row):
     """The old ``StorageEngine.update``."""
     _, tree = self._lookup(table)
-    if self.mvcc is not None:
-        self.mvcc.check_write(txn, table, key)
+    self.mvcc.check_write(txn, table, key)
     with self.obs.span("storage.update", table=table):
         before, path = tree.update(key, row)
     self.obs.count("engine.rows_written", label=table)
@@ -682,8 +679,7 @@ def update_reference(self, txn, table, key, row):
 def delete_reference(self, txn, table, key):
     """The old ``StorageEngine.delete``."""
     _, tree = self._lookup(table)
-    if self.mvcc is not None:
-        self.mvcc.check_write(txn, table, key)
+    self.mvcc.check_write(txn, table, key)
     with self.obs.span("storage.delete", table=table):
         before, path = tree.delete(key)
     self.obs.count("engine.rows_written", label=table)
@@ -703,17 +699,10 @@ def reference_row_path():
 
 ENGINE_KINDS = {
     "single": lambda obs: StorageEngine(wal_sync=False, instrumentation=obs),
-    "no_mvcc": lambda obs: StorageEngine(
-        wal_sync=False, mvcc=False, instrumentation=obs
-    ),
     "sharded": lambda obs: ShardedEngine(
         num_shards=4, wal_sync=False, buffer_pool_capacity=16, instrumentation=obs
     ),
 }
-
-
-def shards_of(engine):
-    return engine.shards if isinstance(engine, ShardedEngine) else (engine,)
 
 
 def changes_of(txn):
@@ -725,7 +714,7 @@ def changes_of(txn):
 def engine_state(engine):
     """Everything a row change may touch, per shard."""
     state = []
-    for shard in shards_of(engine):
+    for shard in engine.shards:
         stats = dict(shard.wal.stats)
         del stats["wal_dir"]
         state.append(
@@ -762,11 +751,9 @@ def run_steps(kind, steps, built):
     obs = Instrumentation(enabled=True)
     engine = ENGINE_KINDS[kind](obs)
     engine.register_table("t")
-    sessions = 1 if kind == "no_mvcc" else 2
-    txns = [None] * sessions
+    txns = [None, None]
     trail = []
     for session, action, key, width in steps:
-        session %= sessions
         txn = txns[session]
         if action in ("commit", "rollback"):
             if txn is not None:
@@ -791,8 +778,8 @@ def run_steps(kind, steps, built):
     engine.checkpoint()
     final = (
         engine_state(engine),
-        engine.tablespace_images(),
-        engine.wal_segments(),
+        [shard.tablespace_images() for shard in engine.shards],
+        [shard.wal_segments() for shard in engine.shards],
         obs.metrics_dump(),
         obs.trace_raw(),
     )
@@ -935,7 +922,7 @@ class TestRejectedStatement:
 
     def _logged_keys(self, server):
         keys = []
-        for shard in shards_of(server.engine):
+        for shard in server.engine.shards:
             shard.wal.flush()
             keys += [
                 frame.decode().key
@@ -955,7 +942,8 @@ class TestRejectedStatement:
         assert writer.active_txn is None
         assert server.execute(reader, "SELECT id FROM t").rows == ()
         assert self._logged_keys(server) == [1]
-        assert [e for e in server.engine.binlog.events if "INSERT" in e.statement] == []
+        for shard in server.engine.shards:
+            assert [e for e in shard.binlog.events if "INSERT" in e.statement] == []
         server.close()
 
     def test_rejected_update_keeps_the_old_value(self, num_shards):
