@@ -9,7 +9,9 @@ research direction. This bench quantifies both sides at once:
 * cost: bulk-update throughput of the HI index vs the B+ tree.
 """
 
+import os
 import random
+import tempfile
 import time
 
 from repro.mitigations import HistoryIndependentIndex
@@ -17,13 +19,16 @@ from repro.storage import BufferPoolManager, PagedBTree, PageFile
 
 
 def _btree_image(order):
-    pool = BufferPoolManager(capacity=256)
-    file = PageFile(None, "t", space_id=1)
-    tree = PagedBTree(pool, file)
-    for k in order:
-        tree.insert(k, str(k).encode())
-    pool.flush_all()
-    return file.to_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        pool = BufferPoolManager(capacity=256)
+        file = PageFile(os.path.join(tmp, "t.ibd"), "t", space_id=1)
+        tree = PagedBTree(pool, file)
+        for k in order:
+            tree.insert(k, str(k).encode())
+        pool.flush_all()
+        image = file.to_bytes()
+        file.close()
+    return image
 
 
 def _hi_image(order):

@@ -55,6 +55,11 @@ class Binlog:
         """All retained events, oldest first."""
         return list(self._events)
 
+    def events_since(self, index: int) -> List[BinlogEvent]:
+        """The retained events from position ``index`` on, oldest first:
+        a replica's unshipped tail, without copying the whole log."""
+        return self._events[index:]
+
     @property
     def num_events(self) -> int:
         return len(self._events)

@@ -114,14 +114,14 @@ class ReplicatedDeployment:
 
     def ship_binlog(self) -> int:
         """Replay any unshipped primary binlog events on every replica."""
-        events = self.primary.engine.binlog.events
-        new_events = events[self._shipped :]
+        binlog = self.primary.engine.binlog
+        new_events = binlog.events_since(self._shipped)
         for event in new_events:
             for index, replica in enumerate(self.replicas):
                 replica.relay_log.append(event)
                 replica.execute(self._replica_sessions[index], event.statement)
                 self._applied[index] += 1
-        self._shipped = len(events)
+        self._shipped = binlog.num_events
         return len(new_events)
 
     def status(self) -> ReplicationStatus:

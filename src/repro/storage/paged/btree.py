@@ -171,11 +171,7 @@ class PagedBTree:
         """Point lookup; returns ``(payload or None, access path)``."""
         path = AccessPath()
         frame = self._descend(key, path)
-        entries = frame.node.entries
-        slot = _leaf_slot(entries, key)
-        payload = None
-        if slot < len(entries) and entries[slot][0] == key:
-            payload = entries[slot][1]
+        payload = frame.node.lookup(key)
         self._pool.unpin(frame)
         return payload, path
 

@@ -94,14 +94,16 @@ class Frame:
         "ref_bit",
     )
 
-    def __init__(self, slot: int, file: PageFile, node: Node) -> None:
+    def __init__(
+        self, slot: int, file: PageFile, key: Tuple[int, int], node: Node
+    ) -> None:
         self.slot = slot
         self.file = file
         self.page_id = node.page_id
         #: ``(space_id, page_id)``: the page-table and recency key.
-        self.key: Tuple[int, int] = (file.space_id, node.page_id)
+        self.key = key
         self.node = node
-        self.pin_count = 0
+        self.pin_count = 1
         self.dirty = False
         #: LSN that first dirtied the page since its last write-back —
         #: the dirty-page-table entry (where redo must reach back to).
@@ -111,7 +113,7 @@ class Frame:
         #: target: the log must be durable up to here before the page may
         #: reach disk, and write-back stamps it into the page header.
         self.page_lsn = 0
-        self.access_count = 0
+        self.access_count = 1
         self.ref_bit = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -203,10 +205,9 @@ class BufferPoolManager:
             return frame
         self._misses += 1
         self._obs.count("buffer_pool.misses")
-        node = decode_node(file.read_page(page_id))
-        frame = self._install(file, node)
-        frame.pin_count = 1
-        return frame
+        # Decode before evicting: a page that fails to decode leaves the
+        # pool as it was.
+        return self._install(file, key, decode_node(file.read_page(page_id)))
 
     def new_page(
         self, file: PageFile, node_factory: Callable[[int], Node]
@@ -223,8 +224,7 @@ class BufferPoolManager:
             raise BufferPoolError(
                 f"node_factory built page {node.page_id}, expected {page_id}"
             )
-        frame = self._install(file, node)
-        frame.pin_count = 1
+        frame = self._install(file, (file.space_id, page_id), node)
         self._note_dirty(frame)
         return frame
 
@@ -272,19 +272,17 @@ class BufferPoolManager:
 
     # -- internal frame management ----------------------------------------
 
-    def _install(self, file: PageFile, node: Node) -> Frame:
-        self._files.setdefault(file.space_id, file)
-        if not self._free_slots:
-            self._evict_slot()  # drops the victim, freeing its slot
-        slot = self._free_slots.pop()
-        frame = Frame(slot, file, node)
-        frame.access_count = 1
-        self._frames[slot] = frame
-        self._page_table[frame.key] = slot
-        self._recency[frame.key] = None
+    def _install(self, file: PageFile, key: Tuple[int, int], node: Node) -> Frame:
+        """Put ``node`` in a frame pinned once, evicting if the pool is full."""
+        self._files.setdefault(key[0], file)
+        slot = self._free_slots.pop() if self._free_slots else self._evict_slot()
+        frame = self._frames[slot] = Frame(slot, file, key, node)
+        self._page_table[key] = slot
+        self._recency[key] = None
         return frame
 
-    def _evict_slot(self) -> None:
+    def _evict_slot(self) -> int:
+        """Evict a victim (writing it back if dirty); return its free slot."""
         if self.policy is EvictionPolicy.LRU:
             victim = self._lru_victim()
         else:
@@ -293,7 +291,9 @@ class BufferPoolManager:
             self._writeback(victim)
         self._evictions += 1
         self._obs.count("buffer_pool.evictions")
-        self._drop(victim)
+        del self._page_table[victim.key]
+        del self._recency[victim.key]
+        return victim.slot
 
     def _lru_victim(self) -> Frame:
         for key in self._recency:

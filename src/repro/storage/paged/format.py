@@ -64,6 +64,11 @@ class PagedPageType(enum.IntEnum):
 class PageImage:
     """A decoded raw page: header fields plus the payload byte area."""
 
+    __slots__ = (
+        "page_id", "page_type", "level", "page_lsn", "prev_page",
+        "next_page", "n_entries", "payload",
+    )
+
     page_id: int
     page_type: PagedPageType
     level: int
@@ -72,6 +77,10 @@ class PageImage:
     next_page: int
     n_entries: int
     payload: bytes
+
+
+#: Header type code -> page type, without an enum call per page read.
+_PAGE_TYPES = {int(t): t for t in PagedPageType}
 
 
 def checksum_of(raw: bytes) -> int:
@@ -127,7 +136,10 @@ def unpack_page(raw: bytes, expected_page_id: int = None) -> PageImage:
         n_entries,
         _reserved,
     ) = _HEADER.unpack_from(raw)
-    actual = checksum_of(raw)
+    # The checksum covers bytes [4:]: the rest of the header, then the
+    # payload, whose slice is the one copy made (a decoded leaf keeps it).
+    payload = raw[PAGE_HEADER_SIZE:]
+    actual = zlib.crc32(payload, zlib.crc32(raw[4:PAGE_HEADER_SIZE]))
     if stored_checksum != actual:
         raise PageError(
             f"page {page_id} checksum mismatch: header says "
@@ -138,17 +150,16 @@ def unpack_page(raw: bytes, expected_page_id: int = None) -> PageImage:
             f"page header claims id {page_id} but was read from slot "
             f"{expected_page_id}"
         )
-    try:
-        page_type = PagedPageType(type_value)
-    except ValueError:
-        raise PageError(f"unknown page type {type_value}") from None
+    page_type = _PAGE_TYPES.get(type_value)
+    if page_type is None:
+        raise PageError(f"unknown page type {type_value}")
     return PageImage(
-        page_id=page_id,
-        page_type=page_type,
-        level=level,
-        page_lsn=page_lsn,
-        prev_page=prev_page,
-        next_page=next_page,
-        n_entries=n_entries,
-        payload=raw[PAGE_HEADER_SIZE:],
+        page_id,
+        page_type,
+        level,
+        page_lsn,
+        prev_page,
+        next_page,
+        n_entries,
+        payload,
     )

@@ -1,8 +1,12 @@
 """Decoded B+-tree node representations for 4 KB pages.
 
 Frames in the paged buffer pool hold these decoded nodes; serialization to
-the raw page image happens on write-back only (and decoding on fetch), so
-the hot path never re-parses a resident page.
+the raw page image happens on write-back only, so the hot path never
+re-parses a resident page. A page miss decodes only what a point lookup
+needs: a leaf walks its entries once to validate them and record each key
+and entry end, keeps the page bytes, and builds its ``(key, payload)``
+list only when a write, range, scan or split first asks for it (see
+:class:`LeafNode`).
 
 Entry encodings inside the page payload area:
 
@@ -17,8 +21,8 @@ decisions are made against the real 4 KB budget, not an entry count.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
-from typing import List, Tuple, Union
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Tuple, Union
 
 from ...errors import PageError, StorageError
 from .format import (
@@ -55,9 +59,24 @@ MAX_LEAF_PAYLOAD = PAGE_CAPACITY - LEAF_ENTRY_OVERHEAD
 
 
 class LeafNode:
-    """A decoded leaf page: sorted ``(key, payload)`` rows plus the chain."""
+    """A decoded leaf page: sorted ``(key, payload)`` rows plus the chain.
 
-    __slots__ = ("page_id", "entries", "prev_page", "next_page", "_used")
+    A leaf read from disk keeps its page bytes and the keys and entry ends
+    of one validating walk over them; :meth:`lookup` bisects the keys and
+    slices out the one payload it returns. The ``entries`` list of
+    ``(key, payload)`` tuples is built by :meth:`materialize` the first
+    time something reads it (an insert, update, delete, range, scan or
+    split), after which the kept bytes are dropped. Until then ``entries``
+    is an unset slot whose first read lands in ``__getattr__``; once set it
+    is a plain attribute, so a resident leaf's write path pays nothing for
+    the laziness. A leaf that only had a sibling pointer changed serializes
+    straight from the kept bytes.
+    """
+
+    __slots__ = (
+        "page_id", "entries", "prev_page", "next_page", "_used",
+        "_raw", "_keys", "_ends",
+    )
 
     level = 0
     page_type = PagedPageType.INDEX_LEAF
@@ -76,6 +95,45 @@ class LeafNode:
         self._used = sum(
             LEAF_ENTRY_OVERHEAD + len(p) for _, p in self.entries
         )
+        self._raw = None
+
+    def __getattr__(self, name: str):
+        # Python calls this only when normal lookup fails; for ``entries``
+        # that means a decoded leaf whose list has not been built yet.
+        if name == "entries":
+            return self.materialize()
+        raise AttributeError(name)
+
+    def materialize(self) -> List[Tuple[int, bytes]]:
+        """Build (once) and return the ``(key, payload)`` entry list."""
+        raw = self._raw
+        if raw is None:
+            return self.entries
+        ends = self._ends
+        entries = [
+            (key, raw[start + LEAF_ENTRY_OVERHEAD:end])
+            for key, start, end in zip(self._keys, [0] + ends, ends)
+        ]
+        self.entries = entries
+        self._raw = self._keys = self._ends = None
+        return entries
+
+    def lookup(self, key: int) -> Optional[bytes]:
+        """The payload stored under ``key``, or ``None``."""
+        raw = self._raw
+        if raw is None:
+            entries = self.entries
+            slot = bisect_left(entries, (key,))
+            if slot < len(entries) and entries[slot][0] == key:
+                return entries[slot][1]
+            return None
+        keys = self._keys
+        slot = bisect_left(keys, key)
+        if slot < len(keys) and keys[slot] == key:
+            ends = self._ends
+            start = ends[slot - 1] if slot else 0
+            return raw[start + LEAF_ENTRY_OVERHEAD:ends[slot]]
+        return None
 
     # -- capacity ----------------------------------------------------------
 
@@ -125,10 +183,18 @@ class LeafNode:
     # -- serialization -----------------------------------------------------
 
     def serialize(self, page_lsn: int = 0) -> bytes:
-        parts = []
-        for key, payload in self.entries:
-            parts.append(_LEAF_ENTRY.pack(key, len(payload)))
-            parts.append(payload)
+        raw = self._raw
+        if raw is not None:
+            # The entries lie end to end from the start of the payload area.
+            n_entries = len(self._keys)
+            body = raw[:self._used]
+        else:
+            n_entries = len(self.entries)
+            parts = []
+            for key, payload in self.entries:
+                parts.append(_LEAF_ENTRY.pack(key, len(payload)))
+                parts.append(payload)
+            body = b"".join(parts)
         return pack_page(
             self.page_id,
             PagedPageType.INDEX_LEAF,
@@ -136,44 +202,53 @@ class LeafNode:
             page_lsn,
             self.prev_page,
             self.next_page,
-            len(self.entries),
-            b"".join(parts),
+            n_entries,
+            body,
         )
 
     @classmethod
     def decode(cls, image: PageImage) -> "LeafNode":
+        """Validate the page's entries in one walk, keeping its bytes.
+
+        Records each entry's key and end offset; builds no entry tuples and
+        copies no payload. Raises :class:`PageError` for a truncated entry
+        header or an entry that overruns the page.
+        """
         if image.page_type is not PagedPageType.INDEX_LEAF:
             raise PageError(
                 f"page {image.page_id} is {image.page_type.name}, not a leaf"
             )
         payload = bytes(image.payload)
-        size = len(payload)
         unpack_from = _LEAF_ENTRY.unpack_from
-        entries: List[Tuple[int, bytes]] = []
-        append = entries.append
+        n_entries = image.n_entries
+        keys: List[int] = [0] * n_entries
+        ends: List[int] = [0] * n_entries
         end = 0
         try:
-            for _ in range(image.n_entries):
-                key, length = unpack_from(payload, end)
-                start = end + LEAF_ENTRY_OVERHEAD
-                end = start + length
-                if end > size:
-                    raise PageError(
-                        f"leaf entry on page {image.page_id} overruns the page"
-                    )
-                append((key, payload[start:end]))
+            for slot in range(n_entries):
+                keys[slot], length = unpack_from(payload, end)
+                end += LEAF_ENTRY_OVERHEAD + length
+                ends[slot] = end
         except struct.error:
+            # An entry that overran the page leaves ``end`` past it, so the
+            # next header read fails here: report the overrun, as a check
+            # after each entry would have.
+            if end <= len(payload):
+                raise PageError(
+                    f"truncated leaf entry on page {image.page_id}"
+                ) from None
+        if end > len(payload):
             raise PageError(
-                f"truncated leaf entry on page {image.page_id}"
-            ) from None
-        node = cls(
-            image.page_id,
-            prev_page=image.prev_page,
-            next_page=image.next_page,
-        )
-        node.entries = entries
-        # The entries lie end to end, each its fixed overhead plus payload.
+                f"leaf entry on page {image.page_id} overruns the page"
+            )
+        node = cls.__new__(cls)
+        node.page_id = image.page_id
+        node.prev_page = image.prev_page
+        node.next_page = image.next_page
         node._used = end
+        node._raw = payload
+        node._keys = keys
+        node._ends = ends
         return node
 
 

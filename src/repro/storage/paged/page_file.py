@@ -19,6 +19,11 @@ real engine would keep in its system pages::
         root         u32       index root page (0 = empty)
         size         u64       posting count
 
+The file is opened unbuffered and every page moves with one ``os.pread``
+or ``os.pwrite`` at ``page_id * PAGED_PAGE_SIZE``: the object holds no
+bytes of the file, so what the process has written is what another
+reader of the file sees, and what survives the process being killed.
+
 Freed pages are threaded through their header ``next_page`` field with the
 page type rewritten to ``FREE`` — but the record payload is left on disk
 untouched. That residue is deliberate: it is the secure-deletion gap the
@@ -28,10 +33,9 @@ paper's snapshot attacker exploits, and the ``page_free_list`` /
 
 from __future__ import annotations
 
-import io
 import os
 import struct
-from typing import BinaryIO, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ...errors import PageError, StorageError
 from ...util.serialization import decode_str, encode_str
@@ -54,29 +58,20 @@ _SECONDARY_ENTRY = struct.Struct("<IQ")
 class PageFile:
     """A single-file tablespace of checksummed 4 KB pages.
 
-    All I/O is page-granular. The header page is cached in memory and
-    rewritten lazily (``flush_header``); data pages are read and written
-    directly — caching them is the buffer pool's job, not the file's.
+    All I/O is page-granular, one ``pread``/``pwrite`` per page. The header
+    page is cached in memory and rewritten lazily (``flush_header``); data
+    pages are read and written directly — caching them is the buffer
+    pool's job, not the file's.
     """
 
-    def __init__(
-        self,
-        path: Optional[str],
-        name: str,
-        space_id: int = 0,
-        file_obj: Optional[BinaryIO] = None,
-    ) -> None:
+    def __init__(self, path: str, name: str, space_id: int = 0) -> None:
         self.path = path
         self.name = name
         self.space_id = space_id
-        if file_obj is not None:
-            self._file: BinaryIO = file_obj
-        elif path is None:
-            self._file = io.BytesIO()
-        else:
-            # "w+b" would clobber an existing tablespace; open for update.
-            mode = "r+b" if os.path.exists(path) else "w+b"
-            self._file = open(path, mode)  # noqa: SIM115
+        # "w+b" would clobber an existing tablespace; open for update.
+        mode = "r+b" if os.path.exists(path) else "w+b"
+        self._file = open(path, mode, buffering=0)  # noqa: SIM115
+        self._fd = self._file.fileno()
         self._closed = False
 
         self.num_pages = 1
@@ -88,8 +83,7 @@ class PageFile:
         self.secondary_roots: Dict[str, Tuple[int, int]] = {}
         self._header_dirty = True
 
-        self._file.seek(0, os.SEEK_END)
-        if self._file.tell() >= PAGED_PAGE_SIZE:
+        if os.fstat(self._fd).st_size >= PAGED_PAGE_SIZE:
             self._load_header()
         else:
             self.flush_header()
@@ -199,14 +193,15 @@ class PageFile:
 
     def _write_raw(self, page_id: int, raw: bytes) -> None:
         self._check_open()
-        self._file.seek(page_id * PAGED_PAGE_SIZE)
-        self._file.write(raw)
+        if os.pwrite(self._fd, raw, page_id * PAGED_PAGE_SIZE) != len(raw):
+            raise StorageError(
+                f"tablespace {self.name!r}: short write of page {page_id}"
+            )
 
     def _read_raw(self, page_id: int) -> PageImage:
         self._check_open()
-        self._file.seek(page_id * PAGED_PAGE_SIZE)
-        raw = self._file.read(PAGED_PAGE_SIZE)
-        return unpack_page(raw, expected_page_id=page_id)
+        raw = os.pread(self._fd, PAGED_PAGE_SIZE, page_id * PAGED_PAGE_SIZE)
+        return unpack_page(raw, page_id)
 
     def read_page(self, page_id: int) -> PageImage:
         """Read and checksum-verify one data page."""
@@ -314,8 +309,7 @@ class PageFile:
         self._check_open()
         if self._header_dirty:
             self.flush_header()
-        self._file.seek(0)
-        return self._file.read(self.num_pages * PAGED_PAGE_SIZE)
+        return os.pread(self._fd, self.num_pages * PAGED_PAGE_SIZE, 0)
 
     def verify_all(self) -> int:
         """Checksum-verify every page; returns the page count checked."""
@@ -324,11 +318,11 @@ class PageFile:
         return self.num_pages
 
     def flush(self) -> None:
-        """Flush header + OS buffers (page data is written synchronously)."""
+        """Write the header page if it changed (every page write has
+        already reached the operating system)."""
         self._check_open()
         if self._header_dirty:
             self.flush_header()
-        self._file.flush()
 
     def close(self) -> None:
         if self._closed:
@@ -344,7 +338,6 @@ class PageFile:
         (stale roots / page counts are exactly what recovery must face)."""
         if self._closed:
             return
-        self._file.flush()
         self._file.close()
         self._closed = True
 

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage import BufferPoolManager, PagedBTree, PageFile
+from repro.storage import BufferPoolManager, PagedBTree
 from repro.storage.paged.node import InternalNode, LeafNode
+from tests.page_files import temp_page_file
 
 
 def make_tree(capacity=64):
     pool = BufferPoolManager(capacity=capacity)
-    file = PageFile(None, "t", space_id=1)
+    file = temp_page_file("t", space_id=1)
     return PagedBTree(pool, file), pool, file
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.mitigations import HistoryIndependentIndex
-from repro.storage import BufferPoolManager, PagedBTree, PageFile
+from repro.storage import BufferPoolManager, PagedBTree
+from tests.page_files import temp_page_file
 
 
 class TestBasicOps:
@@ -83,7 +84,7 @@ class TestUniqueRepresentation:
 
         def build(order):
             pool = BufferPoolManager(capacity=64)
-            file = PageFile(None, "t", space_id=1)
+            file = temp_page_file("t", space_id=1)
             tree = PagedBTree(pool, file)
             for k in order:
                 tree.insert(k, str(k).encode().ljust(1000, b"."))

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from repro.errors import PageError, RecordError, ReproError
 from repro.server import MySQLServer, ServerConfig
+from repro.storage.paged import BufferPoolManager, PagedPageType
 from repro.storage.paged.btree import _leaf_slot
-from repro.storage.paged.format import PageImage, unpack_page
+from repro.storage.paged.format import NO_PAGE, PageImage, pack_page, unpack_page
 from repro.storage.paged.node import NEG_INF, InternalNode, LeafNode
 from repro.storage.record import decode_row, decode_value, encode_row
+from tests.page_files import temp_page_file
 from tests.test_statement_fastpath import _fingerprint
 
 # -- slow references: the loops the read path used to run ---------------------
@@ -203,6 +205,22 @@ def _cut(image, size, n_entries=None):
     )
 
 
+def _hostile_images(seed):
+    """Random bytes under a random entry count, as a reader of a corrupt or
+    forged page sees them; also memoryview payloads."""
+    rng = random.Random(seed)
+    image = unpack_page(_random_leaf(rng).serialize())
+    for _ in range(30):
+        size = rng.randint(0, 200)
+        payload = bytearray(rng.randbytes(size))
+        for offset in range(8, size - 3, 12):  # small lengths, so some entries parse
+            if rng.random() < 0.8:
+                payload[offset:offset + 4] = rng.randint(0, 40).to_bytes(4, "little")
+        forged = _cut(image, 0, n_entries=rng.randint(0, 12))
+        forged.payload = rng.choice([bytes, memoryview])(bytes(payload))
+        yield forged
+
+
 def _leaf_outcome(image):
     node = LeafNode.decode(image)
     assert (node.page_id, node.prev_page, node.next_page) == (
@@ -236,18 +254,7 @@ class TestLeafDecode:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_hostile_payloads(self, seed):
-        # Random bytes under a random entry count, as a reader of a corrupt
-        # or forged page sees them; also a memoryview payload.
-        rng = random.Random(seed)
-        image = unpack_page(_random_leaf(rng).serialize())
-        for _ in range(30):
-            size = rng.randint(0, 200)
-            payload = bytearray(rng.randbytes(size))
-            for offset in range(8, size - 3, 12):  # small lengths, so some entries parse
-                if rng.random() < 0.8:
-                    payload[offset:offset + 4] = rng.randint(0, 40).to_bytes(4, "little")
-            forged = _cut(image, 0, n_entries=rng.randint(0, 12))
-            forged.payload = rng.choice([bytes, memoryview])(bytes(payload))
+        for forged in _hostile_images(seed):
             assert outcome(_leaf_outcome, forged) == outcome(leaf_decode_reference, forged)
 
     def test_wrong_page_type(self):
@@ -277,6 +284,119 @@ class TestInternalDecode:
         image = unpack_page(_random_leaf(random.Random(1)).serialize())
         with pytest.raises(PageError, match="is INDEX_LEAF, not an internal node"):
             InternalNode.decode(image)
+
+
+# -- lazy leaves: lookup, materialization and write-back from kept bytes --------
+
+
+def lookup_reference(entries, key):
+    slot = leaf_slot_reference(entries, key)
+    if slot < len(entries) and entries[slot][0] == key:
+        return entries[slot][1]
+    return None
+
+
+def _probes(entries, rng):
+    keys = [k for k, _ in entries]
+    probes = keys + [k + 1 for k in keys] + [k - 1 for k in keys]
+    probes += [NEG_INF, (1 << 63) - 1, 0]
+    if keys:
+        probes += [min(keys) - 5, max(keys) + 5]
+    probes += [rng.randint(-10**6, 10**6) for _ in range(10)]
+    return probes
+
+
+class TestLazyLeaf:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lookup_on_a_fresh_leaf_matches_the_reference(self, seed):
+        rng = random.Random(seed)
+        image = unpack_page(_random_leaf(rng).serialize(page_lsn=seed))
+        entries, _ = leaf_decode_reference(image)
+        node = LeafNode.decode(image)
+        for key in _probes(entries, rng):
+            assert node.lookup(key) == lookup_reference(entries, key), key
+        # Lookups build nothing: a later materialization sees the same page,
+        # and lookups on the materialized leaf give the same answers.
+        assert node.materialize() == entries
+        for key in _probes(entries, rng):
+            assert node.lookup(key) == lookup_reference(entries, key), key
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lookup_on_hostile_pages_matches_the_reference(self, seed):
+        # Keys on a forged page need not be sorted or unique; lookup must
+        # still land where the reference's binary search lands.
+        rng = random.Random(seed)
+        checked = 0
+        for forged in _hostile_images(seed):
+            want = outcome(leaf_decode_reference, forged)
+            if isinstance(want[0], str):  # the page is rejected
+                assert outcome(LeafNode.decode, forged) == want
+                continue
+            entries, _ = want
+            for key in _probes(entries, rng):
+                got = LeafNode.decode(forged).lookup(key)
+                assert got == lookup_reference(entries, key)
+                assert got is None or type(got) is bytes
+            checked += 1
+        assert checked  # some forged pages decode
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_materialized_entries_and_used_bytes_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        image = unpack_page(_random_leaf(rng).serialize())
+        node = LeafNode.decode(image)
+        want_entries, want_used = leaf_decode_reference(image)
+        assert node.used_bytes == want_used
+        assert node.materialize() == want_entries
+        assert node.entries is node.materialize()
+        assert node.used_bytes == want_used
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unmaterialized_leaf_serializes_like_its_materialized_twin(self, seed):
+        rng = random.Random(seed)
+        raw = _random_leaf(rng).serialize(page_lsn=seed)
+        lazy = LeafNode.decode(unpack_page(raw))
+        twin = LeafNode.decode(unpack_page(raw))
+        twin.materialize()
+        assert lazy.serialize(page_lsn=seed) == twin.serialize(page_lsn=seed) == raw
+        # A sibling-pointer change (split or unlink next door) keeps the
+        # leaf unmaterialized and still serializes as its twin does.
+        for node in (lazy, twin):
+            node.prev_page, node.next_page = 4000 + seed, 5000 + seed
+        assert lazy._raw is not None  # still serializing from kept bytes
+        assert lazy.serialize(page_lsn=7) == twin.serialize(page_lsn=7)
+        assert lazy.lookup(0) == twin.lookup(0)
+
+    def test_forged_leaf_fails_fetch_and_leaves_the_pool_as_it_was(self):
+        pool = BufferPoolManager(capacity=2)
+        file = temp_page_file("t", space_id=1)
+        good = []
+        for key in (1, 2):
+            page_id = file.allocate()
+            file.write_page(page_id, LeafNode(page_id, [(key, b"row")]).serialize())
+            good.append(page_id)
+        forged_id = file.allocate()
+        # A valid checksum over entries that overrun the page.
+        forged_raw = pack_page(
+            forged_id, PagedPageType.INDEX_LEAF, 0, 0, NO_PAGE, NO_PAGE, 3,
+            struct.pack("<qI", 5, 3) + b"abc" + struct.pack("<qI", 9, 5000),
+        )
+        file.write_page(forged_id, forged_raw)
+        want = outcome(leaf_decode_reference, unpack_page(forged_raw, forged_id))
+        assert want == ("PageError", f"leaf entry on page {forged_id} overruns the page")
+        for page_id in good:  # fill the pool: a decoded page would evict
+            pool.unpin(pool.fetch(file, page_id))
+        before = pool.stats
+        with pytest.raises(PageError) as raised:
+            pool.fetch(file, forged_id)
+        assert ("PageError", str(raised.value)) == want
+        after = pool.stats
+        assert after["misses"] == before["misses"] + 1
+        assert {k: after[k] for k in ("hits", "evictions", "writebacks")} == {
+            k: before[k] for k in ("hits", "evictions", "writebacks")}
+        assert not pool.contains(1, forged_id)
+        assert [f.page_id for f in pool.frames()] == good[::-1]
+        assert pool.pinned_frames == 0
 
 
 # -- row decoding ---------------------------------------------------------------

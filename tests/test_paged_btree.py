@@ -10,11 +10,12 @@ from repro.storage.paged import (
     PageFile,
 )
 from repro.storage.paged.node import NO_PAGE, NEG_INF, InternalNode, LeafNode
+from tests.page_files import temp_page_file
 
 
 def make_tree(capacity=64, payload_bytes=200):
     pool = BufferPoolManager(capacity=capacity)
-    file = PageFile(None, "t", space_id=1)
+    file = temp_page_file("t", space_id=1)
     tree = PagedBTree(pool, file)
     return tree, pool, file
 

@@ -1,12 +1,13 @@
 import pytest
 
 from repro.errors import BufferPoolError
-from repro.storage.paged import BufferPoolManager, PageFile, PagedPageType
+from repro.storage.paged import BufferPoolManager, PagedPageType
 from repro.storage.paged.node import LeafNode
+from tests.page_files import temp_page_file
 
 
 def make_file(space_id=1, name="t"):
-    return PageFile(None, name, space_id=space_id)
+    return temp_page_file(name, space_id=space_id)
 
 
 def new_leaf(pool, file, entries=()):

@@ -1,6 +1,8 @@
+import os
+
 import pytest
 
-from repro.errors import PageError
+from repro.errors import PageError, StorageError
 from repro.storage.paged import (
     PAGE_CAPACITY,
     PAGE_HEADER_SIZE,
@@ -152,11 +154,45 @@ class TestPageFile:
         with pytest.raises(PageError):
             file.read_page(99)
 
-    def test_in_memory_file(self):
-        file = PageFile(None, "mem", space_id=2)
+    def test_pwritten_page_survives_crash_close_and_reopen(self, tmp_path):
+        path = tmp_path / "t.ibd"
+        file = PageFile(str(path), "t", space_id=4)
         pid = file.allocate()
+        raw = pack_page(pid, PagedPageType.INDEX_LEAF, 0, 11, 0, 0, 1, b"durable-row")
+        file.write_page(pid, raw)
+        file.flush()
+        # The file object holds no bytes of its own: the image is the disk.
+        assert file.to_bytes() == path.read_bytes()
+        file.crash_close()
+        assert path.read_bytes()[pid * PAGED_PAGE_SIZE:(pid + 1) * PAGED_PAGE_SIZE] == raw
+        again = PageFile(str(path), "t")
+        assert again.num_pages == pid + 1
+        assert again.to_bytes()[pid * PAGED_PAGE_SIZE:(pid + 1) * PAGED_PAGE_SIZE] == raw
+        assert again.read_page(pid).payload.startswith(b"durable-row")
+        again.close()
+
+    def test_free_rewrites_only_the_header(self, tmp_path):
+        path = tmp_path / "t.ibd"
+        file = PageFile(str(path), "t", space_id=1)
+        pid = file.allocate()
+        secret = b"PLAINTEXT-SECRET-ROW"
         file.write_page(
-            pid, pack_page(pid, PagedPageType.INDEX_LEAF, 0, 0, 0, 0, 0, b"m")
+            pid, pack_page(pid, PagedPageType.INDEX_LEAF, 0, 5, 0, 0, 1, secret)
         )
-        assert file.read_page(pid).payload.startswith(b"m")
+        before = path.read_bytes()[pid * PAGED_PAGE_SIZE:(pid + 1) * PAGED_PAGE_SIZE]
+        file.free(pid)
+        after = path.read_bytes()[pid * PAGED_PAGE_SIZE:(pid + 1) * PAGED_PAGE_SIZE]
+        assert after[PAGE_HEADER_SIZE:] == before[PAGE_HEADER_SIZE:]
+        assert after[:PAGE_HEADER_SIZE] != before[:PAGE_HEADER_SIZE]
+        assert file.to_bytes()[pid * PAGED_PAGE_SIZE:(pid + 1) * PAGED_PAGE_SIZE] == after
+        file.close()
+
+    def test_short_write_raises(self, tmp_path, monkeypatch):
+        file = PageFile(str(tmp_path / "t.ibd"), "t", space_id=1)
+        pid = file.allocate()
+        raw = pack_page(pid, PagedPageType.INDEX_LEAF, 0, 0, 0, 0, 0, b"")
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: len(data) - 1)
+        with pytest.raises(StorageError, match="short write of page"):
+            file.write_page(pid, raw)
+        monkeypatch.undo()
         file.close()

@@ -12,8 +12,9 @@ import pytest
 
 from repro.errors import BufferPoolError, StorageError
 from repro.server import MySQLServer
-from repro.storage.paged import BufferPoolManager, PagedBTree, PageFile
+from repro.storage.paged import BufferPoolManager, PagedBTree
 from repro.storage.paged.node import MAX_LEAF_PAYLOAD, NEG_INF
+from tests.page_files import temp_page_file
 
 
 class InjectingPool(BufferPoolManager):
@@ -55,7 +56,7 @@ def big(value, payload_bytes=200):
 
 def make_tree():
     pool = InjectingPool(capacity=64)
-    file = PageFile(None, "t", space_id=1)
+    file = temp_page_file("t", space_id=1)
     tree = PagedBTree(pool, file)
     return tree, pool, file
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.binlog import Binlog
 from repro.errors import ReproError
 from repro.forensics import reconstruct_modifications
 from repro.replication import ReplicatedDeployment
@@ -67,6 +68,32 @@ class TestReplication:
         assert not dep.status().in_sync
         shipped = dep.ship_binlog()
         assert shipped == 2
+        assert dep.status().in_sync
+
+    def test_ships_only_the_tail(self, monkeypatch):
+        # Writes on the primary, some shipped at once and some batched
+        # behind direct primary statements; each replica's relay log must
+        # end up the primary's binlog, and no ship may copy the whole log.
+        def whole_log(self):
+            pytest.fail("ship_binlog read the primary's full event list")
+
+        monkeypatch.setattr(Binlog, "events", property(whole_log))
+        dep = ReplicatedDeployment(num_replicas=2)
+        shipped = dep.connect("app")
+        direct = dep.primary.connect("direct")
+        dep.execute(shipped, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        for i in range(12):
+            if i % 3 == 2:
+                dep.primary.execute(direct, f"INSERT INTO t (id, v) VALUES ({i}, 0)")
+            else:
+                dep.execute(shipped, f"INSERT INTO t (id, v) VALUES ({i}, {i})")
+            if i % 4 == 3:
+                dep.execute(shipped, f"UPDATE t SET v = 99 WHERE id = {i - 1}")
+        assert dep.ship_binlog() == 0
+        primary = dep.primary.engine.binlog.events_since(0)
+        assert len(primary) == dep.primary.engine.binlog.num_events == 16
+        for replica in dep.replicas:
+            assert replica.relay_log.entries == primary
         assert dep.status().in_sync
 
 

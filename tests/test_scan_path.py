@@ -18,10 +18,11 @@ from repro.memory import MemoryDump
 from repro.server import MySQLServer, ServerConfig
 from repro.server.server import DECODE_MEMO_ROWS
 from repro.snapshot import AttackScenario, capture
-from repro.storage.paged import BufferPoolManager, PagedBTree, PageFile
+from repro.storage.paged import BufferPoolManager, PagedBTree
 from repro.storage.paged.btree import AccessPath
 from repro.storage.paged.node import NEG_INF, NO_PAGE
 from repro.storage.record import decode_row, encode_row
+from tests.page_files import temp_page_file
 
 # -- slow references: the loops the scan path used to run ---------------------
 
@@ -80,7 +81,7 @@ def _random_tree(rng, n_keys, capacity=512):
     """Random keys and payload sizes, inserted shuffled; then scattered
     deletes and one contiguous run long enough to empty whole leaves."""
     pool = BufferPoolManager(capacity=capacity)
-    tree = PagedBTree(pool, PageFile(None, "t", space_id=1))
+    tree = PagedBTree(pool, temp_page_file("t", space_id=1))
     keys = rng.sample(range(-3 * n_keys, 3 * n_keys), n_keys)
     for key in keys:
         tree.insert(key, bytes([key % 251]) * rng.randint(1, 300))
@@ -133,12 +134,12 @@ class TestLeafSliceRange:
         assert len(tree.range(None, None)[1].page_ids) > 20
 
     def test_empty_tree(self):
-        tree = PagedBTree(BufferPoolManager(capacity=8), PageFile(None, "t", space_id=1))
+        tree = PagedBTree(BufferPoolManager(capacity=8), temp_page_file("t", space_id=1))
         for low, high in [(None, None), (0, 10), (10, 0), (None, 5), (5, None)]:
             _assert_range_matches(tree, low, high)
 
     def test_tree_emptied_by_deletes(self):
-        tree = PagedBTree(BufferPoolManager(capacity=64), PageFile(None, "t", space_id=1))
+        tree = PagedBTree(BufferPoolManager(capacity=64), temp_page_file("t", space_id=1))
         for key in range(300):
             tree.insert(key, b"x" * 100)
         for key in range(300):

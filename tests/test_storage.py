@@ -1,8 +1,6 @@
 """Unit and property tests for records, page images, tablespace files, and
 the buffer pool."""
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +17,7 @@ from repro.storage.paged.node import (
     decode_node,
 )
 from repro.storage.record import row_size
+from tests.page_files import temp_page_file
 
 value_strategy = st.one_of(
     st.none(),
@@ -119,7 +118,7 @@ class TestPage:
             decode_node(image)
 
     def test_negative_page_id_rejected(self):
-        file = PageFile(None, "t", space_id=1)
+        file = temp_page_file("t", space_id=1)
         with pytest.raises(PageError, match="out of range"):
             file.read_page(-1)
 
@@ -142,34 +141,36 @@ def write_node(file, make=LeafNode):
 
 class TestTablespace:
     def test_allocate_sequential_ids(self):
-        file = PageFile(None, "t", space_id=1)
+        file = temp_page_file("t", space_id=1)
         assert file.allocate() == 1  # page 0 is the tablespace header
         assert file.allocate() == 2
 
     def test_page_lookup(self):
-        file = PageFile(None, "t", space_id=1)
+        file = temp_page_file("t", space_id=1)
         page_id = write_node(file, lambda pid: LeafNode(pid, [(1, b"row")]))
         image = file.read_page(page_id)
         assert image.page_id == page_id
         assert decode_node(image).entries == [(1, b"row")]
 
     def test_unknown_page_rejected(self):
-        file = PageFile(None, "t", space_id=1)
+        file = temp_page_file("t", space_id=1)
         with pytest.raises(StorageError):
             file.read_page(99)
 
     def test_free(self):
-        file = PageFile(None, "t", space_id=1)
+        file = temp_page_file("t", space_id=1)
         page_id = write_node(file)
         file.free(page_id)
         assert file.free_list() == [page_id]
         with pytest.raises(StorageError):
             file.free(page_id)
 
-    def test_serialization_roundtrip(self):
-        file = PageFile(None, "customers", space_id=7)
+    def test_serialization_roundtrip(self, tmp_path):
+        file = temp_page_file("customers", space_id=7)
         page_id = write_node(file, lambda pid: LeafNode(pid, [(1, b"row-bytes")]))
-        restored = PageFile(None, "?", file_obj=io.BytesIO(file.to_bytes()))
+        copy = tmp_path / "copy.ibd"
+        copy.write_bytes(file.to_bytes())
+        restored = PageFile(str(copy), "?")
         assert restored.space_id == 7
         assert restored.name == "customers"
         assert decode_node(restored.read_page(page_id)).entries == [(1, b"row-bytes")]
@@ -179,7 +180,7 @@ class TestTablespace:
 
 def pool_and_pages(capacity, pages=4, space_id=1):
     """A pool over a file of ``pages`` leaf pages (ids 1..pages)."""
-    file = PageFile(None, "t", space_id=space_id)
+    file = temp_page_file("t", space_id=space_id)
     for _ in range(pages):
         write_node(file)
     return BufferPoolManager(capacity=capacity), file
@@ -231,7 +232,7 @@ class TestBufferPool:
         assert stats["evictions"] == 1
 
     def test_dump_mru_first(self):
-        file = PageFile(None, "t", space_id=1)
+        file = temp_page_file("t", space_id=1)
         write_node(file, lambda pid: InternalNode(pid, 2))
         write_node(file, lambda pid: InternalNode(pid, 1))
         write_node(file)
