@@ -38,6 +38,9 @@ class Binlog:
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._events: List[BinlogEvent] = []
+        #: Events :meth:`purge_before` dropped. A position counts every
+        #: event ever logged, so it names the same event after a purge.
+        self._purged = 0
 
     def log(self, timestamp: int, txn_id: int, statement: str, lsn: int) -> None:
         """Record a committed write transaction (no-op while disabled)."""
@@ -55,20 +58,27 @@ class Binlog:
         """All retained events, oldest first."""
         return list(self._events)
 
-    def events_since(self, index: int) -> List[BinlogEvent]:
-        """The retained events from position ``index`` on, oldest first:
+    def events_since(self, position: int) -> List[BinlogEvent]:
+        """The retained events from absolute ``position`` on, oldest first:
         a replica's unshipped tail, without copying the whole log."""
-        return self._events[index:]
+        return self._events[max(position - self._purged, 0) :]
 
     @property
     def num_events(self) -> int:
+        """Events retained (not purged)."""
         return len(self._events)
+
+    @property
+    def end_position(self) -> int:
+        """The position of the next event: every event ever logged."""
+        return self._purged + len(self._events)
 
     def purge_before(self, timestamp: int) -> int:
         """The administrator's special purge command; returns events dropped."""
         kept = [e for e in self._events if e.timestamp >= timestamp]
         dropped = len(self._events) - len(kept)
         self._events = kept
+        self._purged += dropped
         return dropped
 
     def to_text(self) -> str:

@@ -120,10 +120,10 @@ class StorageEngine:
             instrumentation=self.obs,
         )
         self.lsn = self.wal.lsn
-        #: The circular redo/undo retention windows of paper §3 (read-only
-        #: views: every append goes through :attr:`wal`).
-        self.redo_log = self.wal.redo_stream
-        self.undo_log = self.wal.undo_stream
+        #: The circular redo/undo logs of paper §3: read-only windows that
+        #: :attr:`wal` computes from its frames when they are read.
+        self.redo_log = self.wal.redo_log
+        self.undo_log = self.wal.undo_log
         self.binlog = Binlog(enabled=binlog_enabled)
         self.buffer_pool = BufferPoolManager(
             buffer_pool_capacity,

@@ -54,6 +54,7 @@ class ReplicationStatus:
     """Replication lag/health summary."""
 
     replicas: int
+    #: Events the primary has ever binlogged, purged ones included.
     primary_binlog_events: int
     applied_per_replica: List[int]
 
@@ -97,6 +98,8 @@ class ReplicatedDeployment:
             replica.connect("replication") for replica in self.replicas
         ]
         self._applied = [0] * num_replicas
+        #: The primary binlog position shipped up to (absolute: it stays
+        #: right after a purge).
         self._shipped = 0
 
     # -- client path -----------------------------------------------------------
@@ -121,13 +124,13 @@ class ReplicatedDeployment:
                 replica.relay_log.append(event)
                 replica.execute(self._replica_sessions[index], event.statement)
                 self._applied[index] += 1
-        self._shipped = binlog.num_events
+        self._shipped = binlog.end_position
         return len(new_events)
 
     def status(self) -> ReplicationStatus:
         return ReplicationStatus(
             replicas=len(self.replicas),
-            primary_binlog_events=self.primary.engine.binlog.num_events,
+            primary_binlog_events=self.primary.engine.binlog.end_position,
             applied_per_replica=list(self._applied),
         )
 

@@ -10,8 +10,9 @@ sync boundary.
 
 The WAL is deliberately a *new snapshot-leakage surface* (registered in
 ``leakage_spec.json`` and the artifact registry): unlike the circular
-in-memory views, on-disk segments retain every record ever flushed — the
-substrate BigFoot (Pei & Shmatikov) attacks even when encrypted.
+redo/undo windows computed from it, on-disk segments retain every record
+ever flushed — the substrate BigFoot (Pei & Shmatikov) attacks even when
+encrypted.
 
 Layering: this package imports nothing from :mod:`repro.engine`; the engine
 imports *us*. :mod:`repro.wal.recovery` reaches back into the engine lazily
@@ -20,7 +21,7 @@ imports *us*. :mod:`repro.wal.recovery` reaches back into the engine lazily
 """
 
 from .lsn import LsnCounter
-from .log_manager import DEFAULT_CAPACITY, DEFAULT_SEGMENT_BYTES, LogManager, LogStream
+from .log_manager import DEFAULT_CAPACITY, DEFAULT_SEGMENT_BYTES, LogManager, LogWindow
 from .records import (
     CheckpointBody,
     RedoRecord,
@@ -36,7 +37,7 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "DEFAULT_SEGMENT_BYTES",
     "LogManager",
-    "LogStream",
+    "LogWindow",
     "LsnCounter",
     "RedoRecord",
     "UndoRecord",

@@ -4,14 +4,8 @@
 and every log append in the engine goes through it:
 
 * ``append_row_change`` — the byte-level row images of paper §3: one row
-  change's undo body, then its redo body. Each advances the LSN by its
-  length and is also retained in a capacity-bounded :class:`LogStream`
-  window, the circular redo and undo logs the engine exposes as
-  ``redo_log`` / ``undo_log`` (the E2/E5/E13 snapshot artifacts). A
-  window is one ``bytearray`` in the artifact's own framing
-  (``lsn u64 | len u32 | body`` per record) and a few counters, not an
-  object per record; its structured views decode those bytes on demand,
-  so the artifact and the views come from one source.
+  change's undo body, then its redo body, each staged as a frame that
+  advances the LSN by its length.
 * ``append_clr`` / txn lifecycle / checkpoints / table registration — new
   control records for ARIES recovery. They are stamped with the current
   LSN but advance it by **zero** bytes, keeping the logical redo stream
@@ -40,6 +34,13 @@ Durability is also the leakage boundary: :meth:`LogManager.segments`
 exposes exactly the flushed bytes — each file's live region, what a
 snapshot attacker reads as the log from the disk — never the staged tail
 that would be lost in a crash.
+
+The log is kept once. The circular redo and undo logs of paper §3, which
+the engine exposes as ``redo_log`` / ``undo_log`` (the E2/E5/E13 snapshot
+artifacts), are :class:`LogWindow` views computed from the frames when
+they are read: the newest REDO (or UNDO) bodies, flushed or staged, that
+fit the window's capacity. No body is held in memory past the flush that
+writes it.
 """
 
 from __future__ import annotations
@@ -47,13 +48,16 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from array import array
 from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Generic,
+    Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     TypeVar,
@@ -97,8 +101,11 @@ _datasync = getattr(os, "fdatasync", os.fsync)
 #: A window record's framing: ``lsn u64 | len u32``, then the body.
 _RECORD_HEADER = struct.Struct("<QI")
 _HEADER_SIZE = _RECORD_HEADER.size
-_pack_header = _RECORD_HEADER.pack
+_FRAME_HEADER_SIZE = FRAME_HEADER.size
+_unpack_frame = FRAME_HEADER.unpack_from
 _unpack_len = struct.Struct("<I").unpack_from
+_REDO = int(WalRecordType.REDO)
+_UNDO = int(WalRecordType.UNDO)
 
 _SEGMENT_PREFIX = "wal."
 _SEGMENT_SUFFIX = ".log"
@@ -132,91 +139,109 @@ def _sync_dir(path: str) -> None:
         os.close(fd)
 
 
-class LogStream(Generic[RecordT]):
-    """A byte-capacity-bounded retention window over one record stream.
+def _check_fits(raw: bytes, capacity: int) -> None:
+    """Reject a body larger than its window could ever retain."""
+    if len(raw) > capacity:
+        raise LogError(f"record of {len(raw)} bytes exceeds log capacity {capacity}")
+
+
+class _WindowImage(NamedTuple):
+    """One window as one pass over the log left it: the artifact's bytes
+    (``lsn u64 | len u32 | body`` per retained record, oldest first) and
+    its counts."""
+
+    raw: bytearray
+    used_bytes: int
+    num_records: int
+    total_appended: int
+
+
+def _retain(log: memoryview, offsets: array, capacity: int) -> _WindowImage:
+    """The window over the frames at ``offsets``: the longest newest run
+    whose bodies fit ``capacity`` — what a circular log of that size that
+    evicts its oldest records as new ones arrive still holds."""
+    used = 0
+    first = len(offsets)
+    while first:
+        length = _unpack_len(log, offsets[first - 1] + 8)[0]
+        if used + length > capacity:
+            break
+        used += length
+        first -= 1
+    kept = len(offsets) - first
+    raw = bytearray(used + _HEADER_SIZE * kept)
+    pos = 0
+    for offset in offsets[first:]:
+        length = _unpack_len(log, offset + 8)[0]
+        body = offset + _FRAME_HEADER_SIZE
+        # A record's ``lsn | len`` framing is the frame header's first
+        # twelve bytes: the frame's ``crc | type`` is cut out.
+        raw[pos : pos + _HEADER_SIZE] = log[offset : offset + _HEADER_SIZE]
+        pos += _HEADER_SIZE
+        raw[pos : pos + length] = log[body : body + length]
+        pos += length
+    return _WindowImage(raw, used, kept, len(offsets))
+
+
+class LogWindow(Generic[RecordT]):
+    """A read-only, byte-capacity-bounded retention window over the WAL.
 
     InnoDB's redo and undo logs are circular files: new records overwrite
     the oldest ones once the file fills, so the retention window depends on
     write rate and record size — the quantity behind the paper's "16 days'
-    worth of inserts" observation (Section 3, experiment E2). The stream
-    does the byte accounting and evicts the oldest records once
-    ``capacity_bytes`` of bodies are exceeded; the :class:`LogManager`
-    assigns each LSN and hands ``(lsn, raw)`` pairs in via :meth:`admit`.
+    worth of inserts" observation (Section 3, experiment E2). The window
+    holds no records of its own: each read takes the REDO (or UNDO) frames
+    of the :class:`LogManager`'s log — flushed segments, then staged
+    frames — and keeps the newest ones whose bodies fit
+    ``capacity_bytes``. The manager computes both windows in one pass and
+    keeps the result until the log changes.
 
-    The window is one ``bytearray`` laid out exactly as :meth:`raw_bytes`
-    (the ``redo_log_raw`` / ``undo_log_raw`` artifact) frames it —
-    ``lsn(8) || len(4) || body`` per record, oldest first — from a start
-    offset on, plus counters: no object per record. Eviction moves the
-    start past each oldest record by its length field, and the dead prefix
-    is dropped once it is more than half the buffer. The structured views
-    walk that framing and decode each body with ``decode`` on demand, as a
-    reader of the on-disk log would.
+    :meth:`raw_bytes` frames each record as ``lsn(8) || len(4) || body``
+    (the ``redo_log_raw`` / ``undo_log_raw`` artifact); the structured
+    views decode each body with ``decode`` on demand, as a reader of the
+    on-disk log would.
     """
+
+    __slots__ = ("_wal", "_index", "capacity_bytes", "_decode")
 
     def __init__(
         self,
+        wal: "LogManager",
+        index: int,
         capacity_bytes: int,
         decode: Callable[[bytes], Tuple[RecordT, int]],
     ) -> None:
-        if capacity_bytes <= 0:
-            raise LogError(f"log capacity must be positive, got {capacity_bytes}")
+        self._wal = wal
+        self._index = index
         self.capacity_bytes = capacity_bytes
         self._decode = decode
-        self._buf = bytearray()
-        self._start = 0
-        self._used_bytes = 0
-        self._total_appended = 0
-        self._total_evicted = 0
 
     def check_fits(self, raw: bytes) -> None:
         """Reject a record that could never be retained (pre-LSN check)."""
-        if len(raw) > self.capacity_bytes:
-            raise LogError(
-                f"record of {len(raw)} bytes exceeds log capacity "
-                f"{self.capacity_bytes}"
-            )
+        _check_fits(raw, self.capacity_bytes)
 
-    def admit(self, lsn: int, raw: bytes) -> None:
-        """Retain an already-LSN-stamped record body, evicting the oldest."""
-        buf = self._buf
-        buf += _pack_header(lsn, len(raw))
-        buf += raw
-        used = self._used_bytes + len(raw)
-        self._total_appended += 1
-        if used > self.capacity_bytes:
-            start = self._start
-            evicted = 0
-            while used > self.capacity_bytes:
-                length = _unpack_len(buf, start + 8)[0]  # after the LSN
-                start += _HEADER_SIZE + length
-                used -= length
-                evicted += 1
-            if start > len(buf) >> 1:
-                del buf[:start]
-                start = 0
-            self._start = start
-            self._total_evicted += evicted
-        self._used_bytes = used
-
-    # -- inspection (``engine.redo_log`` / ``engine.undo_log``) ------------
+    def _image(self) -> _WindowImage:
+        return self._wal._window_images()[self._index]
 
     @property
     def used_bytes(self) -> int:
         """Body bytes currently retained (the framing is not counted)."""
-        return self._used_bytes
+        return self._image().used_bytes
 
     @property
     def num_records(self) -> int:
         """Records currently retained (not yet overwritten)."""
-        return self._total_appended - self._total_evicted
+        return self._image().num_records
 
     @property
     def total_appended(self) -> int:
-        return self._total_appended
+        """Records of this kind in the log, retained or not."""
+        return self._image().total_appended
 
     @property
     def total_evicted(self) -> int:
-        return self._total_evicted
+        image = self._image()
+        return image.total_appended - image.num_records
 
     def records(self) -> List[RecordT]:
         """Retained records, oldest first, decoded from their bytes."""
@@ -242,8 +267,69 @@ class LogStream(Generic[RecordT]):
         Each record is framed as ``lsn(8) || len(4) || body`` so the
         forensic parser can walk it without structured access.
         """
-        with memoryview(self._buf) as view:
-            return view[self._start :].tobytes()
+        return bytes(self._image().raw)
+
+
+class SegmentScan(NamedTuple):
+    """One segment file as read from disk: its frames up to the first bad one."""
+
+    name: str
+    #: The file's size: a file shorter than ``segment_bytes`` was cut short.
+    file_size: int
+    frames: List[WalFrame]
+    #: Why the walk stopped before the log's end (a torn or corrupt frame).
+    error: Optional[str]
+
+    @property
+    def good_end(self) -> int:
+        """The end of the valid log in the file."""
+        if not self.frames:
+            return 0
+        last = self.frames[-1]
+        return last.offset + FRAME_HEADER.size + len(last.body)
+
+
+def scan_segments(wal_dir: str) -> List[SegmentScan]:
+    """Read every segment under ``wal_dir`` once, name-sorted (= append
+    order), and walk its frames tolerantly."""
+    if not os.path.isdir(wal_dir):
+        return []
+    names = sorted(
+        f
+        for f in os.listdir(wal_dir)
+        if f.startswith(_SEGMENT_PREFIX) and f.endswith(_SEGMENT_SUFFIX)
+    )
+    scans = []
+    for name in names:
+        with open(os.path.join(wal_dir, name), "rb") as fh:
+            data = fh.read()
+        frames, error = parse_frames(data, strict=False)
+        scans.append(SegmentScan(name, len(data), frames, error))
+    return scans
+
+
+#: Scans that a caller has already made, by WAL directory, for the next
+#: :class:`LogManager` opened there to resume from instead of reading the
+#: segments again (see :func:`resuming_from`).
+_handed_over: Dict[str, List[SegmentScan]] = {}
+
+
+@contextmanager
+def resuming_from(wal_dir: str, scans: List[SegmentScan]):
+    """Let a :class:`LogManager` opened on ``wal_dir`` inside this block
+    resume from ``scans`` rather than from another read of the files.
+
+    Recovery's analysis pass reads every segment; the engine it then
+    brings up resumes its log from the same scan, so each segment is read
+    once per recovery. The hand-off lives only for the block, and the
+    first manager opened there takes it.
+    """
+    key = os.path.abspath(wal_dir)
+    _handed_over[key] = scans
+    try:
+        yield
+    finally:
+        _handed_over.pop(key, None)
 
 
 class _Segment:
@@ -284,15 +370,19 @@ class LogManager:
         self.wal_dir = wal_dir
         self.segment_bytes = segment_bytes
         self.sync = sync
+        for capacity in (redo_capacity, undo_capacity):
+            if capacity <= 0:
+                raise LogError(f"log capacity must be positive, got {capacity}")
+        self.redo_capacity = redo_capacity
+        self.undo_capacity = undo_capacity
         self.lsn = LsnCounter()
-        self.redo_stream: LogStream[RedoRecord] = LogStream(
-            redo_capacity, RedoRecord.from_bytes
-        )
-        self.undo_stream: LogStream[UndoRecord] = LogStream(
-            undo_capacity, UndoRecord.from_bytes
-        )
         self._segments: List[_Segment] = []
         self._pending: List[bytes] = []
+        #: The redo and undo windows of the last pass over the log, made
+        #: when ``_appended_frames`` was ``_images_at``; dropped when a
+        #: flush or crash moves the frames.
+        self._images: Optional[Tuple[_WindowImage, _WindowImage]] = None
+        self._images_at = 0
         self._pending_frames = 0
         self._flushed_lsn = self.lsn.current
         self._replaying = False
@@ -312,7 +402,7 @@ class LogManager:
     # -- resume ------------------------------------------------------------
 
     def _resume_from_disk(self) -> None:
-        """Rebuild LSN position and retention windows from existing segments.
+        """Rebuild the LSN position from the existing segments.
 
         Tolerates a torn tail in the *last* segment (a crash mid-append).
         A torn segment, or one shorter than ``segment_bytes``, is cut to
@@ -322,40 +412,29 @@ class LogManager:
         can be read as log after a later crash. A segment that already
         ends in zeros is left as it is.
         """
-        names = sorted(
-            f
-            for f in os.listdir(self.wal_dir)
-            if f.startswith(_SEGMENT_PREFIX) and f.endswith(_SEGMENT_SUFFIX)
-        )
+        # A scan handed over by the caller (recovery), or a read of each file.
+        scans = _handed_over.pop(os.path.abspath(self.wal_dir), None)
+        if scans is None:
+            scans = scan_segments(self.wal_dir)
         end_lsn = self.lsn.current
         rezero = False
-        for i, name in enumerate(names):
-            path = os.path.join(self.wal_dir, name)
-            with open(path, "rb") as fh:
-                data = fh.read()
-            frames, error = parse_frames(data, strict=False)
-            good_end = (
-                frames[-1].offset + FRAME_HEADER.size + len(frames[-1].body)
-                if frames
-                else 0
-            )
-            if error is not None:
-                if i != len(names) - 1:
-                    raise WalError(f"corrupt interior WAL segment {name}: {error}")
-                self.truncated_tail = f"{name}: {error}"
-            rezero = error is not None or len(data) < self.segment_bytes
-            for frame in frames:
-                # Decoding validates the body (a corrupt one fails the open);
-                # the window keeps only the bytes.
-                if frame.rtype is WalRecordType.REDO:
+        for i, scan in enumerate(scans):
+            if scan.error is not None:
+                if i != len(scans) - 1:
+                    raise WalError(
+                        f"corrupt interior WAL segment {scan.name}: {scan.error}"
+                    )
+                self.truncated_tail = f"{scan.name}: {scan.error}"
+            rezero = scan.error is not None or scan.file_size < self.segment_bytes
+            for frame in scan.frames:
+                # Decoding validates a redo or undo body: a corrupt one
+                # fails the open.
+                if frame.rtype in (WalRecordType.REDO, WalRecordType.UNDO):
                     frame.decode()
-                    self.redo_stream.admit(frame.lsn, frame.body)
-                elif frame.rtype is WalRecordType.UNDO:
-                    frame.decode()
-                    self.undo_stream.admit(frame.lsn, frame.body)
                 end_lsn = max(end_lsn, frame.lsn + frame.lsn_advance)
-                self.resumed_frames += 1
-            self._segments.append(_Segment(name, path, size=good_end))
+            self.resumed_frames += len(scan.frames)
+            path = os.path.join(self.wal_dir, scan.name)
+            self._segments.append(_Segment(scan.name, path, size=scan.good_end))
         if end_lsn > self.lsn.current:
             self.lsn.advance(end_lsn - self.lsn.current)
         self._flushed_lsn = self.lsn.current
@@ -424,15 +503,15 @@ class LogManager:
         self._ensure_open()
         if self._replaying:
             return
-        self.undo_stream.check_fits(undo)
-        self.redo_stream.check_fits(redo)
+        _check_fits(undo, self.undo_capacity)
+        _check_fits(redo, self.redo_capacity)
 
     def append_row_change(self, table: str, undo: bytes, redo: bytes) -> int:
         """Append one row change: its undo body, then its redo body.
 
         Each body is stamped with the LSN, which then advances by the
-        body's length, admitted to its window and staged as a frame. Both
-        bodies are checked first, so a rejected change appends neither.
+        body's length, and staged as a frame. Both bodies are checked
+        first, so a rejected change appends neither.
         Returns the redo body's LSN.
         """
         self.check_row_change(undo, redo)
@@ -441,12 +520,10 @@ class LogManager:
         obs = self._obs
         with obs.span("log.append", table=table, detail="undo"):
             lsn = self.lsn.advance(len(undo))
-            self.undo_stream.admit(lsn, undo)
             self._stage(lsn, WalRecordType.UNDO, undo)
         obs.count("undo.appended_bytes", n=len(undo))
         with obs.span("log.append", table=table, detail="redo"):
             lsn = self.lsn.advance(len(redo))
-            self.redo_stream.admit(lsn, redo)
             self._stage(lsn, WalRecordType.REDO, redo)
         obs.count("redo.appended_bytes", n=len(redo))
         return lsn
@@ -462,9 +539,8 @@ class LogManager:
             return self.lsn.current
         raw = record.to_bytes()
         with self._obs.span("log.append", table=record.table, detail="redo"):
-            self.redo_stream.check_fits(raw)
+            _check_fits(raw, self.redo_capacity)
             lsn = self.lsn.advance(len(raw))
-            self.redo_stream.admit(lsn, raw)
             self._stage(lsn, WalRecordType.REDO, raw)
         self._obs.count("redo.appended_bytes", n=len(raw))
         return lsn
@@ -476,9 +552,8 @@ class LogManager:
             return self.lsn.current
         raw = record.to_bytes()
         with self._obs.span("log.append", table=record.table, detail="undo"):
-            self.undo_stream.check_fits(raw)
+            _check_fits(raw, self.undo_capacity)
             lsn = self.lsn.advance(len(raw))
-            self.undo_stream.admit(lsn, raw)
             self._stage(lsn, WalRecordType.UNDO, raw)
         self._obs.count("undo.appended_bytes", n=len(raw))
         return lsn
@@ -539,6 +614,7 @@ class LogManager:
         """Write all staged frames out; fdatasync when ``sync``. Returns
         the number of frames written (0 if nothing was pending)."""
         self._ensure_open()
+        self._images = None
         if not self._pending:
             self._flushed_lsn = self.lsn.current
             return 0
@@ -589,6 +665,48 @@ class LogManager:
     # -- inspection --------------------------------------------------------
 
     @property
+    def redo_log(self) -> LogWindow[RedoRecord]:
+        """The circular redo log: a window over the log's REDO frames."""
+        return LogWindow(self, 0, self.redo_capacity, RedoRecord.from_bytes)
+
+    @property
+    def undo_log(self) -> LogWindow[UndoRecord]:
+        """The circular undo log: a window over the log's UNDO frames."""
+        return LogWindow(self, 1, self.undo_capacity, UndoRecord.from_bytes)
+
+    def _window_images(self) -> Tuple[_WindowImage, _WindowImage]:
+        """The redo and undo windows from one pass over the log, kept
+        until the next append, flush or crash."""
+        if self._images is None or self._images_at != self._appended_frames:
+            log = self._read_log()
+            with memoryview(log) as view:
+                redo_at, undo_at = array("Q"), array("Q")
+                pos, end = 0, len(log) - _FRAME_HEADER_SIZE
+                while pos <= end:
+                    _, length, _, rtype = _unpack_frame(view, pos)
+                    if rtype == _REDO:
+                        redo_at.append(pos)
+                    elif rtype == _UNDO:
+                        undo_at.append(pos)
+                    pos += _FRAME_HEADER_SIZE + length
+                self._images = (
+                    _retain(view, redo_at, self.redo_capacity),
+                    _retain(view, undo_at, self.undo_capacity),
+                )
+            self._images_at = self._appended_frames
+        return self._images
+
+    def _read_log(self) -> bytearray:
+        """The whole log in one buffer: every segment's flushed frames,
+        then the staged ones."""
+        log = bytearray()
+        for _, data in self._live_regions():
+            log += data
+        for frame in self._pending:
+            log += frame
+        return log
+
+    @property
     def closed(self) -> bool:
         return self._closed
 
@@ -603,14 +721,18 @@ class LogManager:
         (pre-flush) frames are deliberately absent: a crash would lose
         them, so a disk snapshot cannot contain them either.
         """
-        out: Dict[str, bytes] = {}
+        return dict(self._live_regions())
+
+    def _live_regions(self) -> Iterator[Tuple[str, bytes]]:
+        """Each segment's name and flushed bytes, read one file at a time
+        (empty when the file is gone)."""
         for seg in self._segments:
             try:
                 with open(seg.path, "rb") as fh:
-                    out[seg.name] = fh.read(seg.size)
+                    data = fh.read(seg.size)
             except OSError:
-                out[seg.name] = b""
-        return out
+                data = b""
+            yield seg.name, data
 
     def records(self) -> List[WalFrame]:
         """All flushed frames across segments, in append order."""
@@ -651,6 +773,7 @@ class LogManager:
     def crash(self) -> None:
         """Simulate a kill -9: staged frames vanish, files stay as flushed."""
         self._pending.clear()
+        self._images = None
         self._pending_frames = 0
         for seg in self._segments:
             if seg.handle is not None:

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PageError, RecoveryError, StorageError
+from .log_manager import SegmentScan, resuming_from, scan_segments
 from .records import CheckpointBody, RedoRecord, UndoRecord, WalFrame, WalRecordType
 
 _CRASHED_SUFFIX = ".crashed"
@@ -114,40 +115,21 @@ class _Analysis:
     max_txn_id: int
 
 
-def _read_segments(wal_dir: str) -> Tuple[List[Tuple[str, bytes]], int]:
-    """All segment files under ``wal_dir``, name-sorted (= append order)."""
-    if not os.path.isdir(wal_dir):
-        return [], 0
-    names = sorted(
-        f
-        for f in os.listdir(wal_dir)
-        if f.startswith("wal.") and f.endswith(".log")
-    )
-    out = []
-    for name in names:
-        with open(os.path.join(wal_dir, name), "rb") as fh:
-            out.append((name, fh.read()))
-    return out, len(names)
-
-
-def _analyze(wal_dir: str) -> Tuple[_Analysis, int]:
+def _analyze(wal_dir: str) -> Tuple[_Analysis, List[SegmentScan]]:
     """ARIES pass 1: scan the log, classify transactions, find the last
-    checkpoint. Returns the analysis plus the segment count scanned."""
-    from .records import parse_frames
-
-    segments, n_segments = _read_segments(wal_dir)
+    checkpoint. Returns the analysis plus the segment scans it read."""
+    scans = scan_segments(wal_dir)
     frames: List[WalFrame] = []
     truncated: Optional[str] = None
-    for i, (name, data) in enumerate(segments):
-        seg_frames, error = parse_frames(data, strict=False)
-        if error is not None:
-            if i != len(segments) - 1:
+    for i, scan in enumerate(scans):
+        if scan.error is not None:
+            if i != len(scans) - 1:
                 raise RecoveryError(
-                    f"corrupt interior WAL segment {name}: {error} "
+                    f"corrupt interior WAL segment {scan.name}: {scan.error} "
                     "(only the final segment may carry a torn tail)"
                 )
-            truncated = f"{name}: {error}"
-        frames.extend(seg_frames)
+            truncated = f"{scan.name}: {scan.error}"
+        frames.extend(scan.frames)
     tables: List[str] = []
     checkpoint: Optional[CheckpointBody] = None
     seen: Set[int] = set()
@@ -188,7 +170,7 @@ def _analyze(wal_dir: str) -> Tuple[_Analysis, int]:
             truncated_tail=truncated,
             max_txn_id=max(all_ids, default=0),
         ),
-        n_segments,
+        scans,
     )
 
 
@@ -290,9 +272,9 @@ def recover_engine(data_dir: str, **engine_kwargs):
     from ..engine.engine import StorageEngine
 
     wal_dir = os.path.join(data_dir, "wal")
-    analysis, n_segments = _analyze(wal_dir)
+    analysis, scans = _analyze(wal_dir)
     report = RecoveryReport(data_dir=data_dir)
-    report.segments_scanned = n_segments
+    report.segments_scanned = len(scans)
     report.records_scanned = len(analysis.frames)
     report.truncated_tail = analysis.truncated_tail
     report.tables = tuple(analysis.tables)
@@ -309,7 +291,9 @@ def recover_engine(data_dir: str, **engine_kwargs):
     report.unreadable_tablespaces = tuple(unreadable)
     _move_aside(data_dir, analysis.tables)
 
-    engine = StorageEngine(data_dir=data_dir, **engine_kwargs)
+    # The engine's log resumes from the segments the analysis read.
+    with resuming_from(wal_dir, scans):
+        engine = StorageEngine(data_dir=data_dir, **engine_kwargs)
     # Repeat history under replay: re-registration and replayed changes
     # must not append fresh WAL (the log already records them); the
     # resumed LogManager carries the crashed run's frames forward.

@@ -12,6 +12,9 @@ settings.register_profile("oracle-sweep", max_examples=2000)
 #: ``--hypothesis-profile=history-sweep``: the longer one-engine isolation
 #: sweep (tests/test_history_checker.py).
 settings.register_profile("history-sweep", max_examples=2000)
+#: ``--hypothesis-profile=wal-view-sweep``: the longer check of the
+#: redo/undo windows against their reference model (tests/test_wal_view.py).
+settings.register_profile("wal-view-sweep", max_examples=2000)
 
 
 @pytest.fixture

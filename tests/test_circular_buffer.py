@@ -29,7 +29,7 @@ def _append(wal, i):
 
 
 class TestCircularLog:
-    """The engine's redo/undo windows: the LogManager's retention streams."""
+    """The engine's redo/undo windows, computed by the LogManager from its log."""
 
     def test_capacity_must_be_positive(self, make_wal):
         for capacity in (0, -1):
@@ -48,7 +48,7 @@ class TestCircularLog:
         record = _redo(1)
         size = len(record.to_bytes())
         wal = make_wal(redo_capacity=size * 3)  # room for exactly 3 records
-        log = wal.redo_stream
+        log = wal.redo_log
         for i in range(3):
             _append(wal, i)
         assert log.num_records == 3
@@ -68,7 +68,7 @@ class TestCircularLog:
         lsns = [_append(wal, i) - size for i in range(6)]
         assert lsns == sorted(lsns)
         assert len(set(lsns)) == len(lsns)
-        kept = [lsn for lsn, _ in wal.undo_stream.records_with_lsn()]
+        kept = [lsn for lsn, _ in wal.undo_log.records_with_lsn()]
         assert kept == lsns[-2:]
 
     def test_raw_bytes_covers_only_retained_records(self, make_wal):
@@ -77,7 +77,7 @@ class TestCircularLog:
         wal = make_wal(redo_capacity=size * 2)
         for i in range(5):
             _append(wal, i)
-        log = wal.redo_stream
+        log = wal.redo_log
         raw = log.raw_bytes()
         # lsn(8) + len(4) framing per record
         assert len(raw) == 2 * (8 + 4 + size)

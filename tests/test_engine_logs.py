@@ -53,8 +53,8 @@ class TestRedoLog:
         record = make_redo()
         lsn = append(wal, record)
         assert lsn == len(make_undo().to_bytes())
-        assert wal.redo_stream.records() == [record]
-        assert wal.undo_stream.records() == [make_undo()]
+        assert wal.redo_log.records() == [record]
+        assert wal.undo_log.records() == [make_undo()]
 
     def test_lsn_reflects_record_size(self, make_wal):
         wal = make_wal()
@@ -70,7 +70,7 @@ class TestRedoLog:
         wal = make_wal(redo_capacity=size * 3)
         for key in range(10):
             append(wal, make_redo(key=key))
-        log = wal.redo_stream
+        log = wal.redo_log
         assert log.num_records == 3
         assert log.total_evicted == 7
         # The retained window is the most recent writes.
@@ -80,7 +80,7 @@ class TestRedoLog:
         wal = make_wal(redo_capacity=8)
         with pytest.raises(LogError):
             append(wal, make_redo(image=b"x" * 100))
-        assert wal.undo_stream.num_records == 0
+        assert wal.undo_log.num_records == 0
 
     def test_bad_op_rejected(self):
         with pytest.raises(LogError):
@@ -96,7 +96,7 @@ class TestRedoLog:
         wal = make_wal()
         append(wal, make_redo())
         append(wal, make_redo(key=2))
-        log = wal.redo_stream
+        log = wal.redo_log
         raw = log.raw_bytes()
         # 12 framing bytes (lsn 8 + len 4) per record.
         assert len(raw) == log.used_bytes + 2 * 12
@@ -109,7 +109,7 @@ class TestRedoLog:
             wal = LogManager(wal_dir=wal_dir, redo_capacity=capacity)
             for key in range(n_records):
                 append(wal, make_redo(key=key))
-            assert wal.redo_stream.used_bytes <= wal.redo_stream.capacity_bytes
+            assert wal.redo_log.used_bytes <= wal.redo_log.capacity_bytes
             wal.close()
 
 
@@ -125,7 +125,7 @@ class TestUndoLog:
         wal = make_wal()
         redo_lsn = append(wal, make_redo())
         assert redo_lsn > 0  # the undo body consumed LSN space first
-        assert wal.undo_stream.records_with_lsn()[0][0] == 0
+        assert wal.undo_log.records_with_lsn()[0][0] == 0
 
 
 class TestBinlog:

@@ -1,12 +1,14 @@
 """The redo/undo windows and the arrival log keep flat bytes.
 
-A ``LogStream`` window is one ``bytearray`` in the framing of its own
-artifact (``lsn u64 | len u32 | body`` per record), and the scheduler's
-arrival log is one ``array('q')`` of ``(seq, session_id, arrival_ts)``
-triples. Both are pure space savings, so the tests here are equivalences
-against the structures they replaced, kept below as references: a deque
-of ``(lsn, body)`` tuples and a list of arrival tuples. The rest bound
-what each record costs in memory.
+The redo/undo windows hold no records of their own: each read takes the
+WAL's frames and yields the artifact's framing (``lsn u64 | len u32 |
+body`` per record). The scheduler's arrival log is one ``array('q')`` of
+``(seq, session_id, arrival_ts)`` triples. Both are pure space savings, so
+the tests here are equivalences against the structures they replaced,
+kept as references: a deque of ``(lsn, body)`` tuples, the flat
+append-time window (``tests/test_wal_view.py``, checked here against the
+deque), and a list of arrival tuples. The rest bound what each record
+costs in memory.
 """
 
 import gc
@@ -21,11 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchedulerError
+from repro.errors import LogError, SchedulerError
 from repro.server.frontend import SchedulingPolicy, SessionScheduler
 from repro.util.serialization import encode_uint
-from repro.wal import LogManager, LogStream
+from repro.wal import LogManager
 from repro.wal.records import RedoRecord, UndoRecord
+
+from .test_wal_view import ReferenceWindow
 
 
 def identity(raw):
@@ -79,11 +83,14 @@ def assert_same_window(window, reference):
 
 # -- the window against the deque ------------------------------------------------
 
-#: Runs of equal-sized bodies: a long run of small bodies followed by a
-#: large one makes one admit evict many records at once.
+#: Runs of equal-sized row images: a long run of small bodies followed by a
+#: large one makes one append evict many records at once.
 BURSTS = st.lists(
-    st.tuples(st.integers(1, 40), st.integers(1, 300)), min_size=1, max_size=12
+    st.tuples(st.integers(1, 40), st.integers(0, 300)), min_size=1, max_size=12
 )
+
+#: The redo body of an update with an empty row image.
+EMPTY_BODY = len(RedoRecord(0, "t", "update", 0, b"").to_bytes())
 
 
 @st.composite
@@ -91,17 +98,40 @@ def windows(draw):
     sizes = [size for count, size in draw(BURSTS) for _ in range(count)]
     # Down to exactly one body: a capacity equal to the largest body keeps
     # only that body once it arrives.
-    capacity = max(sizes) + draw(st.one_of(st.just(0), st.integers(0, 2000)))
+    capacity = (
+        EMPTY_BODY + max(sizes) + draw(st.one_of(st.just(0), st.integers(0, 2000)))
+    )
     seed = draw(st.integers(0, 2**32 - 1))
     return capacity, sizes, seed
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=40)
 @given(windows())
 def test_window_matches_the_deque_after_every_admit(case):
     capacity, sizes, seed = case
     rng = random.Random(seed)
-    window, reference = LogStream(capacity, identity), DequeWindow(capacity)
+    with tempfile.TemporaryDirectory() as tmp:
+        mgr = LogManager(
+            wal_dir=tmp, redo_capacity=capacity, segment_bytes=4096, sync=False
+        )
+        reference = DequeWindow(capacity, RedoRecord.from_bytes)
+        for i, size in enumerate(sizes):
+            undo = UndoRecord(i, "t", "update", i, b"").to_bytes()
+            redo = RedoRecord(i, "t", "update", i, rng.randbytes(size)).to_bytes()
+            lsn = mgr.append_row_change("t", undo, redo)
+            reference.admit(lsn, redo)
+            assert_same_window(mgr.redo_log, reference)
+            if rng.random() < 0.2:
+                mgr.flush()
+        mgr.close()
+
+
+@settings(deadline=None)
+@given(windows())
+def test_reference_window_matches_the_deque_after_every_admit(case):
+    capacity, sizes, seed = case
+    rng = random.Random(seed)
+    window, reference = ReferenceWindow(capacity, identity), DequeWindow(capacity)
     lsn = rng.randrange(1 << 20)
     for size in sizes:
         body = rng.randbytes(size)
@@ -112,10 +142,10 @@ def test_window_matches_the_deque_after_every_admit(case):
 
 
 def test_compaction_drops_the_dead_prefix():
-    """A long run crosses the compaction point many times; the buffer stays
-    within twice the live framing and the window stays exact."""
+    """A long run crosses the reference's compaction point many times; its
+    buffer stays within twice the live framing and the window stays exact."""
     capacity = 1000
-    window, reference = LogStream(capacity, identity), DequeWindow(capacity)
+    window, reference = ReferenceWindow(capacity, identity), DequeWindow(capacity)
     rng = random.Random(3)
     compactions, start = 0, 0
     for lsn in range(5000):
@@ -132,12 +162,29 @@ def test_compaction_drops_the_dead_prefix():
     assert_same_window(window, reference)
 
 
-def test_an_oversized_admit_empties_the_window_like_the_deque():
-    window, reference = LogStream(10, identity), DequeWindow(10)
+def test_an_oversized_admit_empties_the_window_like_the_deque(make_wal):
+    """The references evict everything for a body over the capacity; the
+    log refuses such a body before it takes an LSN, and a body of exactly
+    the capacity leaves only itself in the window, as the deque does."""
+    window, reference = ReferenceWindow(10, identity), DequeWindow(10)
     for lsn, body in enumerate([b"ab", b"cd", b"x" * 11, b"ef"]):
         window.admit(lsn, body)
         reference.admit(lsn, body)
         assert_same_window(window, reference)
+    full = RedoRecord(9, "t", "update", 9, b"f" * 40).to_bytes()
+    mgr = make_wal(redo_capacity=len(full))
+    reference = DequeWindow(len(full), RedoRecord.from_bytes)
+    for i, image in enumerate([b"ab", b"cd", b"f" * 41, b"f" * 40, b"ef"]):
+        undo = UndoRecord(i, "t", "update", i, b"").to_bytes()
+        redo = RedoRecord(i, "t", "update", i, image).to_bytes()
+        if len(redo) > len(full):
+            with pytest.raises(LogError, match="exceeds log capacity"):
+                mgr.append_row_change("t", undo, redo)
+        else:
+            reference.admit(mgr.append_row_change("t", undo, redo), redo)
+        assert_same_window(mgr.redo_log, reference)
+        if len(redo) == len(full):
+            assert mgr.redo_log.num_records == 1
 
 
 # -- a restarted LogManager refills the same windows -----------------------------
@@ -176,13 +223,13 @@ def test_restarted_log_manager_refills_the_same_windows(case):
             redo_ref.admit(redo_lsn, redo)
             if rng.random() < 0.2:
                 mgr.flush()
-        assert_same_window(mgr.redo_stream, redo_ref)
-        assert_same_window(mgr.undo_stream, undo_ref)
+        assert_same_window(mgr.redo_log, redo_ref)
+        assert_same_window(mgr.undo_log, undo_ref)
         mgr.close()
         resumed = LogManager(**options)
-        # The restart re-admits every record on disk, evicting as it goes.
-        assert_same_window(resumed.redo_stream, redo_ref)
-        assert_same_window(resumed.undo_stream, undo_ref)
+        # The restart reads the same window from the records on disk.
+        assert_same_window(resumed.redo_log, redo_ref)
+        assert_same_window(resumed.undo_log, undo_ref)
         resumed.close()
 
 
@@ -249,18 +296,9 @@ class TestArrivalLog:
 # -- footprint -------------------------------------------------------------------
 
 
-def held_objects(stream):
-    """Everything a window references, one level into each reference."""
-    held = []
-    for obj in gc.get_referents(vars(stream)):
-        if obj is stream._decode:
-            continue
-        held.append(obj)
-        held.extend(gc.get_referents(obj))
-    return held
-
-
 def test_windows_retain_their_bytes_and_a_small_constant_per_record():
+    """The windows retain nothing: once flushed, every body is only in the
+    segment files, and the manager keeps a few objects of its own."""
     rng = random.Random(11)
     changes = []
     for i in range(20000):
@@ -282,25 +320,27 @@ def test_windows_retain_their_bytes_and_a_small_constant_per_record():
             start = tracemalloc.get_traced_memory()[0]
             for i, (undo_record, redo_record) in enumerate(changes):
                 # Encoded here, as the engine does, so that only the
-                # manager holds the bodies once the loop moves on.
+                # manager could hold the bodies once the loop moves on.
                 undo, redo = undo_record.to_bytes(), redo_record.to_bytes()
                 framed += 24 + len(undo) + len(redo)
                 mgr.append_row_change("t", undo, redo)
                 if i % 500 == 499:
                     mgr.flush()
+                    if i == 4999:
+                        # A read in between is served from the log and
+                        # kept only until the next flush.
+                        assert mgr.redo_log.num_records == i + 1
             del undo, redo
             mgr.flush()
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        # 12 header bytes per body, plus at most 16 bytes per record: the
-        # bytearrays' growth headroom and the manager's own few objects.
-        # A (lsn, body) tuple per record costs about 117 bytes more.
-        assert retained <= framed + 16 * 2 * len(changes)
-        for window in (mgr.redo_stream, mgr.undo_stream):
+        # Append-time windows held every framed body: over 4 MB here.
+        assert framed > 4_000_000
+        assert retained <= 16 * 1024
+        for window in (mgr.redo_log, mgr.undo_log):
             assert window.num_records == len(changes)
-            held = held_objects(window)
-            assert len(held) < 64
-            assert not [obj for obj in held if isinstance(obj, (bytes, tuple))]
+            state = [getattr(window, name) for name in type(window).__slots__]
+            assert not [v for v in state if isinstance(v, (bytes, bytearray, tuple))]
         mgr.close()

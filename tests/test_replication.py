@@ -96,6 +96,39 @@ class TestReplication:
             assert replica.relay_log.entries == primary
         assert dep.status().in_sync
 
+    def test_ships_events_written_after_a_purge(self):
+        dep = ReplicatedDeployment(num_replicas=2)
+        session = dep.connect("app")
+        dep.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        for i in range(3):
+            dep.execute(session, f"INSERT INTO t (id, v) VALUES ({i}, {i})")
+        binlog = dep.primary.engine.binlog
+        assert binlog.num_events == 4 and dep.status().in_sync
+        assert binlog.purge_before(dep.clock.now + 1) == 4
+        assert binlog.num_events == 0
+        dep.execute(session, "INSERT INTO t (id, v) VALUES (7, 70)")
+        status = dep.status()
+        assert status.primary_binlog_events == 5
+        assert status.applied_per_replica == [5, 5]
+        assert status.in_sync
+        for replica in dep.replicas:
+            assert replica.relay_log.entries[-1].statement.startswith(
+                "INSERT INTO t (id, v) VALUES (7"
+            )
+            check = replica.connect("check")
+            rows = replica.execute(check, "SELECT v FROM t WHERE id = 7").rows
+            assert [tuple(r) for r in rows] == [(70,)]
+
+    def test_positions_survive_a_purge(self):
+        log = Binlog(enabled=True)
+        for t in range(5):
+            log.log(100 + t, t, f"INSERT {t}", t)
+        assert log.purge_before(102) == 2
+        assert log.end_position == 5
+        assert [e.txn_id for e in log.events_since(3)] == [3, 4]
+        assert [e.txn_id for e in log.events_since(0)] == [2, 3, 4]
+        assert log.events_since(5) == []
+
 
 class TestReplicaAttackSurface:
     def test_any_replica_leaks_write_history(self, deployment):

@@ -1,10 +1,10 @@
-"""Unit tests for the unified WAL: frame codec, LogManager, retention streams."""
+"""Unit tests for the unified WAL: frame codec, LogManager, retention windows."""
 
 import pytest
 
 from repro.errors import LogError, WalError
 from repro.forensics.redo_undo import parse_redo_log, parse_undo_log
-from repro.wal import LogManager, LogStream, LsnCounter
+from repro.wal import LogManager, LsnCounter
 from repro.wal.log_manager import segment_name
 from repro.wal.records import (
     FRAME_HEADER,
@@ -93,40 +93,37 @@ class TestFrameCodec:
         assert decoded.key == -42
 
 
-def first_letter(raw):
-    """A toy record decoder: the record is the body's first letter."""
-    return raw[:1].decode(), len(raw)
-
-
-class TestLogStream:
-    def test_capacity_validated(self):
+class TestLogWindow:
+    def test_capacity_validated(self, make_wal):
         with pytest.raises(LogError):
-            LogStream(0, first_letter)
+            make_wal(redo_capacity=0)
 
-    def test_check_fits_rejects_oversize(self):
-        stream = LogStream(16, first_letter)
+    def test_check_fits_rejects_oversize(self, make_wal):
+        window = make_wal(redo_capacity=16).redo_log
+        window.check_fits(b"x" * 16)
         with pytest.raises(LogError, match="exceeds log capacity"):
-            stream.check_fits(b"x" * 17)
+            window.check_fits(b"x" * 17)
 
-    def test_eviction_oldest_first(self):
-        stream = LogStream(10, first_letter)
-        stream.admit(0, b"aaaa")
-        stream.admit(4, b"bbbb")
-        stream.admit(8, b"cccc")  # 12 bytes used -> evict "a"
-        assert stream.records() == ["b", "c"]
-        assert stream.records_with_lsn() == [(4, "b"), (8, "c")]
-        assert stream.total_appended == 3
-        assert stream.total_evicted == 1
-        assert stream.used_bytes == 8
+    def test_eviction_oldest_first(self, make_wal):
+        size = len(redo(image=b"aaaa").to_bytes())
+        mgr = make_wal(redo_capacity=2 * size + size // 2)
+        appended = [append(mgr, key=k, after=bytes([k]) * 4) for k in range(3)]
+        # 3 bodies do not fit -> the oldest is out of the window.
+        window = mgr.redo_log
+        assert window.records() == [r for _, _, r in appended[1:]]
+        assert window.records_with_lsn() == [(lsn, r) for lsn, _, r in appended[1:]]
+        assert window.total_appended == 3
+        assert window.total_evicted == 1
+        assert window.used_bytes == 2 * size
 
 
 class TestLogManagerAppend:
     def test_redo_undo_advance_by_length(self, make_wal):
         mgr = make_wal()
         lsn_r, u, r = append(mgr)
-        assert mgr.undo_stream.records_with_lsn() == [(0, u)]
+        assert mgr.undo_log.records_with_lsn() == [(0, u)]
         assert lsn_r == len(u.to_bytes())
-        assert mgr.redo_stream.records_with_lsn() == [(lsn_r, r)]
+        assert mgr.redo_log.records_with_lsn() == [(lsn_r, r)]
         assert mgr.lsn.current == len(u.to_bytes()) + len(r.to_bytes())
 
     def test_rejected_change_appends_neither_body(self, make_wal):
@@ -137,7 +134,7 @@ class TestLogManagerAppend:
         with pytest.raises(LogError, match="exceeds log capacity"):
             mgr.check_row_change(u.to_bytes(), r.to_bytes())
         assert mgr.lsn.current == 0
-        assert mgr.redo_stream.num_records == mgr.undo_stream.num_records == 0
+        assert mgr.redo_log.num_records == mgr.undo_log.num_records == 0
         assert mgr.stats["appended_frames"] == 0
 
     def test_retained_single_record_appends_match(self, make_wal):
@@ -147,8 +144,8 @@ class TestLogManagerAppend:
         _, u, r = append(one, key=3)
         two.append_undo(u)
         two.append_redo(r)
-        assert one.redo_stream.raw_bytes() == two.redo_stream.raw_bytes()
-        assert one.undo_stream.raw_bytes() == two.undo_stream.raw_bytes()
+        assert one.redo_log.raw_bytes() == two.redo_log.raw_bytes()
+        assert one.undo_log.raw_bytes() == two.undo_log.raw_bytes()
         assert one._pending == two._pending
 
     def test_control_records_advance_zero(self, make_wal):
@@ -168,8 +165,8 @@ class TestLogManagerAppend:
         append(mgr)
         mgr.append_clr(redo(op="delete", image=b""))
         mgr.append_commit(1)
-        assert mgr.redo_stream.num_records == 1
-        assert mgr.undo_stream.num_records == 1
+        assert mgr.redo_log.num_records == 1
+        assert mgr.undo_log.num_records == 1
 
     def test_replaying_suppresses_appends(self, make_wal):
         mgr = make_wal()
@@ -311,8 +308,8 @@ class TestResume:
         resumed = LogManager(wal_dir=str(tmp_path), sync=False)
         assert resumed.lsn.current == end_lsn
         assert resumed.resumed_frames == 11
-        assert resumed.redo_stream.num_records == 5
-        assert resumed.undo_stream.num_records == 5
+        assert resumed.redo_log.num_records == 5
+        assert resumed.undo_log.num_records == 5
         assert resumed.truncated_tail is None
         # Appends continue the log rather than restarting it.
         append(resumed, key=99)
@@ -381,18 +378,18 @@ class TestResume:
 
 
 class TestFacadeByteIdentity:
-    """The engine's redo/undo logs are the manager's retention streams."""
+    """The engine's redo/undo logs are the manager's retention windows."""
 
     def test_raw_bytes_framing_matches_forensic_parser(self, make_wal):
         mgr = make_wal()
         appended = [append(mgr, key=i, after=bytes([i])) for i in range(3)]
-        parsed = parse_redo_log(mgr.redo_stream.raw_bytes())
+        parsed = parse_redo_log(mgr.redo_log.raw_bytes())
         assert parsed == [(lsn, r) for lsn, _, r in appended]
 
     def test_undo_raw_bytes_parse(self, make_wal):
         mgr = make_wal()
         appended = [append(mgr, key=i) for i in range(3)]
-        parsed = parse_undo_log(mgr.undo_stream.raw_bytes())
+        parsed = parse_undo_log(mgr.undo_log.raw_bytes())
         assert parsed == [
             (lsn - len(u.to_bytes()), u) for lsn, u, _ in appended
         ]
@@ -401,8 +398,7 @@ class TestFacadeByteIdentity:
         from repro.engine import StorageEngine
 
         engine = StorageEngine()
-        assert engine.redo_log is engine.wal.redo_stream
-        assert engine.undo_log is engine.wal.undo_stream
+        assert engine.redo_log._wal is engine.undo_log._wal is engine.wal
         assert engine.lsn is engine.wal.lsn
         engine.register_table("t")
         txn = engine.begin()

@@ -8,6 +8,8 @@ test checks this for hundreds of seeded (workload, crash-point) pairs
 against a shadow dict maintained alongside the generated workload.
 """
 
+import builtins
+import collections
 import os
 import random
 import shutil
@@ -20,6 +22,7 @@ from repro.server import MySQLServer, ServerConfig
 from repro.server.sharding import ShardedEngine
 from repro.storage import decode_row
 from repro.wal.records import FRAME_HEADER, parse_frames
+from repro.wal import recovery
 from repro.wal.recovery import recover_engine, recover_sharded_engine
 
 TABLES = ("a", "b")
@@ -441,3 +444,80 @@ class TestDefaultServer:
             recovered.close()
         finally:
             shutil.rmtree(data_dir)
+
+
+class TestOneReadPerSegment:
+    """Recovery's analysis pass reads every WAL segment; the engine it
+    brings up resumes its log from that scan instead of reading again."""
+
+    @staticmethod
+    def count_segment_reads(monkeypatch):
+        reads = collections.Counter()
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            name = "" if isinstance(file, int) else os.path.basename(os.fspath(file))
+            if name.startswith("wal.") and name.endswith(".log") and "+" not in mode:
+                if "r" in mode:
+                    reads[os.fspath(file)] += 1
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        return reads
+
+    @staticmethod
+    def write_and_crash(engine):
+        engine.register_table("a")
+        for key in range(40):
+            txn = engine.begin()
+            engine.insert(txn, "a", key, b"v" * 30)
+            engine.commit(txn)
+        loser = engine.begin()
+        engine.insert(loser, "a", 99, b"ghost")
+        engine.simulate_crash()
+
+    @staticmethod
+    def segment_paths(wal_dir):
+        return {
+            os.path.join(wal_dir, name): 1
+            for name in os.listdir(wal_dir)
+            if name.startswith("wal.")
+        }
+
+    def test_recover_engine_reads_each_segment_once(self, tmp_path, monkeypatch):
+        data_dir = str(tmp_path / "db")
+        self.write_and_crash(StorageEngine(data_dir=data_dir, **ENGINE_KWARGS))
+        expected = self.segment_paths(os.path.join(data_dir, "wal"))
+        assert len(expected) > 2
+        reads = self.count_segment_reads(monkeypatch)
+        recovered = recover_engine(data_dir, **ENGINE_KWARGS)
+        assert dict(reads) == expected
+        assert len(recovered.scan("a")) == 40
+        recovered.close()
+
+    def test_each_shard_recovery_reads_its_segments_once(
+        self, tmp_path, monkeypatch
+    ):
+        data_dir = str(tmp_path / "sharded")
+        self.write_and_crash(
+            ShardedEngine(num_shards=3, data_dir=data_dir, **ENGINE_KWARGS)
+        )
+        reads = self.count_segment_reads(monkeypatch)
+        per_shard = []
+        recover_one = recovery.recover_engine
+
+        def counted(shard_dir, **kwargs):
+            expected = self.segment_paths(os.path.join(shard_dir, "wal"))
+            reads.clear()
+            engine = recover_one(shard_dir, **kwargs)
+            per_shard.append((dict(reads), expected))
+            return engine
+
+        monkeypatch.setattr(recovery, "recover_engine", counted)
+        recovered = recover_sharded_engine(data_dir, 3, **ENGINE_KWARGS)
+        assert len(per_shard) == 3
+        for got, expected in per_shard:
+            assert len(expected) > 1
+            assert got == expected
+        assert len(recovered.scan("a")) == 40
+        recovered.close()

@@ -12,6 +12,7 @@ that a row change the log rejects leaves nothing behind.
 
 import os
 import random
+import struct
 import zlib
 from unittest import mock
 
@@ -378,31 +379,40 @@ class TestWindowsHoldBytes:
     def test_records_equal_the_appended_records(self, make_wal):
         mgr = make_wal(sync=False)
         redo, undo = self._append(mgr, random.Random(5), 300)
-        assert mgr.redo_stream.records_with_lsn() == redo
-        assert mgr.undo_stream.records_with_lsn() == undo
-        assert mgr.redo_stream.records() == [r for _, r in redo]
-        assert mgr.undo_stream.records() == [r for _, r in undo]
+        assert mgr.redo_log.records_with_lsn() == redo
+        assert mgr.undo_log.records_with_lsn() == undo
+        assert mgr.redo_log.records() == [r for _, r in redo]
+        assert mgr.undo_log.records() == [r for _, r in undo]
 
     def test_windows_hold_only_bytes(self, make_wal):
-        """A window is one bytearray in the artifact's framing, plus ints."""
+        """A window holds no records: a read frames the log's bodies in the
+        artifact's layout, and a flush leaves no body in memory."""
         mgr = make_wal(sync=False)
-        self._append(mgr, random.Random(6), 50)
-        for stream in (mgr.redo_stream, mgr.undo_stream):
-            state = [v for k, v in vars(stream).items() if k != "_decode"]
-            assert {type(v) for v in state} == {bytearray, int}
-            assert [v for v in state if type(v) is bytearray] == [stream._buf]
-            assert bytes(stream._buf[stream._start :]) == stream.raw_bytes()
+        redo, undo = self._append(mgr, random.Random(6), 50)
+        for window, appended in ((mgr.redo_log, redo), (mgr.undo_log, undo)):
+            state = [getattr(window, name) for name in type(window).__slots__]
+            assert {type(v) for v in state if v is not window._decode} == {
+                LogManager,
+                int,
+            }
+            assert window.raw_bytes() == b"".join(
+                struct.pack("<QI", lsn, len(r.to_bytes())) + r.to_bytes()
+                for lsn, r in appended
+            )
+        assert mgr._images is not None
+        mgr.flush()
+        assert mgr._images is None and mgr._pending == []
 
     def test_restart_refills_the_same_records(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         mgr = LogManager(wal_dir=wal_dir, segment_bytes=2048, sync=False)
         redo, undo = self._append(mgr, random.Random(8), 200)
-        raw = (mgr.redo_stream.raw_bytes(), mgr.undo_stream.raw_bytes())
+        raw = (mgr.redo_log.raw_bytes(), mgr.undo_log.raw_bytes())
         mgr.close()
         resumed = LogManager(wal_dir=wal_dir, segment_bytes=2048, sync=False)
-        assert resumed.redo_stream.records_with_lsn() == redo
-        assert resumed.undo_stream.records_with_lsn() == undo
-        assert (resumed.redo_stream.raw_bytes(), resumed.undo_stream.raw_bytes()) == raw
+        assert resumed.redo_log.records_with_lsn() == redo
+        assert resumed.undo_log.records_with_lsn() == undo
+        assert (resumed.redo_log.raw_bytes(), resumed.undo_log.raw_bytes()) == raw
         resumed.close()
 
     def test_eviction_keeps_the_newest_records(self, make_wal):
@@ -412,9 +422,9 @@ class TestWindowsHoldBytes:
             append_change(mgr, UndoRecord(1, "t", "insert", r.key, b""), r)
             for r in records
         ]
-        kept = mgr.redo_stream.records_with_lsn()
+        kept = mgr.redo_log.records_with_lsn()
         assert kept == list(zip(lsns, records))[-len(kept):]
-        assert mgr.redo_stream.used_bytes <= 400
+        assert mgr.redo_log.used_bytes <= 400
 
     def test_engine_windows_decode_the_engine_records(self):
         engine = StorageEngine(wal_sync=False)
@@ -618,14 +628,13 @@ class TestKeyRange:
 # -- row changes: one encode, one append ---------------------------------------
 
 
-def _append_record_reference(mgr, record, stream, rtype, detail):
+def _append_record_reference(mgr, record, window, rtype, detail):
     """The old ``LogManager.append_redo`` / ``append_undo``."""
     mgr._ensure_open()
     raw = record.to_bytes()
     with mgr._obs.span("log.append", table=record.table, detail=detail):
-        stream.check_fits(raw)
+        window.check_fits(raw)
         lsn = mgr.lsn.advance(len(raw))
-        stream.admit(lsn, raw)
         mgr._stage(lsn, rtype, raw)
     mgr._obs.count(f"{detail}.appended_bytes", n=len(raw))
     return lsn
@@ -637,7 +646,7 @@ def _log_reference(engine, txn, table, op, key, before, after):
     _append_record_reference(
         wal,
         UndoRecord(txn.txn_id, table, op, key, before),
-        wal.undo_stream,
+        wal.undo_log,
         WalRecordType.UNDO,
         "undo",
     )
@@ -645,7 +654,7 @@ def _log_reference(engine, txn, table, op, key, before, after):
         _append_record_reference(
             wal,
             RedoRecord(txn.txn_id, table, op, key, after),
-            wal.redo_stream,
+            wal.redo_log,
             WalRecordType.REDO,
             "redo",
         )
