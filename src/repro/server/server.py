@@ -29,6 +29,7 @@ from ..obs import Instrumentation
 from ..sql.ast import ColumnDef, Literal
 from ..sql.fastpath import ScannedStatement, StatementCache, scan
 from ..storage import BufferPoolDump, BufferPoolManager, decode_row
+from ..wal.log_manager import DEFAULT_SEGMENT_BYTES
 from .adaptive_hash import AdaptiveHashIndex
 from .catalog import Catalog, TableSchema
 from .executor import prepare
@@ -36,7 +37,7 @@ from .information_schema import InformationSchema
 from .performance_schema import DEFAULT_HISTORY_SIZE, PerformanceSchema
 from .query_cache import QueryCache
 from .session import Session
-from .sharding import merge_pool_dumps
+from .sharding import ShardedEngine, merge_pool_dumps
 
 Row = Tuple[Literal, ...]
 
@@ -132,8 +133,8 @@ class ServerConfig:
     data_dir: Optional[str] = None
     #: Frame eviction policy, "lru" or "clock".
     buffer_pool_policy: str = "lru"
-    #: WAL segment file size and roll threshold (None = engine default, 1 MiB).
-    wal_segment_bytes: Optional[int] = None
+    #: WAL segment file size and roll threshold.
+    wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES
     #: fdatasync the active WAL segment on every group flush (see above: off
     #: by default, unlike production).
     wal_sync: bool = False
@@ -173,36 +174,22 @@ class MySQLServer:
             heap=self.heap,
             trace_capacity=self.config.obs_trace_capacity,
         )
-        engine_wal_kwargs = {"wal_sync": self.config.wal_sync}
-        if self.config.wal_segment_bytes is not None:
-            engine_wal_kwargs["wal_segment_bytes"] = self.config.wal_segment_bytes
+        engine_kwargs = dict(
+            clock=self.clock,
+            buffer_pool_capacity=self.config.buffer_pool_capacity,
+            redo_capacity=self.config.redo_capacity,
+            undo_capacity=self.config.undo_capacity,
+            binlog_enabled=self.config.binlog_enabled,
+            instrumentation=self.obs,
+            data_dir=self.config.data_dir,
+            buffer_pool_policy=self.config.buffer_pool_policy,
+            wal_segment_bytes=self.config.wal_segment_bytes,
+            wal_sync=self.config.wal_sync,
+        )
         if self.config.num_shards > 1:
-            from .sharding import ShardedEngine
-
-            self.engine = ShardedEngine(
-                num_shards=self.config.num_shards,
-                clock=self.clock,
-                buffer_pool_capacity=self.config.buffer_pool_capacity,
-                redo_capacity=self.config.redo_capacity,
-                undo_capacity=self.config.undo_capacity,
-                binlog_enabled=self.config.binlog_enabled,
-                instrumentation=self.obs,
-                data_dir=self.config.data_dir,
-                buffer_pool_policy=self.config.buffer_pool_policy,
-                **engine_wal_kwargs,
-            )
+            self.engine = ShardedEngine(self.config.num_shards, **engine_kwargs)
         else:
-            self.engine = StorageEngine(
-                clock=self.clock,
-                buffer_pool_capacity=self.config.buffer_pool_capacity,
-                redo_capacity=self.config.redo_capacity,
-                undo_capacity=self.config.undo_capacity,
-                binlog_enabled=self.config.binlog_enabled,
-                instrumentation=self.obs,
-                data_dir=self.config.data_dir,
-                buffer_pool_policy=self.config.buffer_pool_policy,
-                **engine_wal_kwargs,
-            )
+            self.engine = StorageEngine(**engine_kwargs)
         self.catalog = Catalog()
         # Executors per statement shape: out of band, no artifact sees it.
         self.statement_cache = StatementCache()

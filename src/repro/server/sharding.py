@@ -37,8 +37,7 @@ from ..engine.binlog import BinlogEvent
 from ..engine.mvcc import MvccChainStat
 from ..engine.transaction import Transaction, TransactionState
 from ..errors import EngineError, TransactionError
-from ..obs.instrumentation import Instrumentation
-from ..storage.paged import AccessPath, BufferPoolDump, BufferPoolManager
+from ..storage.paged import AccessPath, BufferPoolDump
 
 #: Space-id stride between shards: shard ``i`` owns ids in
 #: ``[i * stride + 1, (i + 1) * stride]``, so combined buffer-pool dumps
@@ -51,6 +50,13 @@ SPACE_ID_STRIDE = 1 << 10
 #: ``shard_log_sizes``, now durable.
 TABLE_NAME = "{name}@shard{shard}"
 WAL_SEGMENT_NAME = "shard{shard}/{name}"
+
+
+def shard_dir(data_dir: str, shard: int) -> str:
+    """Where shard ``shard`` of a sharded engine on ``data_dir`` keeps its
+    ``.ibd`` files and WAL."""
+    return os.path.join(data_dir, f"shard{shard}")
+
 
 V = TypeVar("V")
 
@@ -217,16 +223,15 @@ class ShardedEngine:
         self,
         num_shards: int,
         clock: Optional[SimClock] = None,
-        buffer_pool_capacity: int = BufferPoolManager.DEFAULT_CAPACITY,
-        redo_capacity: Optional[int] = None,
-        undo_capacity: Optional[int] = None,
-        binlog_enabled: bool = False,
-        instrumentation: Optional[Instrumentation] = None,
         data_dir: Optional[str] = None,
-        buffer_pool_policy: str = "lru",
-        wal_segment_bytes: Optional[int] = None,
-        wal_sync: bool = True,
+        **engine_kwargs,
     ) -> None:
+        """``engine_kwargs`` go to every shard's :class:`StorageEngine`
+        (capacities, policy, ``wal_sync`` ...). The shards share ``clock``;
+        each gets its own space-id range and, with an explicit
+        ``data_dir``, its own :func:`shard_dir` so page files never
+        collide. With no ``data_dir`` every shard creates (and later
+        removes) a private tempdir of its own."""
         if num_shards < 2:
             raise EngineError(
                 f"a sharded engine needs >= 2 shards, got {num_shards}; "
@@ -234,35 +239,24 @@ class ShardedEngine:
             )
         self.clock = clock or SimClock()
         self.router = ShardRouter(num_shards)
-        kwargs = dict(
-            clock=self.clock,
-            buffer_pool_capacity=buffer_pool_capacity,
-            binlog_enabled=binlog_enabled,
-            instrumentation=instrumentation,
-            buffer_pool_policy=buffer_pool_policy,
-            wal_sync=wal_sync,
-        )
-        if redo_capacity is not None:
-            kwargs["redo_capacity"] = redo_capacity
-        if undo_capacity is not None:
-            kwargs["undo_capacity"] = undo_capacity
-        if wal_segment_bytes is not None:
-            kwargs["wal_segment_bytes"] = wal_segment_bytes
-        # With an explicit data_dir each shard gets its own shard<i>/
-        # subdirectory so page files never collide. With no data_dir every
-        # shard creates (and later removes) a private tempdir of its own.
-        self._shards: List[StorageEngine] = [
-            StorageEngine(
-                space_id_base=i * SPACE_ID_STRIDE,
-                data_dir=(
-                    os.path.join(data_dir, f"shard{i}")
-                    if data_dir is not None
-                    else None
-                ),
-                **kwargs,
-            )
-            for i in range(num_shards)
-        ]
+        self._shards: List[StorageEngine] = []
+        try:
+            for i in range(num_shards):
+                self._shards.append(
+                    StorageEngine(
+                        clock=self.clock,
+                        space_id_base=i * SPACE_ID_STRIDE,
+                        data_dir=None if data_dir is None else shard_dir(data_dir, i),
+                        **engine_kwargs,
+                    )
+                )
+        except BaseException:
+            # A shard that cannot open (say, a WAL it refuses to resume)
+            # fails the engine: release the logs the others opened
+            # without writing to them.
+            for shard in self._shards:
+                shard.wal.crash()
+            raise
         self._next_txn_id = 1
         #: Set by :func:`repro.wal.recovery.recover_sharded_engine`.
         self.last_recovery_report = None
@@ -277,9 +271,6 @@ class ShardedEngine:
     def shards(self) -> Tuple[StorageEngine, ...]:
         """The engines, in shard order."""
         return tuple(self._shards)
-
-    def shard(self, index: int) -> StorageEngine:
-        return self._shards[index]
 
     def shard_of(self, key: int) -> int:
         return self.router.shard_of(key)
@@ -479,4 +470,5 @@ __all__ = [
     "merge_binlog_events",
     "qualify",
     "qualify_dirty_pages",
+    "shard_dir",
 ]

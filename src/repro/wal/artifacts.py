@@ -39,7 +39,7 @@ def _capture_recovery_report(server: MySQLServer) -> Optional[Dict[str, object]]
 
 
 def _was_recovered(server: MySQLServer) -> bool:
-    return getattr(server.engine, "last_recovery_report", None) is not None
+    return server.engine.last_recovery_report is not None
 
 
 def providers() -> Tuple[ArtifactProvider, ...]:

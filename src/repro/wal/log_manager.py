@@ -308,30 +308,6 @@ def scan_segments(wal_dir: str) -> List[SegmentScan]:
     return scans
 
 
-#: Scans that a caller has already made, by WAL directory, for the next
-#: :class:`LogManager` opened there to resume from instead of reading the
-#: segments again (see :func:`resuming_from`).
-_handed_over: Dict[str, List[SegmentScan]] = {}
-
-
-@contextmanager
-def resuming_from(wal_dir: str, scans: List[SegmentScan]):
-    """Let a :class:`LogManager` opened on ``wal_dir`` inside this block
-    resume from ``scans`` rather than from another read of the files.
-
-    Recovery's analysis pass reads every segment; the engine it then
-    brings up resumes its log from the same scan, so each segment is read
-    once per recovery. The hand-off lives only for the block, and the
-    first manager opened there takes it.
-    """
-    key = os.path.abspath(wal_dir)
-    _handed_over[key] = scans
-    try:
-        yield
-    finally:
-        _handed_over.pop(key, None)
-
-
 class _Segment:
     """One WAL segment file: its name, path, log size and open handle.
 
@@ -394,6 +370,9 @@ class LogManager:
         self._bytes_written = 0
         self.resumed_frames = 0
         self.truncated_tail: Optional[str] = None
+        #: The segment scans the open resumed from, until recovery takes
+        #: them (:meth:`take_resumed_scans`) or the first flush drops them.
+        self._resumed_scans: Optional[List[SegmentScan]] = None
         os.makedirs(wal_dir, exist_ok=True)
         self._resume_from_disk()
         if not self._segments:
@@ -412,10 +391,7 @@ class LogManager:
         can be read as log after a later crash. A segment that already
         ends in zeros is left as it is.
         """
-        # A scan handed over by the caller (recovery), or a read of each file.
-        scans = _handed_over.pop(os.path.abspath(self.wal_dir), None)
-        if scans is None:
-            scans = scan_segments(self.wal_dir)
+        scans = scan_segments(self.wal_dir)
         end_lsn = self.lsn.current
         rezero = False
         for i, scan in enumerate(scans):
@@ -438,6 +414,7 @@ class LogManager:
         if end_lsn > self.lsn.current:
             self.lsn.advance(end_lsn - self.lsn.current)
         self._flushed_lsn = self.lsn.current
+        self._resumed_scans = scans
         if self._segments:
             last = self._segments[-1]
             last.handle = open(last.path, "r+b", buffering=0)
@@ -447,6 +424,19 @@ class LogManager:
                 _zero_fill(fd, last.size, self.segment_bytes)
                 if self.sync:
                     os.fsync(fd)
+
+    def take_resumed_scans(self) -> List[SegmentScan]:
+        """The segment scans this log resumed from, handed over once.
+
+        Restart recovery analyses the frames the open already read, so
+        each segment is read once per recovery. The scans are dropped on
+        the first flush: after it they no longer describe the log.
+        """
+        scans = self._resumed_scans
+        if scans is None:
+            raise WalError("the resumed segment scans were already taken or flushed")
+        self._resumed_scans = None
+        return scans
 
     # -- segment plumbing --------------------------------------------------
 
@@ -615,6 +605,7 @@ class LogManager:
         the number of frames written (0 if nothing was pending)."""
         self._ensure_open()
         self._images = None
+        self._resumed_scans = None
         if not self._pending:
             self._flushed_lsn = self.lsn.current
             return 0
@@ -774,6 +765,7 @@ class LogManager:
         """Simulate a kill -9: staged frames vanish, files stay as flushed."""
         self._pending.clear()
         self._images = None
+        self._resumed_scans = None
         self._pending_frames = 0
         for seg in self._segments:
             if seg.handle is not None:

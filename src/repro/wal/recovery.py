@@ -3,9 +3,13 @@
 Given a data directory left behind by a crashed engine
 (:meth:`~repro.engine.engine.StorageEngine.simulate_crash`, or any kill at
 an arbitrary point), :func:`recover_engine` brings up a fresh engine whose
-state is byte-equivalent to the committed prefix of the crashed run:
+state is byte-equivalent to the committed prefix of the crashed run.
+:func:`recover_sharded_engine` opens a sharded engine once and recovers
+each shard in place. Both open their engine first and then run the same
+steps on it (on each shard of a sharded one):
 
-1. **Analysis** — walk every WAL segment (tolerating a torn tail),
+1. **Analysis** — walk the frames the engine's log read from every WAL
+   segment when it opened (a torn tail already cut off there),
    collecting the table-registration order, the last checkpoint (with its
    dirty-page table), per-transaction outcomes, and the loser set
    (transactions with records but neither COMMIT nor ABORT).
@@ -44,8 +48,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import PageError, RecoveryError, StorageError
-from .log_manager import SegmentScan, resuming_from, scan_segments
+from ..errors import PageError, RecoveryError, StorageError, WalError
 from .records import CheckpointBody, RedoRecord, UndoRecord, WalFrame, WalRecordType
 
 _CRASHED_SUFFIX = ".crashed"
@@ -108,28 +111,14 @@ class _Analysis:
     aborted: Set[int]
     losers: Set[int]
     clr_count: int
-    truncated_tail: Optional[str]
     #: Highest transaction id appearing anywhere in the log — the recovered
     #: engine must issue ids strictly above this, or a second crash would
     #: classify a reused id by the *old* run's COMMIT/ABORT records.
     max_txn_id: int
 
 
-def _analyze(wal_dir: str) -> Tuple[_Analysis, List[SegmentScan]]:
-    """ARIES pass 1: scan the log, classify transactions, find the last
-    checkpoint. Returns the analysis plus the segment scans it read."""
-    scans = scan_segments(wal_dir)
-    frames: List[WalFrame] = []
-    truncated: Optional[str] = None
-    for i, scan in enumerate(scans):
-        if scan.error is not None:
-            if i != len(scans) - 1:
-                raise RecoveryError(
-                    f"corrupt interior WAL segment {scan.name}: {scan.error} "
-                    "(only the final segment may carry a torn tail)"
-                )
-            truncated = f"{scan.name}: {scan.error}"
-        frames.extend(scan.frames)
+def _analyze(frames: List[WalFrame]) -> _Analysis:
+    """ARIES pass 1: classify transactions and find the last checkpoint."""
     tables: List[str] = []
     checkpoint: Optional[CheckpointBody] = None
     seen: Set[int] = set()
@@ -158,19 +147,15 @@ def _analyze(wal_dir: str) -> Tuple[_Analysis, List[SegmentScan]]:
     all_ids = seen | committed | aborted
     if checkpoint is not None:
         all_ids |= set(checkpoint.active_txns)
-    return (
-        _Analysis(
-            frames=frames,
-            tables=tables,
-            checkpoint=checkpoint,
-            committed=committed,
-            aborted=aborted,
-            losers=losers,
-            clr_count=clr_count,
-            truncated_tail=truncated,
-            max_txn_id=max(all_ids, default=0),
-        ),
-        scans,
+    return _Analysis(
+        frames=frames,
+        tables=tables,
+        checkpoint=checkpoint,
+        committed=committed,
+        aborted=aborted,
+        losers=losers,
+        clr_count=clr_count,
+        max_txn_id=max(all_ids, default=0),
     )
 
 
@@ -219,12 +204,7 @@ def _move_aside(data_dir: str, tables: List[str]) -> None:
 def _apply_redo(table, record: RedoRecord) -> None:
     """Idempotent 'repeat history' application of one redo/CLR record."""
     existing, _ = table.get(record.key)
-    if record.op == "insert":
-        if existing is None:
-            table.insert(record.key, record.after_image)
-        else:
-            table.update(record.key, record.after_image)
-    elif record.op == "update":
+    if record.op in ("insert", "update"):
         if existing is None:
             table.insert(record.key, record.after_image)
         else:
@@ -256,27 +236,28 @@ def _apply_undo(table, record: UndoRecord) -> bool:
     return False  # pragma: no cover - ops validated at record creation
 
 
-def recover_engine(data_dir: str, **engine_kwargs):
-    """Recover a crashed engine from ``data_dir``; returns a fresh,
-    open :class:`~repro.engine.engine.StorageEngine` with
-    ``last_recovery_report`` attached.
+def _open(engine_class, *args, **kwargs):
+    """Open an engine; a log it refuses to resume fails the recovery."""
+    try:
+        return engine_class(*args, **kwargs)
+    except WalError as exc:
+        raise RecoveryError(str(exc)) from exc
 
-    ``engine_kwargs`` are forwarded to the new engine (capacities, policy,
-    ``wal_sync`` ...); ``data_dir`` is fixed by recovery.
 
-    Note: rows loaded via :meth:`StorageEngine.bulk_load` bypass the WAL by
-    design (a loader fast path, as in real engines) and are therefore not
-    recoverable by log replay — load, then checkpoint, before relying on
-    crash recovery.
+def _recover(engine) -> RecoveryReport:
+    """Recover one freshly opened :class:`~repro.engine.engine.StorageEngine`
+    in place from the log its WAL resumed; returns the report.
+
+    The analysis reads the frames the engine's log read when it opened, so
+    each segment is read once per recovery.
     """
-    from ..engine.engine import StorageEngine
-
-    wal_dir = os.path.join(data_dir, "wal")
-    analysis, scans = _analyze(wal_dir)
+    data_dir = engine.data_dir
+    scans = engine.wal.take_resumed_scans()
+    analysis = _analyze([frame for scan in scans for frame in scan.frames])
     report = RecoveryReport(data_dir=data_dir)
     report.segments_scanned = len(scans)
     report.records_scanned = len(analysis.frames)
-    report.truncated_tail = analysis.truncated_tail
+    report.truncated_tail = engine.wal.truncated_tail
     report.tables = tuple(analysis.tables)
     report.committed_txns = tuple(sorted(analysis.committed))
     report.aborted_txns = tuple(sorted(analysis.aborted))
@@ -291,9 +272,6 @@ def recover_engine(data_dir: str, **engine_kwargs):
     report.unreadable_tablespaces = tuple(unreadable)
     _move_aside(data_dir, analysis.tables)
 
-    # The engine's log resumes from the segments the analysis read.
-    with resuming_from(wal_dir, scans):
-        engine = StorageEngine(data_dir=data_dir, **engine_kwargs)
     # Repeat history under replay: re-registration and replayed changes
     # must not append fresh WAL (the log already records them); the
     # resumed LogManager carries the crashed run's frames forward.
@@ -327,48 +305,61 @@ def recover_engine(data_dir: str, **engine_kwargs):
     engine.checkpoint()
     report.end_lsn = engine.lsn.current
     engine.last_recovery_report = report
+    return report
+
+
+def recover_engine(data_dir: str, **engine_kwargs):
+    """Recover a crashed engine from ``data_dir``; returns a fresh,
+    open :class:`~repro.engine.engine.StorageEngine` with
+    ``last_recovery_report`` attached.
+
+    ``engine_kwargs`` are forwarded to the new engine (capacities, policy,
+    ``wal_sync`` ...); ``data_dir`` is fixed by recovery.
+
+    Note: rows loaded via :meth:`StorageEngine.bulk_load` bypass the WAL by
+    design (a loader fast path, as in real engines) and are therefore not
+    recoverable by log replay — load, then checkpoint, before relying on
+    crash recovery.
+    """
+    from ..engine.engine import StorageEngine
+
+    engine = _open(StorageEngine, data_dir=data_dir, **engine_kwargs)
+    _recover(engine)
     return engine
 
 
 def recover_sharded_engine(data_dir: str, num_shards: int, **engine_kwargs):
-    """Recover every ``shard<i>/`` subdirectory, then bring up a fresh
-    :class:`~repro.server.sharding.ShardedEngine` over the recovered files.
+    """Open a :class:`~repro.server.sharding.ShardedEngine` on ``data_dir``
+    once and recover each shard in place.
 
-    Per-shard recovery is independent (each shard has its own WAL); the
+    Each shard has its own WAL, so each recovers on its own; then every
+    table any shard knows is registered on the shards that lack it. The
     combined report nests the shard reports in shard order.
     """
-    from ..server.sharding import SPACE_ID_STRIDE, ShardedEngine
+    from ..server.sharding import TABLE_NAME, ShardedEngine, shard_dir
 
-    shard_reports: List[RecoveryReport] = []
-    all_tables: List[str] = []
-    next_txn_id = 1
     for i in range(num_shards):
-        shard_dir = os.path.join(data_dir, f"shard{i}")
-        if not os.path.isdir(shard_dir):
-            raise RecoveryError(f"missing shard directory {shard_dir}")
-        engine = recover_engine(
-            shard_dir, space_id_base=i * SPACE_ID_STRIDE, **engine_kwargs
-        )
-        for name in engine.last_recovery_report.tables:
+        path = shard_dir(data_dir, i)
+        if not os.path.isdir(path):
+            raise RecoveryError(f"missing shard directory {path}")
+    sharded = _open(ShardedEngine, num_shards, data_dir=data_dir, **engine_kwargs)
+    shard_reports = [_recover(shard) for shard in sharded.shards]
+    all_tables: List[str] = []
+    for r in shard_reports:
+        for name in r.tables:
             if name not in all_tables:
                 all_tables.append(name)
-        next_txn_id = max(next_txn_id, engine._next_txn_id)
-        shard_reports.append(engine.last_recovery_report)
-        engine.close()
-    sharded = ShardedEngine(
-        num_shards=num_shards,
-        data_dir=data_dir,
-        **engine_kwargs,
-    )
-    with _sharded_replaying(sharded):
-        for name in all_tables:
-            sharded.register_table(name)
+    for shard in sharded.shards:
+        with shard.wal.replaying():
+            for name in all_tables:
+                if not shard.has_table(name):
+                    shard.register_table(name)
     # Txn-id high-water mark, coordinator and shards alike: the facade
     # allocates global ids, but per-shard paths (log_ddl, direct begin)
     # draw on the shard-local counters too.
-    sharded._next_txn_id = max(sharded._next_txn_id, next_txn_id)
-    for shard in sharded.shards:
-        shard._next_txn_id = max(shard._next_txn_id, next_txn_id)
+    next_txn_id = max(shard._next_txn_id for shard in sharded.shards)
+    for engine in (sharded, *sharded.shards):
+        engine._next_txn_id = next_txn_id
     report = RecoveryReport(data_dir=data_dir)
     report.tables = tuple(all_tables)
     report.shard_reports = shard_reports
@@ -378,7 +369,7 @@ def recover_sharded_engine(data_dir: str, num_shards: int, **engine_kwargs):
     report.undo_applied = sum(r.undo_applied for r in shard_reports)
     report.clr_records = sum(r.clr_records for r in shard_reports)
     report.torn_pages = tuple(
-        (f"{t}@shard{i}", p)
+        (TABLE_NAME.format(name=t, shard=i), p)
         for i, r in enumerate(shard_reports)
         for t, p in r.torn_pages
     )
@@ -391,20 +382,3 @@ def recover_sharded_engine(data_dir: str, num_shards: int, **engine_kwargs):
     report.end_lsn = max(r.end_lsn for r in shard_reports)
     sharded.last_recovery_report = report
     return sharded
-
-
-class _sharded_replaying:
-    """Context manager putting every shard's WAL into replay mode at once."""
-
-    def __init__(self, sharded) -> None:
-        self._contexts = [shard.wal.replaying() for shard in sharded.shards]
-
-    def __enter__(self):
-        for ctx in self._contexts:
-            ctx.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        for ctx in self._contexts:
-            ctx.__exit__(*exc)
-        return False

@@ -10,19 +10,21 @@ against a shadow dict maintained alongside the generated workload.
 
 import builtins
 import collections
+import gc
 import os
 import random
 import shutil
+import warnings
 
 import pytest
 
 from repro.engine import StorageEngine
-from repro.errors import EngineError, RecoveryError
+from repro.errors import EngineError, RecoveryError, WalError
 from repro.server import MySQLServer, ServerConfig
 from repro.server.sharding import ShardedEngine
 from repro.storage import decode_row
-from repro.wal.records import FRAME_HEADER, parse_frames
-from repro.wal import recovery
+from repro.wal.log_manager import scan_segments
+from repro.wal.records import FRAME_HEADER, WalRecordType, parse_frames
 from repro.wal.recovery import recover_engine, recover_sharded_engine
 
 TABLES = ("a", "b")
@@ -130,28 +132,69 @@ def engine_state(engine):
     return out
 
 
+#: The engine shapes the kill sweep crashes: how to open one on a data
+#: directory and how to recover it from there.
+SHAPES = {
+    "single": (
+        lambda data_dir: StorageEngine(data_dir=data_dir, **ENGINE_KWARGS),
+        lambda data_dir: recover_engine(data_dir, **ENGINE_KWARGS),
+    ),
+    "sharded": (
+        lambda data_dir: ShardedEngine(3, data_dir=data_dir, **ENGINE_KWARGS),
+        lambda data_dir: recover_sharded_engine(data_dir, 3, **ENGINE_KWARGS),
+    ),
+}
+
+
+def commit_one_then_crash(engine):
+    """Commit ``a[KEYS] = b"post"`` on a recovered engine, leave a flushed
+    loser behind it, and crash."""
+    txn = engine.begin()
+    engine.insert(txn, "a", KEYS, b"post")
+    engine.commit(txn)
+    loser = engine.begin()
+    for key in range(KEYS, KEYS + 6):
+        engine.insert(loser, "b", key, b"ghost")
+    for shard in engine.shards:
+        shard.wal.flush()
+    engine.simulate_crash()
+
+
 class TestKillAtRandomPoint:
-    def test_recovery_restores_committed_prefix(self, tmp_path):
-        """>= 200 seeded (workload, crash-point) pairs; each recovered
-        state must equal the committed-prefix shadow exactly."""
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_recovery_restores_committed_prefix(self, tmp_path, shape):
+        """>= 200 seeded (workload, crash-point) pairs per engine shape;
+        each recovered state must equal the committed-prefix shadow
+        exactly. Every fourth seed then commits one more transaction,
+        leaves a loser and crashes again: the second recovery must keep
+        the one and drop the other, which it cannot if the first recovery
+        let a transaction reuse an id the crashed run's log holds."""
+        open_engine, recover = SHAPES[shape]
         failures = []
         for seed in range(200):
             steps, snapshots = build_workload(seed)
             crash_step = random.Random(seed ^ 0xC0FFEE).randrange(len(steps))
             data_dir = str(tmp_path / f"case{seed}")
-            engine = StorageEngine(data_dir=data_dir, **ENGINE_KWARGS)
+            engine = open_engine(data_dir)
             for t in TABLES:
                 engine.register_table(t)
             run_steps(engine, steps[: crash_step + 1])
             engine.simulate_crash()
 
-            recovered = recover_engine(data_dir, **ENGINE_KWARGS)
+            recovered = recover(data_dir)
             expected = snapshots[crash_step]
             actual = engine_state(recovered)
+            crashes = 1
+            if actual == expected and seed % 4 == 0:
+                commit_one_then_crash(recovered)
+                expected = {**expected, "a": {**expected["a"], KEYS: b"post"}}
+                recovered = recover(data_dir)
+                actual = engine_state(recovered)
+                crashes = 2
             if actual != expected:
                 failures.append(
-                    f"seed={seed} crash_step={crash_step}/{len(steps)}: "
-                    f"expected {expected}, got {actual}"
+                    f"seed={seed} crash_step={crash_step}/{len(steps)} "
+                    f"crashes={crashes}: expected {expected}, got {actual}"
                 )
             recovered.close()
         assert not failures, "\n".join(failures[:10])
@@ -394,6 +437,29 @@ class TestShardedRecovery:
         assert dict(recovered.scan("a"))[99] == b"post"
         recovered.close()
 
+    def test_corrupt_shard_log_fails_and_releases_the_other_shards(self, tmp_path):
+        data_dir = str(tmp_path / "corrupt")
+        engine = ShardedEngine(num_shards=3, data_dir=data_dir, **ENGINE_KWARGS)
+        engine.register_table("a")
+        for key in range(20):
+            txn = engine.begin()
+            engine.insert(txn, "a", key, b"v" * 20)
+            engine.commit(txn)
+        engine.simulate_crash()
+        wal_dir = os.path.join(data_dir, "shard2", "wal")
+        first = os.path.join(wal_dir, sorted(os.listdir(wal_dir))[0])
+        with open(first, "rb") as fh:
+            frames, _ = parse_frames(fh.read())
+        with open(first, "r+b") as fh:  # zeros over an interior frame header
+            fh.seek(frames[1].offset)
+            fh.write(bytes(FRAME_HEADER.size))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(RecoveryError, match="interior"):
+                recover_sharded_engine(data_dir, 3, **ENGINE_KWARGS)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     def test_missing_shard_dir_rejected(self, tmp_path):
         data_dir = str(tmp_path / "partial")
         os.makedirs(os.path.join(data_dir, "shard0"))
@@ -447,8 +513,8 @@ class TestDefaultServer:
 
 
 class TestOneReadPerSegment:
-    """Recovery's analysis pass reads every WAL segment; the engine it
-    brings up resumes its log from that scan instead of reading again."""
+    """Recovery analyses the frames its engine's log read when it opened:
+    each WAL segment is read once, and the scan is let go afterwards."""
 
     @staticmethod
     def count_segment_reads(monkeypatch):
@@ -484,6 +550,20 @@ class TestOneReadPerSegment:
             if name.startswith("wal.")
         }
 
+    @staticmethod
+    def checkpoints(wal_dir):
+        return sum(
+            frame.rtype is WalRecordType.CHECKPOINT
+            for scan in scan_segments(wal_dir)
+            for frame in scan.frames
+        )
+
+    @staticmethod
+    def assert_scans_released(engine):
+        for shard in engine.shards:
+            with pytest.raises(WalError, match="already taken or flushed"):
+                shard.wal.take_resumed_scans()
+
     def test_recover_engine_reads_each_segment_once(self, tmp_path, monkeypatch):
         data_dir = str(tmp_path / "db")
         self.write_and_crash(StorageEngine(data_dir=data_dir, **ENGINE_KWARGS))
@@ -492,32 +572,31 @@ class TestOneReadPerSegment:
         reads = self.count_segment_reads(monkeypatch)
         recovered = recover_engine(data_dir, **ENGINE_KWARGS)
         assert dict(reads) == expected
+        self.assert_scans_released(recovered)
         assert len(recovered.scan("a")) == 40
         recovered.close()
 
     def test_each_shard_recovery_reads_its_segments_once(
         self, tmp_path, monkeypatch
     ):
+        """Over the whole sharded recovery: every shard's segments are
+        read once, and each shard's log gains one recovery CHECKPOINT."""
         data_dir = str(tmp_path / "sharded")
         self.write_and_crash(
             ShardedEngine(num_shards=3, data_dir=data_dir, **ENGINE_KWARGS)
         )
+        wal_dirs = [os.path.join(data_dir, f"shard{i}", "wal") for i in range(3)]
+        expected = {}
+        for wal_dir in wal_dirs:
+            assert len(self.segment_paths(wal_dir)) > 1
+            expected.update(self.segment_paths(wal_dir))
+        before = [self.checkpoints(wal_dir) for wal_dir in wal_dirs]
         reads = self.count_segment_reads(monkeypatch)
-        per_shard = []
-        recover_one = recovery.recover_engine
-
-        def counted(shard_dir, **kwargs):
-            expected = self.segment_paths(os.path.join(shard_dir, "wal"))
-            reads.clear()
-            engine = recover_one(shard_dir, **kwargs)
-            per_shard.append((dict(reads), expected))
-            return engine
-
-        monkeypatch.setattr(recovery, "recover_engine", counted)
         recovered = recover_sharded_engine(data_dir, 3, **ENGINE_KWARGS)
-        assert len(per_shard) == 3
-        for got, expected in per_shard:
-            assert len(expected) > 1
-            assert got == expected
+        assert dict(reads) == expected
+        monkeypatch.undo()
+        after = [self.checkpoints(wal_dir) for wal_dir in wal_dirs]
+        assert [a - b for a, b in zip(after, before)] == [1, 1, 1]
+        self.assert_scans_released(recovered)
         assert len(recovered.scan("a")) == 40
         recovered.close()
