@@ -73,8 +73,6 @@ class StorageEngine:
         segments. When ``None`` a private temporary directory is created
         and removed when the engine is garbage-collected (or
         :meth:`close`\\ d).
-    buffer_pool_policy:
-        Frame eviction policy, ``"lru"`` or ``"clock"``.
     wal_segment_bytes:
         Size of each WAL segment file under ``<data_dir>/wal/``: files
         are preallocated to it, and the log rolls to a new one at it.
@@ -96,7 +94,6 @@ class StorageEngine:
         instrumentation: Optional[Instrumentation] = None,
         space_id_base: int = 0,
         data_dir: Optional[str] = None,
-        buffer_pool_policy: str = "lru",
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         wal_sync: bool = True,
     ) -> None:
@@ -127,7 +124,6 @@ class StorageEngine:
         self.binlog = Binlog(enabled=binlog_enabled)
         self.buffer_pool = BufferPoolManager(
             buffer_pool_capacity,
-            policy=buffer_pool_policy,
             lsn_source=lambda: self.lsn.current,
             log_flusher=self.wal.flush_to,
             instrumentation=self.obs,
@@ -217,44 +213,30 @@ class StorageEngine:
             self.wal.flush()
 
     def rollback(self, txn: Transaction) -> None:
-        """Undo every change in reverse order using the before-images."""
-        for change in reversed(txn.changes):
-            _, tree = self._lookup(change.table)
+        """Undo every change in reverse order from the before-images on
+        the transaction's MVCC versions."""
+        for table, key, version in self.mvcc.rollback(txn):
+            _, tree = self._lookup(table)
             # Compensation record first (WAL discipline: log before apply);
             # replay then repeats history — forward changes *and* their
             # undo — so aborted transactions need no work at restart.
-            if change.op == _INSERT:
+            if version.op == _INSERT:
+                self.wal.append_clr(RedoRecord(txn.txn_id, table, _DELETE, key, b""))
+                tree.delete(key)
+            elif version.op == _UPDATE:
                 self.wal.append_clr(
-                    RedoRecord(txn.txn_id, change.table, _DELETE, change.key, b"")
+                    RedoRecord(txn.txn_id, table, _UPDATE, key, version.before_image)
                 )
-                tree.delete(change.key)
-            elif change.op == _UPDATE:
+                tree.update(key, version.before_image)
+            elif version.op == _DELETE:
                 self.wal.append_clr(
-                    RedoRecord(
-                        txn.txn_id,
-                        change.table,
-                        _UPDATE,
-                        change.key,
-                        change.before_image,
-                    )
+                    RedoRecord(txn.txn_id, table, _INSERT, key, version.before_image)
                 )
-                tree.update(change.key, change.before_image)
-            elif change.op == _DELETE:
-                self.wal.append_clr(
-                    RedoRecord(
-                        txn.txn_id,
-                        change.table,
-                        _INSERT,
-                        change.key,
-                        change.before_image,
-                    )
-                )
-                tree.insert(change.key, change.before_image)
+                tree.insert(key, version.before_image)
             else:  # pragma: no cover - ops are engine-generated
-                raise TransactionError(f"unknown change op {change.op!r}")
+                raise TransactionError(f"unknown change op {version.op!r}")
         self.wal.append_abort(txn.txn_id)
         txn.mark_rolled_back()
-        self.mvcc.rollback(txn)
 
     def log_ddl(self, timestamp: int, statement: str) -> None:
         """Binlog a DDL statement (no row changes, no open transaction).
@@ -279,10 +261,9 @@ class StorageEngine:
         self.wal.check_row_change(undo, redo)
         with self.obs.span("storage.insert", table=table):
             path = tree.insert(key, row)
-        txn.note_lsn(self.wal.append_row_change(table, undo, redo))
+        self.wal.append_row_change(table, undo, redo)
         self.obs.count("engine.rows_written", label=table)
         self.mvcc.record_write(txn, table, key, _INSERT, b"", self.lsn.current)
-        txn.record_change(table, _INSERT, key, b"", row)
         return path
 
     def update(self, txn: Transaction, table: str, key: int, row: bytes) -> AccessPath:
@@ -296,14 +277,12 @@ class StorageEngine:
             before, path = tree.update(key, row)
         undo = _encode_body(txn.txn_id, table, _UPDATE, key, before)
         try:
-            lsn = self.wal.append_row_change(table, undo, redo)
+            self.wal.append_row_change(table, undo, redo)
         except LogError:
             tree.update(key, before)  # the log refused the change
             raise
-        txn.note_lsn(lsn)
         self.obs.count("engine.rows_written", label=table)
         self.mvcc.record_write(txn, table, key, _UPDATE, before, self.lsn.current)
-        txn.record_change(table, _UPDATE, key, before, row)
         return path
 
     def delete(self, txn: Transaction, table: str, key: int) -> AccessPath:
@@ -317,14 +296,12 @@ class StorageEngine:
             before, path = tree.delete(key)
         undo = _encode_body(txn.txn_id, table, _DELETE, key, before)
         try:
-            lsn = self.wal.append_row_change(table, undo, redo)
+            self.wal.append_row_change(table, undo, redo)
         except LogError:
             tree.insert(key, before)  # the log refused the change
             raise
-        txn.note_lsn(lsn)
         self.obs.count("engine.rows_written", label=table)
         self.mvcc.record_write(txn, table, key, _DELETE, before, self.lsn.current)
-        txn.record_change(table, _DELETE, key, before, b"")
         return path
 
     # -- reads --------------------------------------------------------------------

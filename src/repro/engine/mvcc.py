@@ -18,7 +18,11 @@ InnoDB-style MVCC:
   that an uncommitted transaction already wrote, or that committed after
   the writer's snapshot, raises :class:`~repro.errors.WriteConflictError`
   at write time, so per-row before-image rollback stays sound under
-  interleaving.
+  interleaving;
+* the chains are the only record of a change's before-image: rollback
+  (:meth:`MVCCManager.rollback`) unlinks the transaction's versions and
+  undoes from them, as InnoDB undoes and rebuilds old versions from one
+  undo record per change.
 
 The chains themselves are a *new leakage surface* (registered as the
 ``mvcc_version_chains`` snapshot artifact): chain lengths record exactly
@@ -103,14 +107,11 @@ class MVCCManager:
         #: txn_id -> snapshot (commits stamped before it began) of every
         #: active (begun, unfinished) txn.
         self._active: Dict[int, int] = {}
-        #: txn_id -> rows written, in write order.
-        self._writes: Dict[int, List[Tuple[str, int]]] = {}
 
     # -- transaction lifecycle --------------------------------------------
 
     def begin(self, txn: Transaction) -> None:
         self._active[txn.txn_id] = self._commits
-        self._writes[txn.txn_id] = []
 
     @property
     def active_txn_ids(self) -> Tuple[int, ...]:
@@ -149,23 +150,26 @@ class MVCCManager:
         self, txn: Transaction, table: str, key: int, op: str,
         before_image: bytes, lsn: int,
     ) -> None:
-        """Push a new uncommitted version at the head of the row's chain."""
+        """Push a new uncommitted version at the head of the row's chain
+        and note the row in the transaction's writes."""
         chain = self._chains.get(table)
         if chain is None:
             chain = self._chains[table] = {}
         chain[key] = RowVersion(
             txn.txn_id, lsn, op, before_image, None, chain.get(key)
         )
-        self._writes[txn.txn_id].append((table, key))
+        txn.writes.append((table, key))
 
     # -- commit / rollback -------------------------------------------------
 
     def commit(self, txn: Transaction) -> None:
         """Stamp the transaction's versions committed, then truncate."""
-        touched = self._finish(txn)
+        self._finish(txn)
         self._commits += 1
-        for table, key in touched:
-            node = self._chains.get(table, _NO_CHAINS).get(key)
+        for table, key in txn.writes:
+            node = self._chains[table].get(key)
+            # A row written twice is stamped on its first visit; the second
+            # finds a committed head and stops.
             while node is not None and node.commit_seq is None:
                 if node.txn_id == txn.txn_id:
                     node.commit_seq = self._commits
@@ -174,36 +178,39 @@ class MVCCManager:
         if horizon is None:
             self._clear_committed()
         else:
-            for table, key in touched:
+            for table, key in txn.writes:
                 self._truncate(table, key, horizon)
 
-    def rollback(self, txn: Transaction) -> None:
-        """Drop the transaction's (contiguous, newest) versions."""
-        touched = self._finish(txn)
-        for table, key in touched:
-            chain = self._chains[table]  # record_write created it
-            head = chain.get(key)
-            while head is not None and head.commit_seq is None and (
-                head.txn_id == txn.txn_id
-            ):
-                head = head.prev
-            if head is None:
-                chain.pop(key, None)
+    def rollback(self, txn: Transaction) -> List[Tuple[str, int, RowVersion]]:
+        """Unlink the transaction's versions, newest first, and return them
+        as ``(table, key, version)``: the undo list the engine applies.
+
+        Each write pushed one version, and first-writer-wins keeps a
+        transaction's uncommitted versions at the heads of the chains it
+        wrote, so popping a head per write in reverse write order takes
+        exactly its own versions. Raises before any change when the
+        transaction is not active.
+        """
+        self._finish(txn)
+        undone: List[Tuple[str, int, RowVersion]] = []
+        for table, key in reversed(txn.writes):
+            chain = self._chains[table]
+            version = chain[key]
+            if version.prev is None:
+                del chain[key]
             else:
-                chain[key] = head
+                chain[key] = version.prev
+            undone.append((table, key, version))
         if not self._active:
             self._clear_committed()
+        return undone
 
-    def _finish(self, txn: Transaction) -> List[Tuple[str, int]]:
+    def _finish(self, txn: Transaction) -> None:
         if txn.txn_id not in self._active:
             raise TransactionError(
                 f"transaction {txn.txn_id} is not active under MVCC"
             )
         del self._active[txn.txn_id]
-        writes = self._writes.pop(txn.txn_id)
-        # Preserve discovery order for deterministic commit stamping.
-        seen: Set[Tuple[str, int]] = set()
-        return [w for w in writes if not (w in seen or seen.add(w))]
 
     def _clear_committed(self) -> None:
         """Drop every fully-committed chain once no transaction is active.

@@ -1,16 +1,18 @@
 """Transaction lifecycle.
 
-A :class:`Transaction` collects row changes; the engine writes redo/undo
+A :class:`Transaction` names the rows it wrote; the engine writes redo/undo
 records as changes are applied and appends the statement to the binlog at
-commit. Rollback replays undo images in reverse — the ACID ability the
-paper points at as the root cause of on-disk write-history leakage.
+commit. Each change's before-image lives once, on the row's MVCC version
+chain (:mod:`repro.engine.mvcc`): rollback undoes from there in reverse —
+the ACID ability the paper points at as the root cause of on-disk
+write-history leakage.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, NamedTuple
+from typing import List, Tuple
 
 from ..errors import TransactionError
 
@@ -19,16 +21,6 @@ class TransactionState(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
     ROLLED_BACK = "rolled_back"
-
-
-class _Change(NamedTuple):
-    """One applied row change, kept for rollback."""
-
-    table: str
-    op: str  # insert | update | delete
-    key: int
-    before_image: bytes  # b"" for insert
-    after_image: bytes   # b"" for delete
 
 
 @dataclass
@@ -42,24 +34,9 @@ class Transaction:
     txn_id: int
     statements: List[str] = field(default_factory=list)
     state: TransactionState = TransactionState.ACTIVE
-    #: LSNs of this transaction's first and last redo records (-1 while the
-    #: transaction has written nothing) — the ARIES per-txn log span.
-    first_lsn: int = -1
-    last_lsn: int = -1
-    _changes: List[_Change] = field(default_factory=list)
-
-    def note_lsn(self, lsn: int) -> None:
-        """Record that a redo record at ``lsn`` belongs to this transaction."""
-        if self.first_lsn < 0:
-            self.first_lsn = lsn
-        self.last_lsn = lsn
-
-    def record_change(
-        self, table: str, op: str, key: int, before_image: bytes, after_image: bytes
-    ) -> None:
-        """Remember an applied change (engine-internal)."""
-        self._ensure_active()
-        self._changes.append(_Change(table, op, key, before_image, after_image))
+    #: ``(table, key)`` of every row change, in write order (a row written
+    #: twice appears twice); the MVCC manager appends to it.
+    writes: List[Tuple[str, int]] = field(default_factory=list)
 
     def record_statement(self, statement: str) -> None:
         """Remember the SQL text driving this transaction (for the binlog)."""
@@ -67,21 +44,13 @@ class Transaction:
         self.statements.append(statement)
 
     @property
-    def changes(self) -> List[_Change]:
-        return list(self._changes)
-
-    @property
-    def num_changes(self) -> int:
-        return len(self._changes)
-
-    @property
     def is_write(self) -> bool:
-        return bool(self._changes)
+        return bool(self.writes)
 
     @property
     def tables_written(self) -> List[str]:
         """The tables this transaction changed, sorted."""
-        return sorted({change.table for change in self._changes})
+        return sorted({table for table, _ in self.writes})
 
     def mark_committed(self) -> None:
         self._ensure_active()

@@ -2,8 +2,8 @@
 
 :class:`ServerFrontend` sits in front of one :class:`MySQLServer` and
 simulates a production connection layer: thousands of client sessions
-submit statements into bounded per-session FIFO queues; a worker pool of
-``num_workers`` dispatchers drains them under a pluggable
+submit statements into bounded per-session FIFO queues, which the front
+end drains one statement at a time under a pluggable
 :class:`SchedulingPolicy`. Statements execute atomically (the engine's
 interleaving granularity), so scheduling decides the *order* in which
 sessions' statements interleave — with ``FIFO`` the dispatch order equals
@@ -191,30 +191,24 @@ class SessionScheduler:
 
 
 class ServerFrontend:
-    """A worker pool draining the scheduler into one server.
+    """Drains the scheduler into one server, a statement at a time.
 
-    ``num_workers`` bounds how many sessions are *in service* per drain
-    round; with atomic statement execution that caps dispatch batch size,
-    not true parallelism — determinism is the point (same seed, same
-    policy, same submissions ⇒ same interleaving, replayable from the
-    printed seed on harness failures).
+    The scheduler picks every request, so determinism is the point (same
+    seed, same policy, same submissions ⇒ same interleaving, replayable
+    from the printed seed on harness failures).
     """
 
     def __init__(
         self,
         server: MySQLServer,
-        num_workers: int = 8,
         policy: SchedulingPolicy = SchedulingPolicy.FIFO,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         max_sessions: int = 4096,
         seed: int = 0,
     ) -> None:
-        if num_workers < 1:
-            raise SchedulerError(f"need at least one worker, got {num_workers}")
         if max_sessions < 1:
             raise SchedulerError(f"need at least one session, got {max_sessions}")
         self.server = server
-        self.num_workers = num_workers
         self.max_sessions = max_sessions
         self.scheduler = SessionScheduler(
             policy=policy, capacity=queue_capacity, seed=seed
@@ -262,9 +256,8 @@ class ServerFrontend:
     def dispatch_one(self) -> Optional[CompletedRequest]:
         """Serve the next scheduled statement; ``None`` when idle.
 
-        Errors do not kill the worker: they are captured on the completed
-        record (a client would see them on its own connection) and the
-        drain continues.
+        Errors are captured on the completed record (a client would see
+        them on its own connection), so a drain continues past them.
         """
         request = self.scheduler.next_request()
         if request is None:
@@ -280,24 +273,17 @@ class ServerFrontend:
             return CompletedRequest(request, None, f"{type(exc).__name__}: {exc}")
 
     def drain(self) -> Tuple[CompletedRequest, ...]:
-        """Run workers until every queued statement has been served.
+        """Dispatch until every queued statement has been served.
 
         Returns the completions served, in dispatch order; the front end
-        keeps none of them. Worker rounds serve at most ``num_workers``
-        statements before re-consulting the scheduler, so FAIR/RANDOM
-        policies re-evaluate readiness at the same cadence a pool of
-        blocking workers would.
+        keeps none of them.
         """
         served: List[CompletedRequest] = []
-        while True:
-            before = len(served)
-            for _ in range(self.num_workers):
-                completed = self.dispatch_one()
-                if completed is None:
-                    break
-                served.append(completed)
-            if len(served) == before:
-                return tuple(served)
+        completed = self.dispatch_one()
+        while completed is not None:
+            served.append(completed)
+            completed = self.dispatch_one()
+        return tuple(served)
 
     def queue_telemetry(self) -> Dict[str, object]:
         """The ``scheduler_queue`` snapshot artifact payload."""

@@ -131,8 +131,6 @@ class ServerConfig:
     num_shards: int = 1
     #: Directory for the .ibd files and WAL segments (None = private tempdir).
     data_dir: Optional[str] = None
-    #: Frame eviction policy, "lru" or "clock".
-    buffer_pool_policy: str = "lru"
     #: WAL segment file size and roll threshold.
     wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES
     #: fdatasync the active WAL segment on every group flush (see above: off
@@ -182,7 +180,6 @@ class MySQLServer:
             binlog_enabled=self.config.binlog_enabled,
             instrumentation=self.obs,
             data_dir=self.config.data_dir,
-            buffer_pool_policy=self.config.buffer_pool_policy,
             wal_segment_bytes=self.config.wal_segment_bytes,
             wal_sync=self.config.wal_sync,
         )

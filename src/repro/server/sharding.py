@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..clock import SimClock
 from ..engine import StorageEngine
@@ -38,6 +38,7 @@ from ..engine.mvcc import MvccChainStat
 from ..engine.transaction import Transaction, TransactionState
 from ..errors import EngineError, TransactionError
 from ..storage.paged import AccessPath, BufferPoolDump
+from ..wal.recovery import RecoveryReport
 
 #: Space-id stride between shards: shard ``i`` owns ids in
 #: ``[i * stride + 1, (i + 1) * stride]``, so combined buffer-pool dumps
@@ -118,6 +119,52 @@ def merge_pool_dumps(dumps: List[BufferPoolDump]) -> BufferPoolDump:
     return BufferPoolDump(entries=tuple(ref for dump in dumps for ref in dump.entries))
 
 
+def merge_recovery_reports(
+    data_dir: str, tables: List[str], reports: List[RecoveryReport]
+) -> RecoveryReport:
+    """Per-shard recovery reports as one, the shard reports nested in
+    shard order: counts summed, transaction ids united, LSNs at their max,
+    and tables, pages and WAL tails named by their shard."""
+
+    def union(id_lists: Iterable[Tuple[int, ...]]) -> Tuple[int, ...]:
+        return tuple(sorted({txn for ids in id_lists for txn in ids}))
+
+    tails = [
+        WAL_SEGMENT_NAME.format(name=r.truncated_tail, shard=index)
+        for index, r in enumerate(reports)
+        if r.truncated_tail is not None
+    ]
+    return RecoveryReport(
+        data_dir=data_dir,
+        segments_scanned=sum(r.segments_scanned for r in reports),
+        records_scanned=sum(r.records_scanned for r in reports),
+        truncated_tail="; ".join(tails) if tails else None,
+        last_checkpoint_lsn=max(r.last_checkpoint_lsn for r in reports),
+        dirty_pages_at_checkpoint=qualify_dirty_pages(
+            [r.dirty_pages_at_checkpoint for r in reports]
+        ),
+        torn_pages=tuple(
+            (TABLE_NAME.format(name=name, shard=index), page)
+            for index, r in enumerate(reports)
+            for name, page in r.torn_pages
+        ),
+        unreadable_tablespaces=tuple(
+            TABLE_NAME.format(name=name, shard=index)
+            for index, r in enumerate(reports)
+            for name in r.unreadable_tablespaces
+        ),
+        tables=tuple(tables),
+        committed_txns=union(r.committed_txns for r in reports),
+        aborted_txns=union(r.aborted_txns for r in reports),
+        loser_txns=union(r.loser_txns for r in reports),
+        clr_records=sum(r.clr_records for r in reports),
+        redo_applied=sum(r.redo_applied for r in reports),
+        undo_applied=sum(r.undo_applied for r in reports),
+        end_lsn=max(r.end_lsn for r in reports),
+        shard_reports=list(reports),
+    )
+
+
 class ShardRouter:
     """Stable hash routing of clustering keys onto shards.
 
@@ -191,10 +238,6 @@ class ShardedTransaction:
         return any(t.is_write for t in self._branches.values())
 
     @property
-    def num_changes(self) -> int:
-        return sum(t.num_changes for t in self._branches.values())
-
-    @property
     def tables_written(self) -> List[str]:
         """The tables any branch changed, sorted."""
         return sorted(
@@ -227,7 +270,7 @@ class ShardedEngine:
         **engine_kwargs,
     ) -> None:
         """``engine_kwargs`` go to every shard's :class:`StorageEngine`
-        (capacities, policy, ``wal_sync`` ...). The shards share ``clock``;
+        (capacities, ``wal_sync`` ...). The shards share ``clock``;
         each gets its own space-id range and, with an explicit
         ``data_dir``, its own :func:`shard_dir` so page files never
         collide. With no ``data_dir`` every shard creates (and later
@@ -468,6 +511,7 @@ __all__ = [
     "ShardedTransaction",
     "binlog_sections",
     "merge_binlog_events",
+    "merge_recovery_reports",
     "qualify",
     "qualify_dirty_pages",
     "shard_dir",

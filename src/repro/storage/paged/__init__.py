@@ -3,7 +3,7 @@
 This package is the simulation's storage engine: each table is one
 ``.ibd``-style file of 4 KB pages (:mod:`.page_file`), every page
 read/write goes through a fixed-budget frame-based buffer pool with
-pin/unpin, dirty tracking, and LRU/clock eviction (:mod:`.buffer_pool`),
+pin/unpin, dirty tracking, and LRU eviction (:mod:`.buffer_pool`),
 and rows live in a paged B+-tree with clustered and secondary indexes
 (:mod:`.btree`, :mod:`.table`).
 
@@ -23,7 +23,6 @@ from .page_file import PageFile
 from .buffer_pool import (
     BufferPoolDump,
     BufferPoolManager,
-    EvictionPolicy,
     Frame,
     PageRef,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "PagedPageType",
     "PageFile",
     "BufferPoolManager",
-    "EvictionPolicy",
     "Frame",
     "PagedBTree",
     "PagedTable",

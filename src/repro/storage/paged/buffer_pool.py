@@ -7,17 +7,12 @@ free frame evicts a victim (write-back if dirty); a pinned frame can never
 be evicted. Pages mutate in place in their frame and reach disk only on
 eviction, explicit flush, or checkpoint.
 
-Two eviction policies:
-
-* ``lru`` — strict least-recently-used (an :class:`~collections.OrderedDict`
-  over frame keys);
-* ``clock`` — second-chance: a hand sweeps the frame ring clearing
-  reference bits, evicting the first unpinned frame whose bit is clear.
-
-Both policies maintain the same recency ledger, so the ``ib_buffer_pool``
-dump (:meth:`BufferPoolManager.dump`, a :class:`BufferPoolDump` of
-:class:`PageRef` lines) has identical semantics regardless of policy, and
-the pages it lists are *actual resident frames*.
+Eviction is strict least-recently-used: an
+:class:`~collections.OrderedDict` over frame keys orders the frames, and
+a full pool evicts the least recent unpinned one. The same recency ledger
+is the ``ib_buffer_pool`` dump (:meth:`BufferPoolManager.dump`, a
+:class:`BufferPoolDump` of :class:`PageRef` lines), so the pages it lists
+are *actual resident frames*.
 
 Paper §3 ("Inferring reads"): "On shutdown and at other points during
 normal server operation, MySQL creates a file in the data directory
@@ -29,7 +24,6 @@ lives in :mod:`repro.forensics.buffer_pool_dump`.
 
 from __future__ import annotations
 
-import enum
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -70,13 +64,6 @@ class BufferPoolDump:
         return "\n".join(lines) + "\n"
 
 
-class EvictionPolicy(str, enum.Enum):
-    """Victim-selection strategy for a full pool."""
-
-    LRU = "lru"
-    CLOCK = "clock"
-
-
 class Frame:
     """One buffer-pool slot: a decoded page plus its bookkeeping."""
 
@@ -91,7 +78,6 @@ class Frame:
         "rec_lsn",
         "page_lsn",
         "access_count",
-        "ref_bit",
     )
 
     def __init__(
@@ -114,7 +100,6 @@ class Frame:
         #: reach disk, and write-back stamps it into the page header.
         self.page_lsn = 0
         self.access_count = 1
-        self.ref_bit = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -131,8 +116,6 @@ class BufferPoolManager:
     ----------
     capacity:
         Frame budget. Tests use tiny budgets (e.g. 8) to force eviction.
-    policy:
-        ``"lru"`` or ``"clock"`` (or an :class:`EvictionPolicy`).
     lsn_source:
         Zero-argument callable returning the engine LSN; stamped into each
         page header at write-back so on-disk images order deterministically.
@@ -149,7 +132,6 @@ class BufferPoolManager:
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
-        policy: str = "lru",
         lsn_source: Optional[Callable[[], int]] = None,
         log_flusher: Optional[Callable[[int], None]] = None,
         instrumentation=None,
@@ -157,12 +139,6 @@ class BufferPoolManager:
         if capacity <= 0:
             raise BufferPoolError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        try:
-            self.policy = EvictionPolicy(policy)
-        except ValueError:
-            raise BufferPoolError(
-                f"unknown eviction policy {policy!r} (expected 'lru' or 'clock')"
-            ) from None
         self._lsn_source = lsn_source
         self._log_flusher = log_flusher
         if instrumentation is None:
@@ -174,10 +150,8 @@ class BufferPoolManager:
         self._frames: List[Optional[Frame]] = [None] * capacity
         self._free_slots: List[int] = list(range(capacity - 1, -1, -1))
         self._page_table: Dict[Tuple[int, int], int] = {}
-        # key -> None; insertion order tracks recency (last = MRU). Kept for
-        # both policies so the dump artifact is policy-independent.
+        # key -> None; insertion order tracks recency (last = MRU).
         self._recency: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        self._clock_hand = 0
         self._files: Dict[int, PageFile] = {}
         self._hits = 0
         self._misses = 0
@@ -199,7 +173,6 @@ class BufferPoolManager:
             self._hits += 1
             self._obs.count("buffer_pool.hits")
             frame.access_count += 1
-            frame.ref_bit = True
             self._recency.move_to_end(key)
             frame.pin_count += 1
             return frame
@@ -283,10 +256,7 @@ class BufferPoolManager:
 
     def _evict_slot(self) -> int:
         """Evict a victim (writing it back if dirty); return its free slot."""
-        if self.policy is EvictionPolicy.LRU:
-            victim = self._lru_victim()
-        else:
-            victim = self._clock_victim()
+        victim = self._lru_victim()
         if victim.dirty:
             self._writeback(victim)
         self._evictions += 1
@@ -300,21 +270,6 @@ class BufferPoolManager:
             frame = self._frames[self._page_table[key]]
             if frame.pin_count == 0:
                 return frame
-        raise BufferPoolError(
-            f"all {self.capacity} frames are pinned; cannot evict"
-        )
-
-    def _clock_victim(self) -> Frame:
-        # Two full sweeps: the first may only clear reference bits.
-        for _ in range(2 * self.capacity):
-            frame = self._frames[self._clock_hand]
-            self._clock_hand = (self._clock_hand + 1) % self.capacity
-            if frame is None or frame.pin_count > 0:
-                continue
-            if frame.ref_bit:
-                frame.ref_bit = False
-                continue
-            return frame
         raise BufferPoolError(
             f"all {self.capacity} frames are pinned; cannot evict"
         )
@@ -472,4 +427,3 @@ class BufferPoolManager:
         self._free_slots = list(range(self.capacity - 1, -1, -1))
         self._page_table.clear()
         self._recency.clear()
-        self._clock_hand = 0

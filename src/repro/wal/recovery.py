@@ -313,7 +313,7 @@ def recover_engine(data_dir: str, **engine_kwargs):
     open :class:`~repro.engine.engine.StorageEngine` with
     ``last_recovery_report`` attached.
 
-    ``engine_kwargs`` are forwarded to the new engine (capacities, policy,
+    ``engine_kwargs`` are forwarded to the new engine (capacities,
     ``wal_sync`` ...); ``data_dir`` is fixed by recovery.
 
     Note: rows loaded via :meth:`StorageEngine.bulk_load` bypass the WAL by
@@ -334,9 +334,10 @@ def recover_sharded_engine(data_dir: str, num_shards: int, **engine_kwargs):
 
     Each shard has its own WAL, so each recovers on its own; then every
     table any shard knows is registered on the shards that lack it. The
-    combined report nests the shard reports in shard order.
+    combined report is :func:`~repro.server.sharding.merge_recovery_reports`
+    of the shards' reports.
     """
-    from ..server.sharding import TABLE_NAME, ShardedEngine, shard_dir
+    from ..server.sharding import ShardedEngine, merge_recovery_reports, shard_dir
 
     for i in range(num_shards):
         path = shard_dir(data_dir, i)
@@ -360,25 +361,7 @@ def recover_sharded_engine(data_dir: str, num_shards: int, **engine_kwargs):
     next_txn_id = max(shard._next_txn_id for shard in sharded.shards)
     for engine in (sharded, *sharded.shards):
         engine._next_txn_id = next_txn_id
-    report = RecoveryReport(data_dir=data_dir)
-    report.tables = tuple(all_tables)
-    report.shard_reports = shard_reports
-    report.segments_scanned = sum(r.segments_scanned for r in shard_reports)
-    report.records_scanned = sum(r.records_scanned for r in shard_reports)
-    report.redo_applied = sum(r.redo_applied for r in shard_reports)
-    report.undo_applied = sum(r.undo_applied for r in shard_reports)
-    report.clr_records = sum(r.clr_records for r in shard_reports)
-    report.torn_pages = tuple(
-        (TABLE_NAME.format(name=t, shard=i), p)
-        for i, r in enumerate(shard_reports)
-        for t, p in r.torn_pages
+    sharded.last_recovery_report = merge_recovery_reports(
+        data_dir, all_tables, shard_reports
     )
-    report.loser_txns = tuple(
-        sorted(set().union(*(set(r.loser_txns) for r in shard_reports)))
-    )
-    report.committed_txns = tuple(
-        sorted(set().union(*(set(r.committed_txns) for r in shard_reports)))
-    )
-    report.end_lsn = max(r.end_lsn for r in shard_reports)
-    sharded.last_recovery_report = report
     return sharded

@@ -161,7 +161,6 @@ def run_frontend(
     setup: Sequence[str] = (),
     config: Optional[ServerConfig] = None,
     policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-    num_workers: int = 8,
     seed: int = 0,
     queue_capacity: int = 1 << 20,
 ) -> Tuple[MySQLServer, ServerFrontend, Tuple[CompletedRequest, ...]]:
@@ -177,7 +176,6 @@ def run_frontend(
     server.disconnect(admin)
     frontend = ServerFrontend(
         server,
-        num_workers=num_workers,
         policy=policy,
         queue_capacity=queue_capacity,
         seed=seed,

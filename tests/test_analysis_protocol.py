@@ -228,9 +228,15 @@ class TestDurabilityRealEngine:
     def test_removing_the_append_from_insert_fires(self, tmp_path):
         engine_py = self._copy_tree(tmp_path)
         source = engine_py.read_text()
-        logged = "txn.note_lsn(self.wal.append_row_change(table, undo, redo))"
-        assert source.count(logged) == 1
-        engine_py.write_text(source.replace(logged, "txn.note_lsn(self.lsn.current)"))
+        # UPDATE and DELETE make the same append; cut only INSERT's.
+        start = source.index("    def insert(")
+        end = source.index("    def update(")
+        logged = "self.wal.append_row_change(table, undo, redo)"
+        insert = source[start:end]
+        assert insert.count(logged) == 1
+        engine_py.write_text(
+            source[:start] + insert.replace(logged, "self.lsn.current") + source[end:]
+        )
         assert self._unlogged(tmp_path) == ["repro.engine.engine.StorageEngine.insert"]
 
 

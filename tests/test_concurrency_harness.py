@@ -175,7 +175,6 @@ class TestStressByteEquivalence:
             setup=setup,
             config=ServerConfig(**STRESS_CONFIG),
             policy=SchedulingPolicy.FIFO,
-            num_workers=8,
         )
         telemetry = frontend.queue_telemetry()
         assert telemetry["dispatched"] == sum(len(s) for s in scripts)

@@ -128,7 +128,7 @@ class TestServerFrontend:
         assert "missing_table" in done.error
 
     def test_drain_reports_dispatch_count(self):
-        server, frontend = self.make(num_workers=4)
+        server, frontend = self.make()
         session = frontend.open_session()
         frontend.submit(
             session, "CREATE TABLE t (id INT PRIMARY KEY, v INT)"

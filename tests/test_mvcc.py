@@ -133,7 +133,7 @@ class TestFirstWriterWins:
         with pytest.raises(WriteConflictError):
             engine.update(second, "t", 1, b"second")
         assert engine.redo_log.num_records == redo_before
-        assert second.num_changes == 0
+        assert second.writes == []
 
     def test_winner_commits_cleanly_after_loser_aborts(self):
         engine = make_engine()

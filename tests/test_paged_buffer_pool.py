@@ -93,7 +93,7 @@ class TestEviction:
         pool.unpin(extra, dirty=True)
 
     def test_lru_picks_least_recent(self):
-        pool = BufferPoolManager(capacity=3, policy="lru")
+        pool = BufferPoolManager(capacity=3)
         file = make_file()
         pids = self._fill(pool, file, 3)
         # Touch the first page so the second becomes the LRU victim.
@@ -103,33 +103,20 @@ class TestEviction:
         assert pool.contains(file.space_id, pids[0])
         assert not pool.contains(file.space_id, pids[1])
 
-    def test_clock_policy_matches_capacity(self):
-        pool = BufferPoolManager(capacity=8, policy="clock")
-        file = make_file()
-        self._fill(pool, file, 100)
-        assert pool.stats["resident"] <= 8
-        assert pool.stats["evictions"] >= 92
-
     def test_policies_preserve_contents(self):
-        for policy in ("lru", "clock"):
-            pool = BufferPoolManager(capacity=4, policy=policy)
-            file = make_file()
-            pids = self._fill(pool, file, 30)
-            for i, pid in enumerate(pids):
-                frame = pool.fetch(file, pid)
-                assert frame.node.entries[0][0] == i
-                pool.unpin(frame)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(BufferPoolError):
-            BufferPoolManager(capacity=4, policy="mru")
+        pool = BufferPoolManager(capacity=4)
+        file = make_file()
+        pids = self._fill(pool, file, 30)
+        for i, pid in enumerate(pids):
+            frame = pool.fetch(file, pid)
+            assert frame.node.entries[0][0] == i
+            pool.unpin(frame)
 
 
 class TestEvictionCornerCases:
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
-    def test_all_frames_pinned_exact_error(self, policy):
+    def test_all_frames_pinned_exact_error(self):
         capacity = 4
-        pool = BufferPoolManager(capacity=capacity, policy=policy)
+        pool = BufferPoolManager(capacity=capacity)
         file = make_file()
         pinned = [new_leaf(pool, file, [(i, b"p")]) for i in range(capacity)]
         with pytest.raises(
@@ -144,48 +131,6 @@ class TestEvictionCornerCases:
         for frame in pinned:
             assert frame.pin_count == 1
             pool.unpin(frame, dirty=True)
-
-    def test_clock_hand_wraps_and_second_chances(self):
-        # 8-frame budget, all resident frames with their reference bit
-        # set: the hand's first full sweep may only clear bits, so the
-        # victim is found on the wraparound sweep — and it is the frame
-        # the hand started at, not an arbitrary one.
-        pool = BufferPoolManager(capacity=8, policy="clock")
-        file = make_file()
-        pids = []
-        for i in range(8):
-            frame = new_leaf(pool, file, [(i, b"w")])
-            pids.append(frame.page_id)
-            pool.unpin(frame, dirty=True)
-        for frame in pool.frames():
-            assert frame.ref_bit  # install leaves the bit set
-        extra = new_leaf(pool, file, [(99, b"q")])
-        pool.unpin(extra, dirty=True)
-        # The hand started at slot 0; two sweeps later slot 0's frame
-        # (the first page) is the evicted victim.
-        assert not pool.contains(file.space_id, pids[0])
-        assert pool.stats["resident"] == 8
-        assert pool.stats["evictions"] == 1
-        # Survivors had their reference bit cleared by the first sweep.
-        survivors = [f for f in pool.frames() if f.page_id != extra.page_id]
-        assert all(not f.ref_bit for f in survivors)
-
-    def test_clock_hand_skips_pinned_on_wraparound(self):
-        pool = BufferPoolManager(capacity=8, policy="clock")
-        file = make_file()
-        held = new_leaf(pool, file, [(0, b"held")])  # slot 0, stays pinned
-        pids = [held.page_id]
-        for i in range(1, 8):
-            frame = new_leaf(pool, file, [(i, b"w")])
-            pids.append(frame.page_id)
-            pool.unpin(frame, dirty=True)
-        extra = new_leaf(pool, file, [(99, b"q")])
-        pool.unpin(extra, dirty=True)
-        # The pinned frame at the hand's starting slot survives; the next
-        # unpinned frame in ring order is the one evicted.
-        assert pool.contains(file.space_id, pids[0])
-        assert not pool.contains(file.space_id, pids[1])
-        pool.unpin(held, dirty=True)
 
     def test_wal_rule_log_flushed_before_page_write(self):
         # Regression for the WAL rule: the log_flusher hook must run
@@ -315,20 +260,6 @@ class TestDump:
         dump = pool.dump()
         assert [ref.page_id for ref in dump.entries] == list(reversed(pids))
         assert all(ref.space_id == 5 for ref in dump.entries)
-
-    def test_dump_identical_across_policies(self):
-        refs = {}
-        for policy in ("lru", "clock"):
-            pool = BufferPoolManager(capacity=8, policy=policy)
-            file = make_file()
-            for i in range(6):
-                frame = new_leaf(pool, file, [(i, b"v")])
-                pool.unpin(frame, dirty=True)
-            for pid in (2, 4):
-                frame = pool.fetch(file, pid)
-                pool.unpin(frame)
-            refs[policy] = [(r.space_id, r.page_id) for r in pool.dump().entries]
-        assert refs["lru"] == refs["clock"]
 
     def test_read_node_does_not_touch_recency(self):
         pool = BufferPoolManager(capacity=8)

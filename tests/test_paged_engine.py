@@ -191,15 +191,3 @@ class TestServerPaged:
         server.execute(session, "INSERT INTO t (id, v) VALUES (1, 10)")
         server.close()
         assert os.path.exists(os.path.join(data_dir, "t.ibd"))
-
-    def test_clock_policy_through_config(self):
-        server = MySQLServer(
-            self.config(buffer_pool_policy="clock", buffer_pool_capacity=8)
-        )
-        session = server.connect("app")
-        server.execute(session, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        for start in range(0, 500, 100):
-            values = ", ".join(f"({i}, {i})" for i in range(start, start + 100))
-            server.execute(session, f"INSERT INTO t (id, v) VALUES {values}")
-        assert server.engine.buffer_pool.stats["resident"] <= 8
-        server.close()

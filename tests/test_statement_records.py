@@ -210,7 +210,7 @@ def _frontend_run(data_dir, statements=240):
         general_log_enabled=True, long_query_time=0.0, data_dir=data_dir
     )
     server = MySQLServer(config)
-    frontend = ServerFrontend(server, num_workers=4)
+    frontend = ServerFrontend(server)
     sessions = [frontend.open_session(user) for user in ("alice", "bob", "carol")]
     frontend.submit(sessions[0], "CREATE TABLE t (id INT PRIMARY KEY, a INT, s TEXT)")
     for i in range(statements):
@@ -320,7 +320,7 @@ class TestNoCompletionLog:
     def test_dropped_completions_leave_nothing_alive(self, policy):
         with tempfile.TemporaryDirectory() as tmp:
             server = MySQLServer(ServerConfig(data_dir=tmp))
-            frontend = ServerFrontend(server, num_workers=4, policy=policy)
+            frontend = ServerFrontend(server, policy=policy)
             sessions = [frontend.open_session(f"u{i}") for i in range(4)]
             frontend.submit(sessions[0], "CREATE TABLE t (id INT PRIMARY KEY, a INT, s TEXT)")
             frontend.drain()

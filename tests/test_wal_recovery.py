@@ -21,7 +21,7 @@ import pytest
 from repro.engine import StorageEngine
 from repro.errors import EngineError, RecoveryError, WalError
 from repro.server import MySQLServer, ServerConfig
-from repro.server.sharding import ShardedEngine
+from repro.server.sharding import ShardedEngine, qualify_dirty_pages
 from repro.storage import decode_row
 from repro.wal.log_manager import scan_segments
 from repro.wal.records import FRAME_HEADER, WalRecordType, parse_frames
@@ -435,6 +435,53 @@ class TestShardedRecovery:
         recovered.insert(txn, "a", 99, b"post")
         recovered.commit(txn)
         assert dict(recovered.scan("a"))[99] == b"post"
+        recovered.close()
+
+    def test_combined_report_merges_what_every_shard_saw(self, tmp_path):
+        data_dir = str(tmp_path / "merged")
+        engine = ShardedEngine(num_shards=3, data_dir=data_dir, **ENGINE_KWARGS)
+        engine.register_table("a")
+        for key in range(1, 21):
+            txn = engine.begin()
+            engine.insert(txn, "a", key, f"v{key}".encode())
+            if key % 3 == 0:
+                engine.rollback(txn)
+            else:
+                engine.commit(txn)
+            if key == 10:
+                engine.checkpoint()
+        engine.simulate_crash()
+        wal_dir = os.path.join(data_dir, "shard1", "wal")
+        last = sorted(os.listdir(wal_dir))[-1]
+        with open(os.path.join(wal_dir, last), "rb") as fh:
+            frames, _ = parse_frames(fh.read())
+        end = frames[-1].offset + FRAME_HEADER.size + len(frames[-1].body)
+        with open(os.path.join(wal_dir, last), "r+b") as fh:  # a torn tail
+            fh.seek(end)
+            fh.write(b"\xfe\xed\xfa\xce")
+        with open(os.path.join(data_dir, "shard2", "a.ibd"), "r+b") as fh:
+            fh.write(b"\xff" * 64)  # a header that no longer checksums
+
+        recovered = recover_sharded_engine(data_dir, 3, **ENGINE_KWARGS)
+        report = recovered.last_recovery_report
+        shards = report.shard_reports
+        assert all(r.aborted_txns for r in shards)
+        assert report.aborted_txns == tuple(
+            sorted(txn for r in shards for txn in r.aborted_txns)
+        )
+        assert all(r.last_checkpoint_lsn > -1 for r in shards)
+        assert report.last_checkpoint_lsn == max(
+            r.last_checkpoint_lsn for r in shards
+        )
+        assert report.dirty_pages_at_checkpoint == qualify_dirty_pages(
+            [r.dirty_pages_at_checkpoint for r in shards]
+        )
+        assert report.dirty_pages_at_checkpoint
+        assert [r.unreadable_tablespaces for r in shards] == [(), (), ("a",)]
+        assert report.unreadable_tablespaces == ("a@shard2",)
+        assert [r.truncated_tail is None for r in shards] == [True, False, True]
+        assert report.truncated_tail == f"shard1/{shards[1].truncated_tail}"
+        assert report.truncated_tail.startswith(f"shard1/{last}: ")
         recovered.close()
 
     def test_corrupt_shard_log_fails_and_releases_the_other_shards(self, tmp_path):

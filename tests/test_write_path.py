@@ -606,7 +606,7 @@ class TestKeyRange:
         assert engine.wal.stats["appended_frames"] == frames
         assert engine.undo_log.total_appended == undo
         assert key not in engine.mvcc._chains.get("t", {})
-        assert [c.key for c in txn.changes] == [1]
+        assert txn.writes == [("t", 1)]
         engine.commit(txn)
         engine.checkpoint()
         assert engine.scan("t") == [(1, encode_row((1,)))]
@@ -650,17 +650,14 @@ def _log_reference(engine, txn, table, op, key, before, after):
         WalRecordType.UNDO,
         "undo",
     )
-    txn.note_lsn(
-        _append_record_reference(
-            wal,
-            RedoRecord(txn.txn_id, table, op, key, after),
-            wal.redo_log,
-            WalRecordType.REDO,
-            "redo",
-        )
+    _append_record_reference(
+        wal,
+        RedoRecord(txn.txn_id, table, op, key, after),
+        wal.redo_log,
+        WalRecordType.REDO,
+        "redo",
     )
     engine.mvcc.record_write(txn, table, key, op, before, engine.lsn.current)
-    txn.record_change(table, op, key, before, after)
 
 
 def insert_reference(self, txn, table, key, row):
@@ -714,10 +711,10 @@ ENGINE_KINDS = {
 }
 
 
-def changes_of(txn):
+def writes_of(txn):
     if hasattr(txn, "branches"):
-        return {i: branch.changes for i, branch in sorted(txn.branches.items())}
-    return txn.changes
+        return {i: list(branch.writes) for i, branch in sorted(txn.branches.items())}
+    return list(txn.writes)
 
 
 def engine_state(engine):
@@ -780,7 +777,7 @@ def run_steps(kind, steps, built):
         except ReproError as exc:
             result = type(exc).__name__
         assert len(built) == made, "a forward row change built a record"
-        trail.append((result, changes_of(txn), engine_state(engine)))
+        trail.append((result, writes_of(txn), engine_state(engine)))
     for txn in txns:
         if txn is not None:
             engine.commit(txn)
@@ -851,7 +848,7 @@ class TestRejectedRowChange:
     def _state(self, engine, txn):
         # Pool stats left out: putting a before-image back is one more
         # descent through the pool.
-        return [s[:5] + s[6:] for s in engine_state(engine)], changes_of(txn)
+        return [s[:5] + s[6:] for s in engine_state(engine)], writes_of(txn)
 
     def _assert_rejected(self, engine, txn, call):
         before = self._state(engine, txn)
@@ -916,7 +913,7 @@ def test_rejection_on_an_untouched_shard_leaves_only_the_branch_begin():
     after[shard][0].pop()
     assert [s[2:] for s in after] == [s[2:] for s in before]
     assert [s[0] for s in after] == [s[0] for s in before]
-    assert changes_of(txn) == {shard: []}
+    assert writes_of(txn) == {shard: []}
     engine.rollback(txn)
     engine.close()
 
