@@ -20,7 +20,7 @@ from ..errors import EngineError, LogError, TransactionError
 from ..obs.instrumentation import NO_OP_INSTRUMENTATION, Instrumentation
 from ..storage.paged import AccessPath, BufferPoolManager, PagedTable, PageFile
 from ..wal.log_manager import DEFAULT_CAPACITY, DEFAULT_SEGMENT_BYTES, LogManager
-from ..wal.records import RedoRecord, _encode_body
+from ..wal.records import RedoRecord, _change_bodies, _encode_body
 from .binlog import Binlog
 from .mvcc import MVCCManager
 from .transaction import Transaction
@@ -256,14 +256,13 @@ class StorageEngine:
         """Insert a row, logging undo (empty before-image) and redo (after)."""
         _, tree = self._lookup(table)
         self.mvcc.check_write(txn, table, key)
-        undo = _encode_body(txn.txn_id, table, _INSERT, key, b"")
-        redo = _encode_body(txn.txn_id, table, _INSERT, key, row)
+        undo, redo = _change_bodies(txn.txn_id, table, _INSERT, key, b"", row)
         self.wal.check_row_change(undo, redo)
         with self.obs.span("storage.insert", table=table):
             path = tree.insert(key, row)
         self.wal.append_row_change(table, undo, redo)
         self.obs.count("engine.rows_written", label=table)
-        self.mvcc.record_write(txn, table, key, _INSERT, b"", self.lsn.current)
+        self.mvcc.record_write(txn, table, key, _INSERT, b"")
         return path
 
     def update(self, txn: Transaction, table: str, key: int, row: bytes) -> AccessPath:
@@ -282,7 +281,7 @@ class StorageEngine:
             tree.update(key, before)  # the log refused the change
             raise
         self.obs.count("engine.rows_written", label=table)
-        self.mvcc.record_write(txn, table, key, _UPDATE, before, self.lsn.current)
+        self.mvcc.record_write(txn, table, key, _UPDATE, before)
         return path
 
     def delete(self, txn: Transaction, table: str, key: int) -> AccessPath:
@@ -301,7 +300,7 @@ class StorageEngine:
             tree.insert(key, before)  # the log refused the change
             raise
         self.obs.count("engine.rows_written", label=table)
-        self.mvcc.record_write(txn, table, key, _DELETE, before, self.lsn.current)
+        self.mvcc.record_write(txn, table, key, _DELETE, before)
         return path
 
     # -- reads --------------------------------------------------------------------

@@ -53,19 +53,17 @@ class RowVersion:
     the row did not exist — i.e. this version is an insert).
     """
 
-    __slots__ = ("txn_id", "lsn", "op", "before_image", "commit_seq", "prev")
+    __slots__ = ("txn_id", "op", "before_image", "commit_seq", "prev")
 
     def __init__(
         self,
         txn_id: int,
-        lsn: int,
         op: str,
         before_image: bytes,
         commit_seq: Optional[int] = None,
         prev: Optional["RowVersion"] = None,
     ) -> None:
         self.txn_id = txn_id
-        self.lsn = lsn
         self.op = op
         self.before_image = before_image
         self.commit_seq = commit_seq
@@ -147,17 +145,14 @@ class MVCCManager:
             )
 
     def record_write(
-        self, txn: Transaction, table: str, key: int, op: str,
-        before_image: bytes, lsn: int,
+        self, txn: Transaction, table: str, key: int, op: str, before_image: bytes
     ) -> None:
         """Push a new uncommitted version at the head of the row's chain
         and note the row in the transaction's writes."""
         chain = self._chains.get(table)
         if chain is None:
             chain = self._chains[table] = {}
-        chain[key] = RowVersion(
-            txn.txn_id, lsn, op, before_image, None, chain.get(key)
-        )
+        chain[key] = RowVersion(txn.txn_id, op, before_image, None, chain.get(key))
         txn.writes.append((table, key))
 
     # -- commit / rollback -------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
@@ -120,15 +121,18 @@ class TableSchema:
 
         return build
 
-    def clustering_key(self, row: Sequence[Literal]) -> int:
-        """The integer key a row is stored under (PK or hidden rowid)."""
+    def clustering_key_of(self) -> Callable[[Sequence[Literal]], int]:
+        """Compile the per-row clustering-key function of an INSERT.
+
+        With a primary key it reads that column of a row
+        :meth:`row_builder` built, which has already rejected a NULL or
+        non-INT key; without one, each call takes the next hidden row id.
+        """
         if self.primary_key is not None:
-            value = row[self.column_index(self.primary_key)]
-            if not isinstance(value, int):
-                raise CatalogError(
-                    f"primary key value for {self.name!r} must be an int"
-                )
-            return value
+            return itemgetter(self.column_index(self.primary_key))
+        return self._take_hidden_rowid
+
+    def _take_hidden_rowid(self, row: Sequence[Literal]) -> int:
         rowid = self._next_hidden_rowid
         self._next_hidden_rowid += 1
         return rowid

@@ -599,15 +599,17 @@ def _bound(bound: Optional[Bound], literals: Sequence[Literal]) -> Optional[int]
 
 
 class PreparedInsert(_TableStatement):
-    """An INSERT: the row builder is resolved once, rows bound per statement."""
+    """An INSERT: the row builder and the key column are resolved once, rows
+    bound per statement."""
 
-    __slots__ = ("build_row", "rows")
+    __slots__ = ("build_row", "key_of", "rows")
 
     statement = "Insert"
 
     def __init__(self, schema: TableSchema, stmt: Insert) -> None:
         super().__init__(schema)
         self.build_row = schema.row_builder(stmt.columns)
+        self.key_of = schema.clustering_key_of()
         # Each VALUES tuple as the slice of the literals it spans, or as its
         # terms when it holds a NULL.
         rows: List[object] = []
@@ -627,8 +629,8 @@ class PreparedInsert(_TableStatement):
         sql: str,
     ) -> Outcome:
         table = self.table
-        schema = self.schema
         build_row = self.build_row
+        key_of = self.key_of
         engine = server.engine
         txn, autocommit = server.begin_write(session, sql)
         inserted = 0
@@ -639,7 +641,7 @@ class PreparedInsert(_TableStatement):
                 else:
                     values = tuple([_bind(term, literals) for term in spec])
                 row = build_row(values)
-                key = schema.clustering_key(row)
+                key = key_of(row)
                 try:
                     engine.insert(txn, table, key, encode_row(row))
                 except DuplicateEntryError as exc:

@@ -4,7 +4,10 @@ The server needs four things from every statement's tokens: the strings
 the lexer and parser copy into the session arena, the canonical digest
 text for ``performance_schema``, the literal values, and the statement's
 structure. :func:`scan` produces the first three in one regex pass without
-building :class:`~repro.sql.lexer.Token` objects. :class:`StatementCache`
+building :class:`~repro.sql.lexer.Token` objects: the pattern captures each
+token's text as one group, and the text's first character tells which rule
+matched it (``x`` needs the second, to tell ``x'..'`` from a word).
+:class:`StatementCache`
 covers the last: statements with the same digest text and the same literal
 kinds have the same parse tree up to their literals, so each shape is
 parsed once, as a template, and compiled once into an executor
@@ -29,11 +32,24 @@ from .digest import digest_canonical, render_canonical
 from .lexer import KEYWORDS, TOKEN_RULES, TokenType, tokenize
 from .parser import parse
 
-#: The lexer's token rules, one group each, with leading whitespace folded
-#: into each match, then any other non-space character (a lexer error).
+#: The lexer's token rules as one group, with leading whitespace folded into
+#: each match, then any other non-space character outside the group: a lexer
+#: error, which ``findall`` reports as an empty token.
 _SCAN_RE = re.compile(
-    r"\s*(?:" + "|".join(f"({rule})" for _, rule in TOKEN_RULES) + r"|(\S))"
+    r"\s*(?:(" + "|".join(rule for _, rule in TOKEN_RULES) + r")|\S)"
 )
+
+#: A token's kind from its first character; every other first character
+#: starts a word, and so does ``x`` unless ``'`` follows it (a hex literal).
+#: ``""`` is a lexer error.
+_WORD, _SYMBOL, _NUMBER, _STRING, _ERROR = range(5)
+_KIND_OF_FIRST = {
+    "": _ERROR,
+    "'": _STRING,
+    "-": _NUMBER,
+    **dict.fromkeys("0123456789", _NUMBER),
+    **dict.fromkeys("<>=!(),*;.?", _SYMBOL),
+}
 
 #: Statement shapes one server's cache keeps. The busiest server in
 #: perfbench sees 22 shapes (leak_pipeline; oltp_txn and point_read_evict
@@ -77,35 +93,38 @@ def scan(sql: str) -> Optional[ScannedStatement]:
     shape = ""
     spill: List[str] = []
     append = parts.append
-    for hex_, string, number, word, op, punct, _ in _SCAN_RE.findall(sql):
-        if word:
-            upper = word.upper()
+    kind_of_first = _KIND_OF_FIRST.get
+    for token in _SCAN_RE.findall(sql):
+        kind = kind_of_first(token[:1], _WORD)
+        if kind == _SYMBOL:
+            append(token)
+        elif kind == _NUMBER:
+            append("?")
+            literals.append(int(token))
+            shape += "n"
+        elif kind == _WORD:
+            if token[1:2] == "'":  # x'..'
+                try:
+                    literals.append(bytes.fromhex(token[2:-1]))
+                except ValueError:
+                    return None
+                append("?")
+                shape += "h"
+                continue
+            upper = token.upper()
             if upper in KEYWORDS:
                 append(upper)
             else:
-                append(word)
-                spill.append(word)
-                spill.append(word)
-        elif punct or op:
-            append(punct or op)
-        elif number:
+                append(token)
+                spill.append(token)
+                spill.append(token)
+        elif kind == _STRING:
             append("?")
-            literals.append(int(number))
-            shape += "n"
-        elif string:
-            append("?")
-            value = string[1:-1]
+            value = token[1:-1]
             literals.append(value)
             shape += "s"
-            spill.append(string)
+            spill.append(token)
             spill.append(value)
-        elif hex_:
-            try:
-                literals.append(bytes.fromhex(hex_[2:-1]))
-            except ValueError:
-                return None
-            append("?")
-            shape += "h"
         else:
             return None
     return ScannedStatement(render_canonical(parts), shape, tuple(literals), spill)

@@ -78,9 +78,13 @@ class Token:
 
 
 # The token rules, in match order; the statement fast path
-# (:mod:`repro.sql.fastpath`) scans with the same rules. Order matters:
-# ``hex`` before ``word`` so a lone ``x`` stays an identifier but ``x'..'``
-# lexes as a literal. Explicit ASCII digits only — str.isdigit() accepts
+# (:mod:`repro.sql.fastpath`) scans with the same rules. Order matters only
+# between ``hex`` and ``word``, the two rules whose tokens can start with the
+# same character: ``hex`` first, so a lone ``x`` stays an identifier but
+# ``x'..'`` lexes as a literal. Every other rule's first characters start no
+# other rule, so the rest are ordered for speed: an alternation tries its
+# rules in turn, and punctuation and numbers fill multi-row INSERTs.
+# Explicit ASCII digits only — str.isdigit() accepts
 # unicode digits like "²" that int() then rejects (found by fuzzing).
 # ``[^\W\d]\w*`` is the regex spelling of the historical scanner's
 # identifier rule (leading isalpha()/underscore, isalnum()/underscore
@@ -88,12 +92,12 @@ class Token:
 # text; accepting it keeps the lexer total over its own canonical output
 # (the parser still rejects it).
 TOKEN_RULES = (
-    ("hex", r"x'[^']*'"),
-    ("str", r"'[^']*'"),
+    ("punct", r"[(),*;.?]"),
     ("num", r"-?[0-9]+"),
+    ("str", r"'[^']*'"),
+    ("hex", r"x'[^']*'"),
     ("word", r"[^\W\d]\w*"),
     ("op", r"<=|>=|!=|<>|[=<>]"),
-    ("punct", r"[(),*;.?]"),
 )
 
 _MASTER_RE = re.compile(

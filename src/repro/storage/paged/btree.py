@@ -149,12 +149,13 @@ class PagedBTree:
     ) -> List[Frame]:
         """Pin the whole root-to-leaf path (split/unlink propagation)."""
         fetch, file = self._pool.fetch, self._file
+        touch = path.page_ids.append if path is not None else None
         page_id = self._root_id
         stack = [fetch(file, page_id)]
         try:
             while True:
-                if path is not None:
-                    path.touch(page_id)
+                if touch is not None:
+                    touch(page_id)
                 node = stack[-1].node
                 if not isinstance(node, InternalNode):
                     break
@@ -179,9 +180,11 @@ class PagedBTree:
         """Insert ``(key, payload)``; raises on duplicate key."""
         path = AccessPath()
         stack = self._descend_with_stack(key, path)
-        leaf = stack[-1].node
-        slot = _leaf_slot(leaf.entries, key)
-        if slot < len(leaf.entries) and leaf.entries[slot][0] == key:
+        leaf_frame = stack[-1]
+        leaf = leaf_frame.node
+        entries = leaf.entries
+        slot = _leaf_slot(entries, key)
+        if slot < len(entries) and entries[slot][0] == key:
             self._unpin_all(stack)
             raise DuplicateEntryError(f"duplicate key {key}")
         try:
@@ -191,9 +194,12 @@ class PagedBTree:
             # untouched and the whole pinned path can be released clean.
             self._unpin_all(stack)
             raise
-        self._pool.mark_dirty(stack[-1])
+        self._pool.mark_dirty(leaf_frame)
         self._size += 1
-        self._split_up(stack)
+        if leaf.overflowing:
+            self._split_up(stack)
+        else:
+            self._unpin_all(stack)
         self._meta_changed()
         return path
 

@@ -359,7 +359,6 @@ class LogManager:
         #: flush or crash moves the frames.
         self._images: Optional[Tuple[_WindowImage, _WindowImage]] = None
         self._images_at = 0
-        self._pending_frames = 0
         self._flushed_lsn = self.lsn.current
         self._replaying = False
         self._closed = False
@@ -476,7 +475,6 @@ class LogManager:
 
     def _stage(self, lsn: int, rtype: WalRecordType, body: bytes) -> None:
         self._pending.append(pack_frame(lsn, rtype, body))
-        self._pending_frames += 1
         self._appended_frames += 1
 
     def _ensure_open(self) -> None:
@@ -499,24 +497,27 @@ class LogManager:
     def append_row_change(self, table: str, undo: bytes, redo: bytes) -> int:
         """Append one row change: its undo body, then its redo body.
 
-        Each body is stamped with the LSN, which then advances by the
-        body's length, and staged as a frame. Both bodies are checked
-        first, so a rejected change appends neither.
+        The undo frame is stamped with the current LSN and the redo frame
+        with the LSN just past the undo body; the LSN advances by both
+        bodies' lengths at once, and both frames are staged together. Both
+        bodies are checked first, so a rejected change appends neither.
         Returns the redo body's LSN.
         """
         self.check_row_change(undo, redo)
         if self._replaying:
             return self.lsn.current
+        undo_lsn = self.lsn.advance(len(undo) + len(redo))
+        redo_lsn = undo_lsn + len(undo)
         obs = self._obs
         with obs.span("log.append", table=table, detail="undo"):
-            lsn = self.lsn.advance(len(undo))
-            self._stage(lsn, WalRecordType.UNDO, undo)
+            undo_frame = pack_frame(undo_lsn, WalRecordType.UNDO, undo)
         obs.count("undo.appended_bytes", n=len(undo))
         with obs.span("log.append", table=table, detail="redo"):
-            lsn = self.lsn.advance(len(redo))
-            self._stage(lsn, WalRecordType.REDO, redo)
+            redo_frame = pack_frame(redo_lsn, WalRecordType.REDO, redo)
         obs.count("redo.appended_bytes", n=len(redo))
-        return lsn
+        self._pending += (undo_frame, redo_frame)
+        self._appended_frames += 2
+        return redo_lsn
 
     # The repository benchmark's per-layer tracer (``perfbench/tracer.py``)
     # still patches these two by name; nothing in the engine calls them.
@@ -630,7 +631,6 @@ class LogManager:
             _datasync(active.handle.fileno())
             self._syncs += 1
         self._pending.clear()
-        self._pending_frames = 0
         self._flushed_frame_count += written
         self._flushes += 1
         self._flushed_lsn = self.lsn.current
@@ -746,7 +746,7 @@ class LogManager:
             "syncs": self._syncs,
             "appended_frames": self._appended_frames,
             "flushed_frames": self._flushed_frame_count,
-            "pending_frames": self._pending_frames,
+            "pending_frames": len(self._pending),
             "bytes_written": self._bytes_written,
             "flushed_lsn": self._flushed_lsn,
             "end_lsn": self.lsn.current,
@@ -766,7 +766,6 @@ class LogManager:
         self._pending.clear()
         self._images = None
         self._resumed_scans = None
-        self._pending_frames = 0
         for seg in self._segments:
             if seg.handle is not None:
                 seg.handle.close()

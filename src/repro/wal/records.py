@@ -61,8 +61,6 @@ FRAME_HEADER = struct.Struct("<QIIB")
 
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
-#: ``key u64 | image_len u32``: the fixed-width tail of a redo/undo body.
-_KEY_AND_LEN = struct.Struct("<QI")
 _KEY_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: Each op's length-prefixed body field, encoded once.
@@ -72,11 +70,13 @@ _OP_FIELDS = {op: _U32.pack(len(op)) + op.encode("ascii") for op in _OPS}
 _TYPE_CRC = tuple(zlib.crc32(bytes((t,))) for t in range(256))
 
 
-def _encode_body(txn_id: int, table: str, op: str, key: int, image: bytes) -> bytes:
-    """The redo/undo body ``txn u64 | table str | op str | key u64 | image``.
+def _body_head(txn_id: int, table: str, op: str, key: int) -> bytes:
+    """``txn u64 | table str | op str | key u64``: a redo/undo body up to
+    its image.
 
-    Strings and the image are u32-length-prefixed. The key is stored as
-    its two's-complement u64; ``from_bytes`` reads it back signed.
+    The table name is u32-length-prefixed. The key is stored as its
+    two's-complement u64; ``from_bytes`` reads it back signed. A txn id
+    outside u64 raises the :class:`RecordError` of ``encode_uint``.
     """
     try:
         txn = _U64.pack(txn_id)
@@ -85,14 +85,25 @@ def _encode_body(txn_id: int, table: str, op: str, key: int, image: bytes) -> by
         raise
     name = table.encode("utf-8")
     return b"".join(
-        (
-            txn,
-            _U32.pack(len(name)),
-            name,
-            _OP_FIELDS[op],
-            _KEY_AND_LEN.pack(key & _KEY_MASK, len(image)),
-            image,
-        )
+        (txn, _U32.pack(len(name)), name, _OP_FIELDS[op], _U64.pack(key & _KEY_MASK))
+    )
+
+
+def _encode_body(txn_id: int, table: str, op: str, key: int, image: bytes) -> bytes:
+    """The redo/undo body: :func:`_body_head`, then the u32-length-prefixed
+    image."""
+    return _body_head(txn_id, table, op, key) + _U32.pack(len(image)) + image
+
+
+def _change_bodies(
+    txn_id: int, table: str, op: str, key: int, before: bytes, after: bytes
+) -> Tuple[bytes, bytes]:
+    """One row change's undo and redo bodies, :func:`_encode_body` of the
+    before- and after-image, with the head they share encoded once."""
+    head = _body_head(txn_id, table, op, key)
+    return (
+        head + _U32.pack(len(before)) + before,
+        head + _U32.pack(len(after)) + after,
     )
 
 

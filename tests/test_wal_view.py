@@ -15,13 +15,15 @@ references, and compares the view with them after every step.
 
 import struct
 import tempfile
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import StorageEngine
 from repro.errors import LogError
-from repro.wal.records import RedoRecord, UndoRecord, WalRecordType
+from repro.wal import log_manager
+from repro.wal.records import RedoRecord, UndoRecord, WalRecordType, pack_frame
 from repro.wal.recovery import recover_engine
 
 _RECORD_HEADER = struct.Struct("<QI")
@@ -112,7 +114,7 @@ class Harness:
 
     def _attach(self):
         """Start fresh references from the durable bodies, as a restarted
-        window refilled itself from disk, and tap the engine's appends."""
+        window refilled itself from disk."""
         wal = self.engine.wal
         assert wal.stats["pending_frames"] == 0
         self.redo_ref = ReferenceWindow(self.capacity, RedoRecord.from_bytes)
@@ -121,14 +123,14 @@ class Harness:
         self.flushed_base = wal.stats["flushed_frames"]
         for frame in self.durable:
             self._admit(*frame)
-        stage = wal._stage
 
-        def tapped(lsn, rtype, body):
-            stage(lsn, rtype, body)
-            self.staged.append((rtype, lsn, body))
-            self._admit(rtype, lsn, body)
-
-        wal._stage = tapped
+    def pack_and_tap(self, lsn, rtype, body):
+        """``pack_frame`` for the log manager while the test runs: the log
+        packs every frame it stages, in staging order, so each one also
+        feeds the references here."""
+        self.staged.append((rtype, lsn, body))
+        self._admit(rtype, lsn, body)
+        return pack_frame(lsn, rtype, body)
 
     def _admit(self, rtype, lsn, body):
         if rtype is WalRecordType.REDO:
@@ -201,37 +203,38 @@ def test_view_matches_the_reference_window_after_every_step(case):
         )
         committed, rows, txn = {}, {}, None
         h.check()
-        for op, key, width in case["steps"]:
-            engine = h.engine
-            if op == "crash":
-                h.crash_and_recover()
-                rows, txn = dict(committed), None
-            elif op in ("commit", "rollback"):
-                if txn is not None:
-                    if op == "commit":
-                        engine.commit(txn)
-                        committed = dict(rows)
-                    else:
-                        engine.rollback(txn)
-                        rows = dict(committed)
-                    txn = None
-            else:
-                if txn is None:
-                    txn = engine.begin()
-                row = bytes([key]) * width
-                try:
-                    if op == "insert" and key not in rows:
-                        engine.insert(txn, "t", key, row)
-                        rows[key] = row
-                    elif op == "update" and key in rows:
-                        engine.update(txn, "t", key, row)
-                        rows[key] = row
-                    elif op == "delete" and key in rows:
-                        engine.delete(txn, "t", key)
-                        del rows[key]
-                except LogError:
-                    # A body over the capacity is refused before any LSN
-                    # is taken; the transaction goes on without it.
-                    pass
-            h.check()
+        with mock.patch.object(log_manager, "pack_frame", h.pack_and_tap):
+            for op, key, width in case["steps"]:
+                engine = h.engine
+                if op == "crash":
+                    h.crash_and_recover()
+                    rows, txn = dict(committed), None
+                elif op in ("commit", "rollback"):
+                    if txn is not None:
+                        if op == "commit":
+                            engine.commit(txn)
+                            committed = dict(rows)
+                        else:
+                            engine.rollback(txn)
+                            rows = dict(committed)
+                        txn = None
+                else:
+                    if txn is None:
+                        txn = engine.begin()
+                    row = bytes([key]) * width
+                    try:
+                        if op == "insert" and key not in rows:
+                            engine.insert(txn, "t", key, row)
+                            rows[key] = row
+                        elif op == "update" and key in rows:
+                            engine.update(txn, "t", key, row)
+                            rows[key] = row
+                        elif op == "delete" and key in rows:
+                            engine.delete(txn, "t", key)
+                            del rows[key]
+                    except LogError:
+                        # A body over the capacity is refused before any
+                        # LSN is taken; the transaction goes on without it.
+                        pass
+                h.check()
         h.engine.close()

@@ -99,7 +99,6 @@ def flush_reference(mgr):
         log_manager._datasync(active.handle.fileno())
         mgr._syncs += 1
     mgr._pending.clear()
-    mgr._pending_frames = 0
     mgr._flushed_frame_count += written
     mgr._flushes += 1
     mgr._flushed_lsn = mgr.lsn.current
@@ -657,7 +656,7 @@ def _log_reference(engine, txn, table, op, key, before, after):
         WalRecordType.REDO,
         "redo",
     )
-    engine.mvcc.record_write(txn, table, key, op, before, engine.lsn.current)
+    engine.mvcc.record_write(txn, table, key, op, before)
 
 
 def insert_reference(self, txn, table, key, row):
