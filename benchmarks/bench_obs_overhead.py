@@ -12,7 +12,7 @@ path) in three configurations:
   as baseline; the delta between the two is the timing noise floor),
 * ``enabled``   — full span tracing + metrics.
 
-Acceptance: enabled overhead < 10%; disabled indistinguishable from
+Acceptance: enabled overhead < 20%; disabled indistinguishable from
 baseline (within the measured noise floor).
 """
 

@@ -85,7 +85,7 @@ def _direct_full_capture(server: MySQLServer) -> Snapshot:
         "dirty_page_table": server.engine.dirty_page_table(),
         "mvcc_version_chains": server.engine.mvcc_chain_stats(),
     }
-    if server.obs.enabled:
+    if server.obs is not None:
         artifacts["obs_metrics"] = server.obs.metrics_dump()
         artifacts["obs_trace_raw"] = server.obs.trace_raw()
     return Snapshot(

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..clock import SimClock
 from ..errors import EngineError, LogError, TransactionError
-from ..obs.instrumentation import NO_OP_INSTRUMENTATION, Instrumentation
+from ..obs import Instrumentation, MetricsRegistry, Tracer
 from ..storage.paged import AccessPath, BufferPoolManager, PagedTable, PageFile
 from ..wal.log_manager import DEFAULT_CAPACITY, DEFAULT_SEGMENT_BYTES, LogManager
 from ..wal.records import RedoRecord, _change_bodies, _encode_body
@@ -40,6 +40,14 @@ _UPDATE = ChangeOp.UPDATE.value
 _DELETE = ChangeOp.DELETE.value
 
 
+def _remove_private_dir(data_dir: str, closers: List[Callable[[], None]]) -> None:
+    """Close an engine's files without writing them, then remove its
+    private directory (the finalizer of an engine that owns one)."""
+    for close in closers:
+        close()
+    shutil.rmtree(data_dir, True)
+
+
 class StorageEngine:
     """An InnoDB-like engine instance.
 
@@ -60,9 +68,9 @@ class StorageEngine:
     binlog_enabled:
         Production deployments enable it; default mirrors MySQL (off).
     instrumentation:
-        Observability handle (:mod:`repro.obs`); storage operations and log
-        appends emit spans/counters through it. Defaults to the shared
-        no-op handle, which keeps the hot paths allocation-free.
+        Observability handle (:mod:`repro.obs`); storage operations, log
+        appends and the buffer pool emit spans/counters through it. With
+        ``None`` (observability off) they make no call into the layer.
     space_id_base:
         Offset added to tablespace ids; sharded deployments give each
         shard a disjoint space-id range so combined buffer-pool dumps stay
@@ -98,12 +106,25 @@ class StorageEngine:
         wal_sync: bool = True,
     ) -> None:
         self.clock = clock or SimClock()
-        self.obs = instrumentation or NO_OP_INSTRUMENTATION
+        # Observability, or ``None`` for both while it is off. A storage
+        # step neither moves the simulated clock nor opens spans of its
+        # own, so it is one ``mark`` before the step: the span a span
+        # around the step would record, failing step included.
+        self._tracer: Optional[Tracer] = None
+        self._metrics: Optional[MetricsRegistry] = None
+        if instrumentation is not None:
+            self._tracer = instrumentation.tracer
+            self._metrics = instrumentation.metrics
+        # What closes each open file without writing it: the finalizer of a
+        # private directory holds these, never the engine, so an engine
+        # dropped without close() has its files closed before the
+        # directory goes.
+        self._file_closers: List[Callable[[], None]] = []
         self._dir_finalizer = None
         if data_dir is None:
             data_dir = tempfile.mkdtemp(prefix="repro-paged-")
             self._dir_finalizer = weakref.finalize(
-                self, shutil.rmtree, data_dir, True
+                self, _remove_private_dir, data_dir, self._file_closers
             )
         else:
             os.makedirs(data_dir, exist_ok=True)
@@ -114,8 +135,9 @@ class StorageEngine:
             undo_capacity=undo_capacity,
             segment_bytes=wal_segment_bytes,
             sync=wal_sync,
-            instrumentation=self.obs,
+            instrumentation=instrumentation,
         )
+        self._file_closers.append(self.wal.crash)
         self.lsn = self.wal.lsn
         #: The circular redo/undo logs of paper §3: read-only windows that
         #: :attr:`wal` computes from its frames when they are read.
@@ -126,7 +148,7 @@ class StorageEngine:
             buffer_pool_capacity,
             lsn_source=lambda: self.lsn.current,
             log_flusher=self.wal.flush_to,
-            instrumentation=self.obs,
+            instrumentation=instrumentation,
         )
         #: Set by :func:`repro.wal.recovery.recover_engine` on an engine it
         #: rebuilt; ``None`` on a cleanly started engine.
@@ -150,6 +172,7 @@ class StorageEngine:
             raise EngineError(f"table {name!r} already registered")
         path = os.path.join(self._data_dir, f"{name}.ibd")
         page_file = PageFile(path, name, space_id=self._next_space_id)
+        self._file_closers.append(page_file.crash_close)
         self._next_space_id = max(self._next_space_id, page_file.space_id) + 1
         table = PagedTable(self.buffer_pool, page_file)
         self._tables[name] = (page_file, table)
@@ -258,10 +281,12 @@ class StorageEngine:
         self.mvcc.check_write(txn, table, key)
         undo, redo = _change_bodies(txn.txn_id, table, _INSERT, key, b"", row)
         self.wal.check_row_change(undo, redo)
-        with self.obs.span("storage.insert", table=table):
-            path = tree.insert(key, row)
+        if self._tracer is not None:
+            self._tracer.mark("storage.insert", table)
+        path = tree.insert(key, row)
         self.wal.append_row_change(table, undo, redo)
-        self.obs.count("engine.rows_written", label=table)
+        if self._metrics is not None:
+            self._metrics.inc("engine.rows_written", 1, table)
         self.mvcc.record_write(txn, table, key, _INSERT, b"")
         return path
 
@@ -272,15 +297,17 @@ class StorageEngine:
         redo = _encode_body(txn.txn_id, table, _UPDATE, key, row)
         # The before-image, and so the undo body, comes out of the tree.
         self.wal.check_row_change(b"", redo)
-        with self.obs.span("storage.update", table=table):
-            before, path = tree.update(key, row)
+        if self._tracer is not None:
+            self._tracer.mark("storage.update", table)
+        before, path = tree.update(key, row)
         undo = _encode_body(txn.txn_id, table, _UPDATE, key, before)
         try:
             self.wal.append_row_change(table, undo, redo)
         except LogError:
             tree.update(key, before)  # the log refused the change
             raise
-        self.obs.count("engine.rows_written", label=table)
+        if self._metrics is not None:
+            self._metrics.inc("engine.rows_written", 1, table)
         self.mvcc.record_write(txn, table, key, _UPDATE, before)
         return path
 
@@ -291,15 +318,17 @@ class StorageEngine:
         redo = _encode_body(txn.txn_id, table, _DELETE, key, b"")
         # The before-image, and so the undo body, comes out of the tree.
         self.wal.check_row_change(b"", redo)
-        with self.obs.span("storage.delete", table=table):
-            before, path = tree.delete(key)
+        if self._tracer is not None:
+            self._tracer.mark("storage.delete", table)
+        before, path = tree.delete(key)
         undo = _encode_body(txn.txn_id, table, _DELETE, key, before)
         try:
             self.wal.append_row_change(table, undo, redo)
         except LogError:
             tree.insert(key, before)  # the log refused the change
             raise
-        self.obs.count("engine.rows_written", label=table)
+        if self._metrics is not None:
+            self._metrics.inc("engine.rows_written", 1, table)
         self.mvcc.record_write(txn, table, key, _DELETE, before)
         return path
 
@@ -314,9 +343,11 @@ class StorageEngine:
         (``txn=None`` reads latest committed).
         """
         _, tree = self._lookup(table)
-        with self.obs.span("storage.get", table=table):
-            value, path = tree.get(key)
-        self.obs.count("engine.rows_read", label=table)
+        if self._tracer is not None:
+            self._tracer.mark("storage.get", table)
+        value, path = tree.get(key)
+        if self._metrics is not None:
+            self._metrics.inc("engine.rows_read", 1, table)
         return self.mvcc.read_row(table, key, value, txn), path
 
     def range(
@@ -328,9 +359,11 @@ class StorageEngine:
     ) -> Tuple[List[Tuple[int, bytes]], AccessPath]:
         """Range scan through the clustered index (touches the pool)."""
         _, tree = self._lookup(table)
-        with self.obs.span("storage.range", table=table):
-            entries, path = tree.range(low, high)
-        self.obs.count("engine.rows_read", n=len(entries), label=table)
+        if self._tracer is not None:
+            self._tracer.mark("storage.range", table)
+        entries, path = tree.range(low, high)
+        if self._metrics is not None:
+            self._metrics.inc("engine.rows_read", len(entries), table)
         return self.mvcc.visible_entries(table, low, high, entries, txn), path
 
     def scan(self, table: str) -> List[Tuple[int, bytes]]:
@@ -347,9 +380,11 @@ class StorageEngine:
     ) -> Tuple[List[Tuple[int, bytes]], AccessPath]:
         """Full scan as query execution does it: touches every page."""
         _, tree = self._lookup(table)
-        with self.obs.span("storage.scan", table=table):
-            entries, path = tree.range(None, None)
-        self.obs.count("engine.rows_read", n=len(entries), label=table)
+        if self._tracer is not None:
+            self._tracer.mark("storage.scan", table)
+        entries, path = tree.range(None, None)
+        if self._metrics is not None:
+            self._metrics.inc("engine.rows_read", len(entries), table)
         return self.mvcc.visible_entries(table, None, None, entries, txn), path
 
     # -- maintenance ------------------------------------------------------------
@@ -411,8 +446,9 @@ class StorageEngine:
         so the logs carry no trace of the loaded rows. Returns the row
         count loaded.
         """
-        with self.obs.span("storage.bulk_load", table=table):
-            return self._lookup(table)[1].bulk_load(items)
+        if self._tracer is not None:
+            self._tracer.mark("storage.bulk_load", table)
+        return self._lookup(table)[1].bulk_load(items)
 
     def register_secondary_index(
         self,

@@ -8,13 +8,16 @@ past query and (b) a marker string "by itself", plus carving search tokens
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..errors import ForensicsError
 from ..memory import MemoryDump
 
-_HEX_TOKEN = re.compile(rb"[0-9a-f]{32,}")
+#: ``bytes.translate`` table: lowercase hex digits to ``h``, all else ``.``.
+_HEX_MASK = bytes(
+    0x68 if chr(i) in "0123456789abcdef" else 0x2E for i in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,25 @@ def scan_for_tokens(dump: MemoryDump, min_hex_length: int = 32) -> List[Tuple[in
 
     Encrypted-database clients embed trapdoor tokens / ORE ciphertexts in
     the SQL they send; those strings end up in the same heap locations as
-    any other query text. Returns ``(offset, hex_string)`` pairs.
+    any other query text. Returns ``(offset, hex_string)`` pairs: each
+    run of at least ``min_hex_length`` hex bytes, whole, in dump order.
     """
-    pattern = re.compile(rb"[0-9a-f]{%d,}" % min_hex_length)
-    return [
-        (m.start(), m.group().decode("ascii"))
-        for m in pattern.finditer(dump.data)
-    ]
+    if min_hex_length < 1:
+        raise ForensicsError(f"token length must be positive, got {min_hex_length}")
+    data = dump.data
+    # One pass maps every byte to hex or not; each token is then a run of
+    # at least ``min_hex_length`` hex bytes, found by substring search.
+    mapped = data.translate(_HEX_MASK)
+    needle = b"h" * min_hex_length
+    tokens = []
+    start = mapped.find(needle)
+    while start != -1:
+        end = mapped.find(b".", start + min_hex_length)
+        if end == -1:
+            end = len(mapped)
+        tokens.append((start, data[start:end].decode("ascii")))
+        start = mapped.find(needle, end)
+    return tokens
 
 
 def carve_statements_containing(dump: MemoryDump, needle: str) -> List[str]:

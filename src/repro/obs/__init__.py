@@ -13,11 +13,12 @@ them *without zeroing* (the engine's memory model), and
 counts from the trace store alone.
 
 Everything hangs off an :class:`.instrumentation.Instrumentation` handle
-that is a no-op when disabled, so the query path pays nothing unless the
-operator opts in (``ServerConfig(obs_enabled=True)``).
+that exists only when the operator opts in
+(``ServerConfig(obs_enabled=True)``); without it the query path makes no
+call into this package.
 """
 
-from .instrumentation import NO_OP_INSTRUMENTATION, Instrumentation
+from .instrumentation import Instrumentation
 from .metrics import (
     DEFAULT_DURATION_BUCKETS_US,
     Histogram,
@@ -28,7 +29,6 @@ from .tracer import SPAN_MAGIC, SpanRecord, Tracer
 
 __all__ = [
     "Instrumentation",
-    "NO_OP_INSTRUMENTATION",
     "MetricsRegistry",
     "Histogram",
     "DEFAULT_DURATION_BUCKETS_US",

@@ -3,7 +3,7 @@
 Metrics are a queryable diagnostic surface (think SHOW STATUS or a
 ``/metrics`` endpoint); the span ring buffer is an in-memory structure,
 withheld from un-escalated SQL injection like the heap it lives in. Both
-providers are gated on ``server.obs.enabled`` — a server running without
+providers are gated on ``server.obs`` existing — a server running without
 instrumentation simply has no such artifacts.
 """
 
@@ -17,7 +17,7 @@ from ..snapshot.scenario import StateQuadrant
 
 
 def _obs_enabled(server: MySQLServer) -> bool:
-    return server.obs.enabled
+    return server.obs is not None
 
 
 def _capture_obs_metrics(server: MySQLServer) -> Dict[str, float]:

@@ -1,13 +1,17 @@
-"""The zero-cost-when-disabled instrumentation handle.
+"""The observability handle: one server's tracer, metrics and trace ring.
 
-Every wired component (server, executor, engine, logs, buffer pool) holds an
-:class:`Instrumentation` and calls it unconditionally. When disabled, every
-call is a constant-time no-op that allocates nothing — ``span()`` returns one
-shared do-nothing context manager, counters return immediately — so the
-query path's behaviour and memory image are byte-identical to a build with
-no instrumentation at all. When enabled, spans land in a heap-backed
-:class:`.store.TraceStore` and counters in a :class:`.metrics.MetricsRegistry`,
-both of which become snapshot artifacts (see :mod:`repro.snapshot.capture`).
+An :class:`Instrumentation` exists only while observability is on
+(``ServerConfig(obs_enabled=True)``); with it off, the server holds
+``None``. Each wired component (server, executor, engine, log manager,
+buffer pool) takes the handle when it is built and keeps its
+:class:`.tracer.Tracer` and :class:`.metrics.MetricsRegistry`, or
+``None`` for both. Its statement, row and page paths test that once per
+operation and otherwise make no call into this package, so a server
+with observability off runs as if the package did not exist: its
+behaviour and memory image are byte-identical to a build without it.
+With it on, spans land in a heap-backed :class:`.store.TraceStore` and
+counters in a :class:`.metrics.MetricsRegistry`, both of which become
+snapshot artifacts (see :mod:`repro.snapshot.capture`).
 """
 
 from __future__ import annotations
@@ -25,112 +29,40 @@ from .tracer import SpanRecord, Tracer
 DEFAULT_TRACE_CAPACITY = 512
 
 
-class _NoOpSpan:
-    """Shared do-nothing context manager for disabled instrumentation."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NOOP_SPAN = _NoOpSpan()
-
-
 class Instrumentation:
-    """Tracing + metrics behind one enable/disable switch.
+    """Tracing and metrics for one server.
 
     Parameters
     ----------
-    enabled:
-        When ``False`` (the default), no tracer, store, or registry is even
-        constructed; all methods are no-ops.
     clock:
-        Time source for span timestamps (required when enabled).
+        Time source for span timestamps (a private clock when omitted).
     heap:
         Heap the trace ring allocates from; pass the server's heap so span
         records (and their eviction residue) appear in memory dumps. A
         private heap is created when omitted.
     trace_capacity:
-        Span-record capacity of the ring buffer.
+        Record capacity of the trace ring (one record per trace).
     """
 
     def __init__(
         self,
-        enabled: bool = False,
         clock: Optional[SimClock] = None,
         heap: Optional[SimulatedHeap] = None,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
     ) -> None:
-        self.enabled = enabled
-        if enabled:
-            self.metrics: Optional[MetricsRegistry] = MetricsRegistry()
-            self.trace_store: Optional[TraceStore] = TraceStore(
-                heap or SimulatedHeap(), trace_capacity
-            )
-            self.tracer: Optional[Tracer] = Tracer(
-                clock or SimClock(), self.trace_store, self.metrics
-            )
-            # Shadow the method wrappers with direct bindings: the
-            # enabled-state check is decided once, here, not per call.
-            self.span = self.tracer.span
-            self.begin_span = self.tracer.begin
-            self.count = self.metrics.inc
-            self.observe = self.metrics.observe
-        else:
-            self.metrics = None
-            self.trace_store = None
-            self.tracer = None
-
-    @classmethod
-    def disabled(cls) -> "Instrumentation":
-        return cls(enabled=False)
-
-    # -- tracing -----------------------------------------------------------
-
-    def span(self, name: str, table: str = "", detail: str = ""):
-        """Context manager tracing a block (shared no-op when disabled)."""
-        if not self.enabled:
-            return _NOOP_SPAN
-        return self.tracer.span(name, table, detail)
-
-    def begin_span(self, name: str, table: str = "", detail: str = ""):
-        """Explicitly open a span; pair with :meth:`end_span`."""
-        if not self.enabled:
-            return None
-        return self.tracer.begin(name, table, detail)
-
-    def end_span(self, span, detail: Optional[str] = None) -> None:
-        if span is None or not self.enabled:
-            return
-        self.tracer.finish(span, detail)
-
-    # -- metrics -----------------------------------------------------------
-
-    def count(self, name: str, n: int = 1, label: str = "") -> None:
-        if self.enabled:
-            self.metrics.inc(name, n, label)
-
-    def observe(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.metrics.observe(name, value)
-
-    def gauge(self, name: str, value: float, label: str = "") -> None:
-        if self.enabled:
-            self.metrics.set_gauge(name, value, label)
+        self.metrics = MetricsRegistry()
+        self.trace_store = TraceStore(heap or SimulatedHeap(), trace_capacity)
+        self.tracer = Tracer(clock or SimClock(), self.trace_store, self.metrics)
 
     # -- snapshot artifacts ------------------------------------------------
 
     def metrics_dump(self) -> Dict[str, float]:
-        """The flat metrics dump (empty when disabled)."""
-        return self.metrics.as_dict() if self.enabled else {}
+        """The flat metrics dump."""
+        return self.metrics.as_dict()
 
     def trace_raw(self) -> bytes:
-        """The trace ring's retained bytes (empty when disabled)."""
-        return self.trace_store.raw_bytes() if self.enabled else b""
+        """The trace ring's retained bytes."""
+        return self.trace_store.raw_bytes()
 
     def trace_spans(self) -> Tuple[SpanRecord, ...]:
         """Structured view of the retained spans, oldest first.
@@ -138,8 +70,6 @@ class Instrumentation:
         Each ring record holds one whole trace (the tracer batches spans
         per query), so every record is walked to its end.
         """
-        if not self.enabled:
-            return ()
         spans = []
         for raw in self.trace_store.raw_records():
             offset = 0
@@ -147,8 +77,3 @@ class Instrumentation:
                 record, offset = SpanRecord.from_bytes(raw, offset)
                 spans.append(record)
         return tuple(spans)
-
-
-#: Module-level disabled handle; components default to it when no
-#: instrumentation is wired in, keeping their hot paths allocation-free.
-NO_OP_INSTRUMENTATION = Instrumentation(enabled=False)

@@ -70,15 +70,29 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[Tuple[str, str], int] = {}
+        #: Counter values by name, then label.
+        self._counters: Dict[str, Dict[str, int]] = {}
         self._gauges: Dict[Tuple[str, str], float] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- recording ---------------------------------------------------------
 
     def inc(self, name: str, n: int = 1, label: str = "") -> None:
-        key = (name, label)
-        self._counters[key] = self._counters.get(key, 0) + n
+        family = self._counters.get(name)
+        if family is None:
+            family = self._counters[name] = {}
+        family[label] = family.get(label, 0) + n
+
+    def counter_family(self, name: str) -> Dict[str, int]:
+        """The live label -> value map of counter ``name``.
+
+        A writer that holds it adds to a label in place, as :meth:`inc`
+        does, without a call per increment.
+        """
+        family = self._counters.get(name)
+        if family is None:
+            family = self._counters[name] = {}
+        return family
 
     def set_gauge(self, name: str, value: float, label: str = "") -> None:
         self._gauges[(name, label)] = value
@@ -99,21 +113,18 @@ class MetricsRegistry:
     # -- reading -----------------------------------------------------------
 
     def counter_value(self, name: str, label: str = "") -> int:
-        return self._counters.get((name, label), 0)
+        return self._counters.get(name, {}).get(label, 0)
 
     def counter_by_label(self, name: str) -> Dict[str, int]:
         """All labels of one counter family — e.g. per-table access counts."""
-        return {
-            label: value
-            for (n, label), value in self._counters.items()
-            if n == name
-        }
+        return dict(self._counters.get(name, {}))
 
     def as_dict(self) -> Dict[str, float]:
         """Flat, stably-named dump — the artifact a snapshot captures."""
         out: Dict[str, float] = {}
-        for (name, label), value in self._counters.items():
-            out[f"{name}{{{label}}}" if label else name] = value
+        for name, family in self._counters.items():
+            for label, value in family.items():
+                out[f"{name}{{{label}}}" if label else name] = value
         for (name, label), value in self._gauges.items():
             out[f"{name}{{{label}}}" if label else name] = value
         for name, hist in self._histograms.items():

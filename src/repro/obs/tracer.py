@@ -6,13 +6,13 @@ Each statement produces a tree of spans — ``query`` at the root, with
 every other artifact uses, so trace timestamps correlate with binlog and
 query-log entries).
 
-Finished spans are serialized eagerly but buffered until their root closes;
-the completed trace is then appended to the :class:`.store.TraceStore` as one
-record (the batch-per-trace export every production tracer performs, and the
-reason one ring slot holds one query). Every span starts with
-:data:`SPAN_MAGIC` so forensic carving can find span records in raw memory
-(including *evicted* ones — the store frees slots without zeroing, exactly
-like the rest of the engine).
+Closed spans are buffered until their root closes; the completed trace is
+then serialized in one pass and appended to the :class:`.store.TraceStore`
+as one record (the batch-per-trace export every production tracer
+performs, and the reason one ring slot holds one query). Every span starts
+with :data:`SPAN_MAGIC` so forensic carving can find span records in raw
+memory (including *evicted* ones — the store frees slots without zeroing,
+exactly like the rest of the engine).
 """
 
 from __future__ import annotations
@@ -35,9 +35,16 @@ from .store import TraceStore
 #: Serialization prefix of every span record; forensic carvers key on it.
 SPAN_MAGIC = b"SPN1"
 
-#: Fixed span header: trace_id, span_id, parent_id, started_us, duration_us
-#: as little-endian u64 — byte-identical to five ``encode_uint(..., 8)``.
-_HEADER = struct.Struct("<5Q")
+#: Fixed span head: the magic, then trace_id, span_id, parent_id,
+#: started_us, duration_us as little-endian u64 — byte-identical to
+#: ``SPAN_MAGIC`` followed by five ``encode_uint(..., 8)``.
+_HEADER = struct.Struct("<4s5Q")
+
+#: A span's ``(name, table, detail)``: the strings after its fixed head.
+_Tail = Tuple[str, str, str]
+
+#: Bound on the tracer's cache of encoded span tails.
+_MAX_TAILS = 4096
 
 
 @dataclass(frozen=True)
@@ -105,148 +112,119 @@ class SpanRecord:
         )
 
 
-class _ActiveSpan:
-    """An open span: mutable scratch state until :meth:`Tracer.finish`.
-
-    Doubles as its own context manager (``with tracer.span(...) as s:``) so
-    the hot path allocates one object per span, not two.
-    """
-
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "table", "detail",
-                 "started_at", "_tracer")
-
-    def __init__(self, trace_id: int, span_id: int, parent_id: int, name: str,
-                 table: str, detail: str, started_at: float,
-                 tracer: "Tracer") -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.table = table
-        self.detail = detail
-        self.started_at = started_at
-        self._tracer = tracer
-
-    def __enter__(self) -> "_ActiveSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer.finish(self)
-
-
 class Tracer:
-    """Builds span trees from begin/finish calls and a LIFO open-span stack.
+    """Builds span trees from a LIFO stack of open spans.
 
-    Parent/child linkage is implicit: a span begun while another is open
-    becomes its child. Finished spans are serialized into ``store`` and
-    counted in ``metrics`` (root spans also feed the ``query.duration_us``
-    histogram).
+    Parent/child linkage is implicit: a span opened while another is open
+    becomes its child, and :meth:`end` closes the innermost one, so a span
+    costs a stack entry, not an object. A step that neither moves the
+    simulated clock nor opens spans of its own is one :meth:`mark`. Closed
+    spans stay plain tuples until their root closes; the trace is then
+    serialized in one pass, appended to ``store`` as one record, and
+    counted per span name in ``metrics`` (root spans also feed the
+    ``query.duration_us`` histogram).
     """
 
     def __init__(
-        self,
-        clock: SimClock,
-        store: TraceStore,
-        metrics: Optional[MetricsRegistry] = None,
+        self, clock: SimClock, store: TraceStore, metrics: MetricsRegistry
     ) -> None:
         self.clock = clock
         self.store = store
         self.metrics = metrics
-        self._stack: List[_ActiveSpan] = []
+        #: Open spans, innermost last: (span_id, parent_id, started_at,
+        #: (name, table, detail)).
+        self._stack: List[Tuple[int, int, float, _Tail]] = []
+        #: Closed spans of the in-flight trace, in close order: (span_id,
+        #: parent_id, started_at, ended_at, (name, table, detail)).
+        self._closed: List[Tuple[int, int, float, float, _Tail]] = []
         self._next_trace_id = 1
         self._next_span_id = 1
-        # Length-prefixed-UTF8 encodings of recurring strings (span names,
-        # table names, statement digests). Serialization dominates the
-        # per-span cost, and the working set of distinct strings is tiny.
-        self._str_cache: Dict[str, bytes] = {}
-        # Finished spans of the in-flight trace, buffered until the root
-        # closes; the whole trace is then appended to the ring as one
-        # record (the batch-per-trace export every real tracer does).
-        self._pending: List[bytes] = []
-        # Per-name span counts of the in-flight trace; folded into the
-        # ``obs.spans`` counters when the root closes. Totals are identical
-        # to per-span inc() calls — metrics are only read between traces —
-        # but the registry lookup happens once per name, not once per span.
-        self._span_counts: Dict[str, int] = {}
-        # Pre-resolved root-duration histogram (skips per-query lookup).
-        self._query_hist = (
-            metrics.histogram("query.duration_us") if metrics is not None else None
-        )
+        # Encoded tails by their strings. The working set (span names ×
+        # tables × statement digests) is tiny, so each is encoded once.
+        self._tails: Dict[_Tail, bytes] = {}
+        self._query_hist = metrics.histogram("query.duration_us")
+        #: Spans per name, counted as each trace is exported.
+        self._span_counts = metrics.counter_family("obs.spans")
 
     # -- span lifecycle ----------------------------------------------------
 
-    def begin(self, name: str, table: str = "", detail: str = "") -> _ActiveSpan:
-        """Open a span; it becomes the parent of later begins until finished."""
-        if self._stack:
-            parent = self._stack[-1]
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        else:
-            trace_id = self._next_trace_id
-            self._next_trace_id += 1
-            parent_id = 0
-        span = _ActiveSpan(
-            trace_id, self._next_span_id, parent_id, name, table, detail,
-            self.clock.now, self,
-        )
-        self._next_span_id += 1
-        self._stack.append(span)
-        return span
-
-    def finish(self, span: _ActiveSpan, detail: Optional[str] = None) -> None:
-        """Close ``span`` (and any forgotten children above it on the stack)."""
+    def span(self, name: str, table: str = "", detail: str = "") -> None:
+        """Open a span; it becomes the parent of later spans until closed."""
         stack = self._stack
-        if not stack or (stack[-1] is not span and span not in stack):
-            raise ObsError(f"span {span.name!r} is not open")
-        while True:  # unwind abandoned children, the span itself last
-            top = stack.pop()
-            if top is span:
-                break
-            self._record(top, top.detail)
-        self._record(span, span.detail if detail is None else detail)
-        if not self._stack:
-            self.store.append(b"".join(self._pending))
-            self._pending.clear()
-            if self.metrics is not None:
-                inc = self.metrics.inc
-                for name, n in self._span_counts.items():
-                    inc("obs.spans", n, label=name)
-                self._span_counts.clear()
+        span_id = self._next_span_id
+        self._next_span_id = span_id + 1
+        stack.append((
+            span_id,
+            stack[-1][0] if stack else 0,
+            self.clock.now,
+            (name, table, detail),
+        ))
 
-    def span(self, name: str, table: str = "", detail: str = "") -> _ActiveSpan:
-        """``with tracer.span("parse"):`` — begin/finish around a block."""
-        return self.begin(name, table, detail)
+    def end(self, detail: Optional[str] = None) -> None:
+        """Close the innermost open span, with ``detail`` replacing the one
+        it was opened with when given. Closing a root exports its trace."""
+        stack = self._stack
+        if not stack:
+            raise ObsError("no span is open")
+        span_id, parent_id, started_at, tail = stack.pop()
+        if detail is not None:
+            tail = (tail[0], tail[1], detail)
+        self._closed.append((span_id, parent_id, started_at, self.clock.now, tail))
+        if not stack:
+            self._export()
 
-    def _encode_str(self, text: str) -> bytes:
-        """Length-prefixed UTF-8, memoized (same wire form as encode_str)."""
-        cached = self._str_cache.get(text)
-        if cached is None:
-            cached = encode_str(text)
-            if len(self._str_cache) < 4096:
-                self._str_cache[text] = cached
-        return cached
+    def mark(self, name: str, table: str = "", detail: str = "") -> None:
+        """Record a span that opens and closes now: what :meth:`span`
+        then :meth:`end` record, in one call."""
+        stack = self._stack
+        if not stack:
+            self.span(name, table, detail)
+            self.end()
+            return
+        span_id = self._next_span_id
+        self._next_span_id = span_id + 1
+        now = self.clock.now
+        self._closed.append((span_id, stack[-1][0], now, now, (name, table, detail)))
 
-    def _record(self, span: _ActiveSpan, detail: str) -> None:
-        """Serialize the span straight from its scratch state (hot path)."""
-        started_at = span.started_at
-        duration = self.clock.now - started_at
-        self._pending.append(
-            SPAN_MAGIC
-            + _HEADER.pack(
-                span.trace_id,
-                span.span_id,
-                span.parent_id,
-                round(started_at * 1e6),
-                round(duration * 1e6),
-            )
-            + self._encode_str(span.name)
-            + self._encode_str(span.table)
-            + self._encode_str(detail)
-        )
+    def unwind(self) -> None:
+        """Close every open span above the root (the spans an exception
+        left open), innermost first."""
+        while len(self._stack) > 1:
+            self.end()
+
+    def _export(self) -> None:
+        """Serialize the finished trace into one ring record and count
+        its spans in the ``obs.spans`` counters (metrics are only read
+        between traces)."""
+        trace_id = self._next_trace_id
+        self._next_trace_id = trace_id + 1
+        tails = self._tails
+        pack = _HEADER.pack
+        parts: List[bytes] = []
         counts = self._span_counts
-        counts[span.name] = counts.get(span.name, 0) + 1
-        if span.parent_id == 0 and self._query_hist is not None:
-            self._query_hist.observe(duration * 1e6)
+        # Spans mostly share their clock readings (the simulated clock
+        # moves between statements), so each pair is converted once.
+        last_started = last_ended = None
+        for span_id, parent_id, started_at, ended_at, key in self._closed:
+            if started_at != last_started or ended_at != last_ended:
+                last_started, last_ended = started_at, ended_at
+                started_us = round(started_at * 1e6)
+                duration_us = round((ended_at - started_at) * 1e6)
+            tail = tails.get(key)
+            if tail is None:
+                tail = b"".join(map(encode_str, key))
+                if len(tails) < _MAX_TAILS:
+                    tails[key] = tail
+            parts += (
+                pack(SPAN_MAGIC, trace_id, span_id, parent_id, started_us, duration_us),
+                tail,
+            )
+            name = key[0]
+            counts[name] = counts.get(name, 0) + 1
+        self._closed.clear()
+        # The root closed last: its duration is the statement's.
+        self._query_hist.observe((ended_at - started_at) * 1e6)
+        self.store.append(b"".join(parts))
 
     @property
     def open_spans(self) -> int:

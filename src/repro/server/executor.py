@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from ..errors import CatalogError, DuplicateEntryError, DuplicateKeyError, PlanError
 from ..errors import ServerError
-from ..obs.instrumentation import Instrumentation
 from ..sql.ast import (
     Aggregate,
     BeginTxn,
@@ -252,21 +251,10 @@ def filter_rows(
     rows: Sequence[Row],
     where: Optional[WhereClause],
     udfs: Optional[UdfRegistry] = None,
-    instr: Optional[Instrumentation] = None,
 ) -> List[Row]:
-    """Filter ``rows`` through a parsed WHERE clause, with filter-stage
-    metrics (prepared SELECTs bind their clause instead, and count the
-    same two metrics).
-
-    The aggregate examined/matched counters land in the observability
-    registry once per query (not per row), so instrumented filtering costs
-    the same as the bare list comprehension it replaces.
-    """
-    matching = list(filter(compile_where(schema, where, udfs), rows))
-    if instr is not None:
-        instr.count("executor.rows_examined", n=len(rows))
-        instr.count("executor.rows_matched", n=len(matching))
-    return matching
+    """Filter ``rows`` through a parsed WHERE clause (prepared SELECTs
+    bind their clause instead)."""
+    return list(filter(compile_where(schema, where, udfs), rows))
 
 
 def project(schema: TableSchema, row: Row, stmt: Select) -> Row:
@@ -477,8 +465,10 @@ class PreparedSelect(_TableStatement):
             matching = list(rows)
         else:
             matching = list(filter(where.bind(literals, server.udfs), rows))
-        server.obs.count("executor.rows_examined", n=len(rows))
-        server.obs.count("executor.rows_matched", n=len(matching))
+        obs = server.obs
+        if obs is not None:
+            obs.metrics.inc("executor.rows_examined", n=len(rows))
+            obs.metrics.inc("executor.rows_matched", n=len(matching))
         return matching
 
     def _output(self, matching: List, literals: Sequence[Literal]) -> List[Row]:
@@ -557,9 +547,13 @@ class PreparedTableSelect(PreparedSelect):
         table = self.table
         plan = self.plan
         engine = server.engine
-        with server.obs.span("plan", table=table):
-            if plan.error is not None:
-                raise PlanError(plan.error)
+        obs = server.obs
+        if obs is not None:
+            # The plan was chosen when the shape was prepared: the span
+            # marks the step and names the table.
+            obs.tracer.mark("plan", table=table)
+        if plan.error is not None:
+            raise PlanError(plan.error)
         if plan.kind is PlanKind.PK_LOOKUP:
             key = literals[plan.key]  # type: ignore[index]
             payload, _ = engine.get(table, key, txn=txn)

@@ -25,7 +25,7 @@ from ..engine import StorageEngine
 from ..engine.query_logs import GeneralQueryLog, QueryLogEntry, SlowQueryLog
 from ..errors import CatalogError, ServerError
 from ..memory import SimulatedHeap
-from ..obs import Instrumentation
+from ..obs import Instrumentation, MetricsRegistry, Tracer
 from ..sql.ast import ColumnDef, Literal
 from ..sql.fastpath import ScannedStatement, StatementCache, scan
 from ..storage import BufferPoolDump, BufferPoolManager, decode_row
@@ -163,15 +163,21 @@ class MySQLServer:
         self.config = config or ServerConfig()
         self.clock = clock or SimClock()
         self.heap = SimulatedHeap(secure_delete=self.config.secure_delete)
-        # Observability: spans/metrics for every statement when enabled.
-        # The trace ring allocates from the server heap, so span records
-        # (and their eviction residue) are part of any memory dump.
-        self.obs = Instrumentation(
-            enabled=self.config.obs_enabled,
-            clock=self.clock,
-            heap=self.heap,
-            trace_capacity=self.config.obs_trace_capacity,
-        )
+        # Observability: spans/metrics for every statement when enabled,
+        # ``None`` otherwise. The trace ring allocates from the server
+        # heap, so span records (and their eviction residue) are part of
+        # any memory dump.
+        self.obs: Optional[Instrumentation] = None
+        self._tracer: Optional[Tracer] = None
+        self._metrics: Optional[MetricsRegistry] = None
+        if self.config.obs_enabled:
+            self.obs = Instrumentation(
+                clock=self.clock,
+                heap=self.heap,
+                trace_capacity=self.config.obs_trace_capacity,
+            )
+            self._tracer = self.obs.tracer
+            self._metrics = self.obs.metrics
         engine_kwargs = dict(
             clock=self.clock,
             buffer_pool_capacity=self.config.buffer_pool_capacity,
@@ -277,33 +283,44 @@ class MySQLServer:
         timestamp = self.clock.timestamp()
         session.begin_statement(sql, timestamp)
         scanned = self._spill_statement_strings(session, sql)
-        query_span = self.obs.begin_span("query")
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.span("query")
+            # Parsing moves no clock and opens no span: a mark records it.
+            tracer.mark("parse")
         try:
             cache = self.statement_cache
-            with self.obs.span("parse"):
-                prepared = cache.lookup(scanned, self.catalog)
-                if prepared is None:
-                    template = cache.template(sql, scanned)
+            prepared = cache.lookup(scanned, self.catalog)
+            if prepared is None:
+                template = cache.template(sql, scanned)
             # A template exists only when the lexer accepted the statement.
             literals = scanned.literals  # type: ignore[union-attr]
             detail = type(template).__name__ if prepared is None else prepared.statement
-            with self.obs.span("execute", detail=detail):
-                if prepared is None:
-                    prepared = prepare(self, template, literals)
-                    cache.store(scanned, prepared)  # type: ignore[arg-type]
-                outcome = prepared.run(self, session, literals, sql)
+            if tracer is not None:
+                tracer.span("execute", detail=detail)
+            if prepared is None:
+                prepared = prepare(self, template, literals)
+                cache.store(scanned, prepared)  # type: ignore[arg-type]
+            outcome = prepared.run(self, session, literals, sql)
+            if tracer is not None:
+                tracer.end()  # execute
         except Exception:
             # Failed statements still leave their trace (MySQL instruments
             # errored statements too), then surface the error. The session
             # must recover even if the accounting itself trips.
+            if tracer is not None:
+                # Close execute where the error left it, before the
+                # accounting moves the clock.
+                tracer.unwind()
             try:
                 self._account_statement(
                     session, sql, timestamp, rows_examined=0, rows_sent=0,
                     scanned=scanned,
                 )
             finally:
-                self.obs.end_span(query_span, detail="error")
-                self.obs.count("server.errors")
+                if tracer is not None:
+                    tracer.end(detail="error")
+                    self._metrics.inc("server.errors")  # type: ignore[union-attr]
                 session.abort_statement()
             raise
         columns, rows, rows_examined, rows_affected, from_cache = outcome
@@ -318,7 +335,8 @@ class MySQLServer:
         # The root span closes after accounting so its duration covers the
         # whole statement; its detail is the digest — the "query type"
         # identifier the trace-store forensics recovers.
-        self.obs.end_span(query_span, detail=digest_value)
+        if tracer is not None:
+            tracer.end(detail=digest_value)
         session.end_statement()
         return QueryResult(
             statement=sql,
@@ -379,7 +397,8 @@ class MySQLServer:
             )
             self.general_log.log(entry)
             self.slow_log.log(entry)
-        self.obs.count("server.statements")
+        if self._metrics is not None:
+            self._metrics.inc("server.statements")
         if scanned is None:
             return duration, ""
         self.perf_schema.record_statement(

@@ -26,11 +26,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ...errors import BufferPoolError
 from .node import Node, decode_node
 from .page_file import PageFile
+
+if TYPE_CHECKING:
+    from ...obs import Instrumentation, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,9 @@ class BufferPoolManager:
         covering the page's changes is durable before the page is
         (``LogManager.flush_to``). ``None`` disables the rule (standalone
         pools in tests).
+    instrumentation:
+        Observability handle whose metrics count hits, misses, evictions
+        and write-backs; ``None`` (observability off) counts nothing.
     """
 
     DEFAULT_CAPACITY = 8192
@@ -134,18 +140,16 @@ class BufferPoolManager:
         capacity: int = DEFAULT_CAPACITY,
         lsn_source: Optional[Callable[[], int]] = None,
         log_flusher: Optional[Callable[[int], None]] = None,
-        instrumentation=None,
+        instrumentation: Optional["Instrumentation"] = None,
     ) -> None:
         if capacity <= 0:
             raise BufferPoolError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._lsn_source = lsn_source
         self._log_flusher = log_flusher
-        if instrumentation is None:
-            from ...obs.instrumentation import NO_OP_INSTRUMENTATION
-
-            instrumentation = NO_OP_INSTRUMENTATION
-        self._obs = instrumentation
+        self._metrics: Optional["MetricsRegistry"] = (
+            None if instrumentation is None else instrumentation.metrics
+        )
 
         self._frames: List[Optional[Frame]] = [None] * capacity
         self._free_slots: List[int] = list(range(capacity - 1, -1, -1))
@@ -171,13 +175,15 @@ class BufferPoolManager:
         if slot is not None:
             frame = self._frames[slot]
             self._hits += 1
-            self._obs.count("buffer_pool.hits")
+            if self._metrics is not None:
+                self._metrics.inc("buffer_pool.hits")
             frame.access_count += 1
             self._recency.move_to_end(key)
             frame.pin_count += 1
             return frame
         self._misses += 1
-        self._obs.count("buffer_pool.misses")
+        if self._metrics is not None:
+            self._metrics.inc("buffer_pool.misses")
         # Decode before evicting: a page that fails to decode leaves the
         # pool as it was.
         return self._install(file, key, decode_node(file.read_page(page_id)))
@@ -260,7 +266,8 @@ class BufferPoolManager:
         if victim.dirty:
             self._writeback(victim)
         self._evictions += 1
-        self._obs.count("buffer_pool.evictions")
+        if self._metrics is not None:
+            self._metrics.inc("buffer_pool.evictions")
         del self._page_table[victim.key]
         del self._recency[victim.key]
         return victim.slot
@@ -293,7 +300,8 @@ class BufferPoolManager:
         frame.dirty = False
         frame.rec_lsn = 0
         self._writebacks += 1
-        self._obs.count("buffer_pool.writebacks")
+        if self._metrics is not None:
+            self._metrics.inc("buffer_pool.writebacks")
 
     # -- flushing / checkpoint --------------------------------------------
 

@@ -83,10 +83,15 @@ class PageFile:
         self.secondary_roots: Dict[str, Tuple[int, int]] = {}
         self._header_dirty = True
 
-        if os.fstat(self._fd).st_size >= PAGED_PAGE_SIZE:
-            self._load_header()
-        else:
-            self.flush_header()
+        try:
+            if os.fstat(self._fd).st_size >= PAGED_PAGE_SIZE:
+                self._load_header()
+            else:
+                self.flush_header()
+        except BaseException:
+            self._file.close()  # a file that fails to open holds no handle
+            self._closed = True
+            raise
 
     # -- header page -------------------------------------------------------
 

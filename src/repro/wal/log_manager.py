@@ -79,7 +79,7 @@ from .records import (
 )
 
 if TYPE_CHECKING:
-    from ..obs.instrumentation import Instrumentation
+    from ..obs import Instrumentation, MetricsRegistry, Tracer
 
 RecordT = TypeVar("RecordT")
 
@@ -338,11 +338,11 @@ class LogManager:
     ) -> None:
         if segment_bytes <= 0:
             raise WalError(f"segment size must be positive, got {segment_bytes}")
-        if instrumentation is None:
-            from ..obs.instrumentation import NO_OP_INSTRUMENTATION
-
-            instrumentation = NO_OP_INSTRUMENTATION
-        self._obs = instrumentation
+        self._tracer: Optional["Tracer"] = None
+        self._metrics: Optional["MetricsRegistry"] = None
+        if instrumentation is not None:
+            self._tracer = instrumentation.tracer
+            self._metrics = instrumentation.metrics
         self.wal_dir = wal_dir
         self.segment_bytes = segment_bytes
         self.sync = sync
@@ -499,23 +499,35 @@ class LogManager:
 
         The undo frame is stamped with the current LSN and the redo frame
         with the LSN just past the undo body; the LSN advances by both
-        bodies' lengths at once, and both frames are staged together. Both
-        bodies are checked first, so a rejected change appends neither.
-        Returns the redo body's LSN.
+        bodies' lengths at once, and both frames are staged together. It
+        raises what :meth:`check_row_change` raises, so a rejected change
+        appends neither; bodies that pass, such as the ones a writer
+        checked before it changed the tree, cost two length comparisons,
+        not a second check. Returns the redo body's LSN.
         """
-        self.check_row_change(undo, redo)
+        if (
+            self._closed
+            or len(undo) > self.undo_capacity
+            or len(redo) > self.redo_capacity
+        ):
+            self.check_row_change(undo, redo)
         if self._replaying:
             return self.lsn.current
         undo_lsn = self.lsn.advance(len(undo) + len(redo))
         redo_lsn = undo_lsn + len(undo)
-        obs = self._obs
-        with obs.span("log.append", table=table, detail="undo"):
-            undo_frame = pack_frame(undo_lsn, WalRecordType.UNDO, undo)
-        obs.count("undo.appended_bytes", n=len(undo))
-        with obs.span("log.append", table=table, detail="redo"):
-            redo_frame = pack_frame(redo_lsn, WalRecordType.REDO, redo)
-        obs.count("redo.appended_bytes", n=len(redo))
-        self._pending += (undo_frame, redo_frame)
+        self._pending += (
+            pack_frame(undo_lsn, WalRecordType.UNDO, undo),
+            pack_frame(redo_lsn, WalRecordType.REDO, redo),
+        )
+        tracer = self._tracer
+        if tracer is not None:
+            # One span per body. Packing a frame does not move the
+            # simulated clock, so the spans need not wrap it.
+            tracer.mark("log.append", table, "undo")
+            tracer.mark("log.append", table, "redo")
+            metrics = self._metrics
+            metrics.inc("undo.appended_bytes", len(undo))  # type: ignore[union-attr]
+            metrics.inc("redo.appended_bytes", len(redo))  # type: ignore[union-attr]
         self._appended_frames += 2
         return redo_lsn
 
@@ -529,11 +541,9 @@ class LogManager:
         if self._replaying:
             return self.lsn.current
         raw = record.to_bytes()
-        with self._obs.span("log.append", table=record.table, detail="redo"):
-            _check_fits(raw, self.redo_capacity)
-            lsn = self.lsn.advance(len(raw))
-            self._stage(lsn, WalRecordType.REDO, raw)
-        self._obs.count("redo.appended_bytes", n=len(raw))
+        _check_fits(raw, self.redo_capacity)
+        lsn = self.lsn.advance(len(raw))
+        self._stage(lsn, WalRecordType.REDO, raw)
         return lsn
 
     def append_undo(self, record: UndoRecord) -> int:
@@ -542,11 +552,9 @@ class LogManager:
         if self._replaying:
             return self.lsn.current
         raw = record.to_bytes()
-        with self._obs.span("log.append", table=record.table, detail="undo"):
-            _check_fits(raw, self.undo_capacity)
-            lsn = self.lsn.advance(len(raw))
-            self._stage(lsn, WalRecordType.UNDO, raw)
-        self._obs.count("undo.appended_bytes", n=len(raw))
+        _check_fits(raw, self.undo_capacity)
+        lsn = self.lsn.advance(len(raw))
+        self._stage(lsn, WalRecordType.UNDO, raw)
         return lsn
 
     def _append_control(self, rtype: WalRecordType, body: bytes) -> int:
@@ -634,7 +642,8 @@ class LogManager:
         self._flushed_frame_count += written
         self._flushes += 1
         self._flushed_lsn = self.lsn.current
-        self._obs.count("wal.flushed_frames", n=written)
+        if self._metrics is not None:
+            self._metrics.inc("wal.flushed_frames", written)
         return written
 
     def _write_run(self, segment: _Segment, run: List[bytes]) -> None:

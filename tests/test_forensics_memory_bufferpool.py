@@ -1,6 +1,10 @@
 """Tests for memory-scan and buffer-pool-dump forensics."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ForensicsError
 from repro.forensics import (
@@ -14,6 +18,10 @@ from repro.forensics.memory_scan import carve_statements_containing
 from repro.memory import MemoryDump
 from repro.server import MySQLServer
 from repro.snapshot import AttackScenario, capture
+
+
+#: Bytes for token-carving inputs: lowercase hex and a few that are not.
+_HEXISH = b"0123456789abcdefX-\x00F"
 
 
 class TestMemoryScan:
@@ -40,6 +48,23 @@ class TestMemoryScan:
     def test_short_hex_ignored(self):
         dump = MemoryDump(b"deadbeef is too short")
         assert scan_for_tokens(dump, min_hex_length=32) == []
+
+    @settings(max_examples=300)
+    @given(
+        data=st.binary(max_size=300).map(
+            # Mostly hex with separators, so long runs occur.
+            lambda raw: bytes(_HEXISH[b % len(_HEXISH)] for b in raw)
+        ),
+        min_len=st.integers(1, 40),
+    )
+    def test_token_carving_matches_the_regex(self, data, min_len):
+        pattern = re.compile(rb"[0-9a-f]{%d,}" % min_len)
+        expected = [(m.start(), m.group().decode()) for m in pattern.finditer(data)]
+        assert scan_for_tokens(MemoryDump(data), min_hex_length=min_len) == expected
+
+    def test_token_length_must_be_positive(self):
+        with pytest.raises(ForensicsError):
+            scan_for_tokens(MemoryDump(b"abc"), min_hex_length=0)
 
     def test_carve_statements_containing(self):
         dump = MemoryDump(b"\x00SELECT a FROM t WHERE x = 'needle'\x00SELECT b FROM u\x00")

@@ -1,7 +1,7 @@
 """Tests for the observability subsystem (repro.obs) and its leakage.
 
-Covers the metrics registry's bucket semantics, span nesting, the
-zero-cost-when-disabled guarantees, and — the point of the subsystem — that
+Covers the metrics registry's bucket semantics, span nesting, a server
+with observability off, and — the point of the subsystem — that
 a snapshot attacker recovers query digests and per-table access counts from
 the trace artifact alone, including spans the ring already evicted.
 """
@@ -31,8 +31,8 @@ from repro.snapshot import AttackScenario, capture
 from repro.sql.digest import digest
 
 
-def _enabled_instr(**kwargs):
-    return Instrumentation(enabled=True, clock=SimClock(), **kwargs)
+def _instr(**kwargs):
+    return Instrumentation(clock=SimClock(), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +127,14 @@ class TestTracer:
 
     def test_parent_child_nesting(self):
         tracer, store, _ = self._tracer()
-        root = tracer.begin("query")
-        with tracer.span("parse"):
-            pass
-        with tracer.span("execute"):
-            with tracer.span("storage.get", table="t"):
-                pass
-        tracer.finish(root, detail="abc")
+        tracer.span("query")
+        tracer.span("parse")
+        tracer.end()
+        tracer.span("execute")
+        tracer.span("storage.get", table="t")
+        tracer.end()
+        tracer.end()
+        tracer.end(detail="abc")
         spans = parse_trace_store(store.raw_bytes())
         by_name = {span.name: span for span in spans}
         assert by_name["query"].parent_id == 0
@@ -147,34 +148,68 @@ class TestTracer:
     def test_separate_roots_get_separate_traces(self):
         tracer, store, _ = self._tracer()
         for _ in range(3):
-            with tracer.span("query"):
-                pass
+            tracer.span("query")
+            tracer.end()
         spans = parse_trace_store(store.raw_bytes())
         assert len({span.trace_id for span in spans}) == 3
 
     def test_root_duration_covers_clock_advance(self):
         tracer, store, clock = self._tracer()
-        root = tracer.begin("query")
+        tracer.span("query")
         clock.advance(0.25)
-        tracer.finish(root)
+        tracer.end()
         (span,) = parse_trace_store(store.raw_bytes())
         assert span.duration == pytest.approx(0.25)
 
     def test_abandoned_children_are_unwound(self):
-        tracer, store, _ = self._tracer()
-        root = tracer.begin("query")
-        tracer.begin("execute")  # never finished explicitly
-        tracer.finish(root)
-        assert tracer.open_spans == 0
-        names = {span.name for span in parse_trace_store(store.raw_bytes())}
-        assert names == {"query", "execute"}
+        """``unwind`` closes every child at once and keeps the root."""
+        tracer, store, clock = self._tracer()
+        tracer.span("query")
+        tracer.span("execute")
+        tracer.span("storage.get", table="t")
+        tracer.unwind()
+        assert tracer.open_spans == 1
+        assert store.num_records == 0  # the trace is still open
+        clock.advance(0.5)
+        tracer.end(detail="error")
+        spans = parse_trace_store(store.raw_bytes())
+        assert [span.name for span in spans] == ["storage.get", "execute", "query"]
+        assert [span.duration for span in spans] == [0.0, 0.0, 0.5]
+        assert spans[-1].detail == "error"
 
     def test_finishing_a_closed_span_raises(self):
         tracer, _, _ = self._tracer()
-        with tracer.span("query") as span:
-            pass
+        tracer.span("query")
+        tracer.end()
         with pytest.raises(ObsError):
-            tracer.finish(span)
+            tracer.end()
+
+    def test_trace_matches_span_records_and_counts(self):
+        """One pass at root close writes what per-span records would."""
+        tracer, store, clock = self._tracer()
+        tracer.span("query")
+        clock.advance(0.001)
+        tracer.span("storage.get", table="t", detail="d")
+        clock.advance(0.002)
+        tracer.end()
+        tracer.end(detail="digest")
+        tracer.span("query")
+        tracer.end()
+        start = SimClock().now
+        expected = [
+            SpanRecord(1, 2, 1, "storage.get", "t", "d", start + 0.001, 0.002),
+            SpanRecord(1, 1, 0, "query", "", "digest", start, 0.003),
+            SpanRecord(2, 3, 0, "query", "", "", start + 0.003, 0.0),
+        ]
+        assert store.raw_records() == [
+            expected[0].to_bytes() + expected[1].to_bytes(),
+            expected[2].to_bytes(),
+        ]
+        metrics = tracer.metrics
+        assert metrics.counter_by_label("obs.spans") == {
+            "storage.get": 1, "query": 2,
+        }
+        assert metrics.histogram("query.duration_us").total == 2
 
     def test_span_record_roundtrip(self):
         record = SpanRecord(
@@ -193,24 +228,16 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# Disabled mode: zero-cost no-ops
+# Disabled mode: no handle at all (tests/test_obs_off.py: no call either)
 # ---------------------------------------------------------------------------
 
 
 class TestDisabledMode:
-    def test_span_returns_one_shared_noop(self):
-        instr = Instrumentation.disabled()
-        assert instr.span("a") is instr.span("b", table="t", detail="d")
-        with instr.span("a"):
-            pass  # usable as a context manager
-
     def test_all_surfaces_empty(self):
-        instr = Instrumentation.disabled()
-        instr.count("x")
-        instr.observe("h", 1.0)
-        instr.gauge("g", 2.0)
-        instr.end_span(instr.begin_span("query"))
-        assert instr.metrics_dump() == {}
+        """Off, the server holds no handle; a handle starts empty."""
+        assert MySQLServer(ServerConfig(obs_enabled=False)).obs is None
+        instr = _instr()
+        assert set(instr.metrics_dump().values()) == {0}
         assert instr.trace_raw() == b""
         assert instr.trace_spans() == ()
 
@@ -343,9 +370,9 @@ class TestTraceResidue:
         assert sum(carved.values()) == sum(retained.values())
 
     def test_clear_leaves_residue_unless_secure_delete(self):
-        instr = _enabled_instr()
-        with instr.span("query", detail="abc"):
-            pass
+        instr = _instr()
+        instr.tracer.span("query", detail="abc")
+        instr.tracer.end()
         instr.trace_store.clear()
         assert instr.trace_raw() == b""
         carved = carve_spans(instr.trace_store._heap.snapshot())

@@ -1,4 +1,6 @@
+import gc
 import os
+import warnings
 
 from repro.engine import StorageEngine
 from repro.server import MySQLServer, ServerConfig
@@ -61,6 +63,19 @@ class TestPagedTransactions:
 
 
 class TestPagedMaintenance:
+    def test_a_dropped_engine_closes_its_files_before_removing_its_dir(self):
+        engine = paged_engine()
+        engine.register_table("t")
+        txn = engine.begin()
+        engine.insert(txn, "t", 1, b"v")
+        data_dir = engine.data_dir
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del engine, txn
+            gc.collect()
+        assert not os.path.exists(data_dir)
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_tablespace_images_are_page_aligned(self):
         engine = paged_engine()
         engine.register_table("t")

@@ -10,6 +10,7 @@ from repro.storage.paged import (
     PageFile,
     PagedPageType,
 )
+from repro.storage.paged import page_file
 from repro.storage.paged.format import NO_PAGE, checksum_of, pack_page, unpack_page
 
 
@@ -148,6 +149,25 @@ class TestPageFile:
                 pid, pack_page(pid, PagedPageType.INDEX_LEAF, 0, 0, 0, 0, 0, b"v")
             )
         file.verify_all()
+
+    def test_corrupt_header_raises_and_leaves_no_handle(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.ibd"
+        PageFile(str(path), "t", space_id=1).close()
+        data = bytearray(path.read_bytes())
+        data[PAGE_HEADER_SIZE] ^= 0xFF  # the header page's CRC no longer matches
+        path.write_bytes(bytes(data))
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(page_file, "open", recording_open, raising=False)
+        with pytest.raises(PageError):
+            PageFile(str(path), "t")
+        assert len(opened) == 1
+        assert opened[0].closed
 
     def test_out_of_range_read(self, tmp_path):
         file = PageFile(str(tmp_path / "t.ibd"), "t", space_id=1)

@@ -465,7 +465,11 @@ def _fingerprint(server, errors, data_dir):
 #: config, which synced the WAL. "sharded" was pinned on the code whose
 #: statement records (results, binlog events, query-log entries and
 #: performance_schema events) were still frozen dataclasses; it covers the
-#: merged per-shard views the sharded engine exposes.
+#: merged per-shard views the sharded engine exposes. "sharded_obs_on" was
+#: pinned on the code just before observability that is off stopped
+#: calling into ``repro.obs`` and each trace was packed once, when its
+#: root closes: it holds the trace and metrics bytes that four shards'
+#: spans and counters leave in one shared handle.
 _BEFORE_FAST_PATH = {
     "default": ({}, "4427b70a561be8cf9ef5ec36b2ccc1fb", "305049a67da361dc"),
     "everything_on": (
@@ -484,6 +488,10 @@ _BEFORE_FAST_PATH = {
     "sharded": (
         dict(num_shards=4),
         "0169fd12eb7f745221bc3d5eac3a2a1f", "305049a67da361dc",
+    ),
+    "sharded_obs_on": (
+        dict(num_shards=4, obs_enabled=True),
+        "4183e609bde00a2e0c8132a72b14bcb2", "305049a67da361dc",
     ),
 }
 

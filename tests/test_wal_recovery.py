@@ -344,7 +344,8 @@ class TestTornPages:
             data_dir = self._crashed_engine(tmp_path, f"fuzz{seed}")
             path = os.path.join(data_dir, "a.ibd")
             rng = random.Random(seed)
-            data = bytearray(open(path, "rb").read())
+            with open(path, "rb") as fh:
+                data = bytearray(fh.read())
             for _ in range(rng.randint(1, 8)):
                 data[rng.randrange(len(data))] ^= rng.randint(1, 255)
             with open(path, "wb") as fh:
@@ -361,7 +362,8 @@ class TestTornPages:
     def test_torn_page_reported_and_file_moved_aside(self, tmp_path):
         data_dir = self._crashed_engine(tmp_path, "torn")
         path = os.path.join(data_dir, "a.ibd")
-        data = bytearray(open(path, "rb").read())
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
         # Garble the head of the *last* page (the header + first records —
         # a torn write that actually hits live bytes, not zero padding).
         from repro.storage.paged import PAGED_PAGE_SIZE

@@ -14,6 +14,7 @@ import os
 import random
 import struct
 import zlib
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -27,6 +28,7 @@ from repro.errors import (
     RecordError,
     ReproError,
     StorageError,
+    WalError,
 )
 from repro.obs import Instrumentation
 from repro.server.sharding import ShardedEngine
@@ -102,7 +104,8 @@ def flush_reference(mgr):
     mgr._flushed_frame_count += written
     mgr._flushes += 1
     mgr._flushed_lsn = mgr.lsn.current
-    mgr._obs.count("wal.flushed_frames", n=written)
+    if mgr._metrics is not None:
+        mgr._metrics.inc("wal.flushed_frames", written)
     return written
 
 
@@ -627,15 +630,25 @@ class TestKeyRange:
 # -- row changes: one encode, one append ---------------------------------------
 
 
+@contextmanager
+def traced(tracer, name, table, detail=""):
+    """A span around a block, closed on an exception too."""
+    tracer.span(name, table, detail)
+    try:
+        yield
+    finally:
+        tracer.end()
+
+
 def _append_record_reference(mgr, record, window, rtype, detail):
     """The old ``LogManager.append_redo`` / ``append_undo``."""
     mgr._ensure_open()
     raw = record.to_bytes()
-    with mgr._obs.span("log.append", table=record.table, detail=detail):
+    with traced(mgr._tracer, "log.append", record.table, detail):
         window.check_fits(raw)
         lsn = mgr.lsn.advance(len(raw))
         mgr._stage(lsn, rtype, raw)
-    mgr._obs.count(f"{detail}.appended_bytes", n=len(raw))
+    mgr._metrics.inc(f"{detail}.appended_bytes", len(raw))
     return lsn
 
 
@@ -663,9 +676,9 @@ def insert_reference(self, txn, table, key, row):
     """The old ``StorageEngine.insert``: tree first, then record objects."""
     _, tree = self._lookup(table)
     self.mvcc.check_write(txn, table, key)
-    with self.obs.span("storage.insert", table=table):
+    with traced(self._tracer, "storage.insert", table):
         path = tree.insert(key, row)
-    self.obs.count("engine.rows_written", label=table)
+    self._metrics.inc("engine.rows_written", 1, table)
     _log_reference(self, txn, table, "insert", key, b"", row)
     return path
 
@@ -674,9 +687,9 @@ def update_reference(self, txn, table, key, row):
     """The old ``StorageEngine.update``."""
     _, tree = self._lookup(table)
     self.mvcc.check_write(txn, table, key)
-    with self.obs.span("storage.update", table=table):
+    with traced(self._tracer, "storage.update", table):
         before, path = tree.update(key, row)
-    self.obs.count("engine.rows_written", label=table)
+    self._metrics.inc("engine.rows_written", 1, table)
     _log_reference(self, txn, table, "update", key, before, row)
     return path
 
@@ -685,9 +698,9 @@ def delete_reference(self, txn, table, key):
     """The old ``StorageEngine.delete``."""
     _, tree = self._lookup(table)
     self.mvcc.check_write(txn, table, key)
-    with self.obs.span("storage.delete", table=table):
+    with traced(self._tracer, "storage.delete", table):
         before, path = tree.delete(key)
-    self.obs.count("engine.rows_written", label=table)
+    self._metrics.inc("engine.rows_written", 1, table)
     _log_reference(self, txn, table, "delete", key, before, b"")
     return path
 
@@ -753,7 +766,7 @@ def run_steps(kind, steps, built):
     ``built`` collects the redo/undo record objects constructed while a
     forward row change (insert, update, delete) runs.
     """
-    obs = Instrumentation(enabled=True)
+    obs = Instrumentation()
     engine = ENGINE_KINDS[kind](obs)
     engine.register_table("t")
     txns = [None, None]
@@ -894,6 +907,84 @@ class TestRejectedRowChange:
         engine.commit(txn)
         assert engine.get("t", 3)[0] == wide(3)
         engine.close()
+
+
+#: (fault, capacities): an undo body (before-image) or a redo body
+#: (after-image) larger than its window, or a log closed under the engine.
+_FAULTS = {
+    "before_image": dict(undo_capacity=200),
+    "after_image": dict(redo_capacity=200),
+    "closed_log": {},
+}
+
+
+def row_change(engine, txn, op, wide_after):
+    """One insert (key 7), update or delete (key 3), ready to call."""
+    row = wide(0) if wide_after else encode_row((0, "s"))
+    if op == "insert":
+        return lambda: engine.insert(txn, "t", 7, row)
+    if op == "update":
+        return lambda: engine.update(txn, "t", 3, row)
+    return lambda: engine.delete(txn, "t", 3)
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("op", ["insert", "update", "delete"])
+def test_row_change_fault_leaves_tree_and_log(kind, fault, op):
+    """Each fault raises before anything is appended, and the tree and the
+    log are left as they were, whether the engine's check or the one in
+    ``append_row_change`` catches it. An insert's before-image and a
+    delete's after-image are empty, so those two cannot be oversized."""
+    engine = rejecting_engine(kind, **_FAULTS[fault])
+    setup = engine.begin()
+    stored = wide(3) if fault == "before_image" else encode_row((3, "r"))
+    engine.insert(setup, "t", 3, stored)
+    engine.commit(setup)
+    txn = engine.begin()
+    for key in (3, 7):  # open both keys' branches on a sharded engine
+        engine.insert(txn, "t", neighbour(engine, key), encode_row((key, "b")))
+    call = row_change(engine, txn, op, wide_after=fault != "before_image")
+    if (op, fault) in {("insert", "before_image"), ("delete", "after_image")}:
+        call()
+        engine.rollback(txn)
+        engine.close()
+        return
+    if fault == "closed_log":
+        for shard in engine.shards:
+            shard.wal.close()
+    before = [s[:5] + s[6:] for s in engine_state(engine)], writes_of(txn)
+    with pytest.raises(LogError) as raised:
+        call()
+    if fault == "closed_log":
+        assert type(raised.value) is WalError
+        assert str(raised.value) == "log manager is closed"
+    else:
+        assert type(raised.value) is LogError
+        assert "exceeds log capacity" in str(raised.value)
+    assert ([s[:5] + s[6:] for s in engine_state(engine)], writes_of(txn)) == before
+    if fault != "closed_log":
+        engine.rollback(txn)
+        engine.close()
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+@pytest.mark.parametrize("op", ["insert", "update", "delete"])
+def test_a_row_change_is_checked_once(kind, op):
+    engine = rejecting_engine(kind)
+    setup = engine.begin()
+    engine.insert(setup, "t", 3, encode_row((3, "r")))
+    engine.commit(setup)
+    txn = engine.begin()
+    call = row_change(engine, txn, op, wide_after=True)
+    with mock.patch.object(
+        LogManager, "check_row_change", autospec=True,
+        side_effect=LogManager.check_row_change,
+    ) as check:
+        call()
+    assert check.call_count == 1
+    engine.commit(txn)
+    engine.close()
 
 
 def test_rejection_on_an_untouched_shard_leaves_only_the_branch_begin():
